@@ -19,15 +19,9 @@ from .evaluation import (
 )
 from .estimators import (
     ControlVariateState,
-    GradientSample,
-    HessianBlockSample,
     Kernel,
-    cv_gradient_sample,
     estimate_cv_lambda,
-    gradient_sample,
-    hessian_block_sample,
     kernel_for,
-    minibatch_average,
     zero_coefficients,
 )
 from .fem1d import LiftingFunction, Mesh1D, QuadratureRule, quadrature_points
@@ -53,9 +47,6 @@ from .random_field import (
     GermSampler,
     HomogeneousLogNormalField,
     TrigLogNormalField,
-    eval_kappa,
-    kappa_at_mean,
-    kappa_gradient_at_mean,
 )
 from .experiments import (
     ExperimentConfig,
@@ -76,7 +67,6 @@ from .sgd import (
     SgdConfig,
     SgdDivergenceError,
     Trajectory,
-    first_order_run,
     precondition_solve,
     run,
 )

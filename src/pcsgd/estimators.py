@@ -1,10 +1,8 @@
-"""Single-germ gradient / block-Hessian estimators and control variates.
+"""Batched gradient / block-Hessian estimators and control variates.
 
 All heavy lifting happens in `Kernel`, which precomputes the quadrature
 tables for one (problem, mesh, basis) triple and evaluates whole germ
-batches with dense linear algebra.  The per-sample operations exposed at
-module level are thin wrappers over batches of size one, so the batched and
-single-sample paths share arithmetic exactly.
+batches with dense linear algebra.
 
 Coefficient layout: flat vector of length M*(N+1) in stochastic-major
 blocks, c[j*M + (i-1)] multiplying phi_i * psi_j.
@@ -40,20 +38,6 @@ def flat_index(i: int, j: int, n_interior: int) -> int:
 
 
 @dataclass(eq=False)
-class GradientSample:
-    data: np.ndarray
-    germ: np.ndarray | None = None
-    cv_mode: str = "none"
-
-
-@dataclass(eq=False)
-class HessianBlockSample:
-    blocks: np.ndarray  # (n_stochastic, M, M)
-    germ: np.ndarray | None = None
-    stage: str = "full"
-
-
-@dataclass(eq=False)
 class ControlVariateState:
     """Fitted per-component multipliers for the linear-part control variate."""
 
@@ -63,21 +47,15 @@ class ControlVariateState:
 
 
 class Kernel:
-    """Precomputed evaluation tables for one (problem, mesh, basis, q) triple."""
+    """Precomputed evaluation tables for one (problem, mesh, basis) triple."""
 
-    def __init__(
-        self,
-        problem: ProblemInstance,
-        mesh: Mesh1D,
-        basis: PcBasisSet,
-        q: int = DEFAULT_QUADRATURE_ORDER,
-    ):
+    def __init__(self, problem: ProblemInstance, mesh: Mesh1D, basis: PcBasisSet):
         if basis.germ_dim != problem.germ_dim:
             raise ValueError("basis germ dimension does not match the field")
         self.problem = problem
         self.mesh = mesh
         self.basis = basis
-        self.rule: QuadratureRule = quadrature_points(mesh, q)
+        self.rule: QuadratureRule = quadrature_points(mesh, DEFAULT_QUADRATURE_ORDER)
         self.x = self.rule.points
         self.w = self.rule.weights
         self.phi, self.dphi = hat_tables(mesh, self.rule)
@@ -211,23 +189,6 @@ class Kernel:
 
     # -- Hessian blocks ---------------------------------------------------
 
-    def hessian_blocks_single(
-        self, c: np.ndarray, germ: np.ndarray, stage: str
-    ) -> np.ndarray:
-        """Diagonal (j, j) blocks psi_j^2 (A [+ B]) for one germ."""
-        germs = np.atleast_2d(germ)
-        psi2 = self.psi(germs)[0] ** 2  # (N+1,)
-        kap = self.kappa(germs)[0]
-        a_mat = self.dphi.T @ (self.w[:, None] * kap[:, None] * self.dphi)
-        core = a_mat
-        if stage == "full" and not self.problem.nonlinearity.is_zero:
-            u, _ = self.solution_values(c, germs)
-            dfu = self.problem.nonlinearity.derivative(self.x, u[0])
-            core = core + self.phi.T @ (self.w[:, None] * dfu[:, None] * self.phi)
-        elif stage not in ("linear-only", "full"):
-            raise ValueError(f"unknown Hessian stage {stage!r}")
-        return psi2[:, None, None] * core[None, :, :]
-
     def averaged_hessian_blocks(
         self, c: np.ndarray, germs: np.ndarray, stage: str
     ) -> np.ndarray:
@@ -262,49 +223,16 @@ def kernel_for(
     problem: ProblemInstance,
     mesh: Mesh1D | None = None,
     basis: PcBasisSet | None = None,
-    q: int = DEFAULT_QUADRATURE_ORDER,
 ) -> Kernel:
     """Kernel for the triple, cached on the problem instance."""
     mesh = mesh if mesh is not None else problem.mesh
     basis = basis if basis is not None else problem.basis
-    key = (id(mesh), id(basis), q)
+    key = (id(mesh), id(basis))
     kernel = problem._cache.get(key)
     if kernel is None:
-        kernel = Kernel(problem, mesh, basis, q)
+        kernel = Kernel(problem, mesh, basis)
         problem._cache[key] = kernel
     return kernel
-
-
-# -- spec-shaped per-sample operations ------------------------------------
-
-
-def gradient_sample(
-    problem: ProblemInstance,
-    mesh: Mesh1D,
-    basis: PcBasisSet,
-    c: np.ndarray,
-    germ: np.ndarray,
-) -> GradientSample:
-    kernel = kernel_for(problem, mesh, basis)
-    data = kernel.gradient_batch(c, np.atleast_2d(germ))[0]
-    if not np.all(np.isfinite(data)):
-        raise FloatingPointError("non-finite gradient sample")
-    return GradientSample(data=data, germ=np.asarray(germ, dtype=float))
-
-
-def hessian_block_sample(
-    problem: ProblemInstance,
-    mesh: Mesh1D,
-    basis: PcBasisSet,
-    c: np.ndarray,
-    germ: np.ndarray,
-    stage: str = "full",
-) -> HessianBlockSample:
-    kernel = kernel_for(problem, mesh, basis)
-    blocks = kernel.hessian_blocks_single(c, germ, stage)
-    if not np.all(np.isfinite(blocks)):
-        raise FloatingPointError("non-finite Hessian sample")
-    return HessianBlockSample(blocks=blocks, germ=np.asarray(germ, dtype=float), stage=stage)
 
 
 def estimate_cv_lambda(
@@ -315,7 +243,6 @@ def estimate_cv_lambda(
     mode: str,
     pilot_size: int,
     sampler,
-    iteration: int = 0,
 ) -> ControlVariateState:
     """Fit per-component multipliers from a pilot batch at coefficients c.
 
@@ -330,7 +257,7 @@ def estimate_cv_lambda(
     if pilot_size < 2:
         raise ValueError("pilot batch needs at least two samples")
     kernel = kernel_for(problem, mesh, basis)
-    germs = sampler.sample_batch(iteration, pilot_size, "pilot")
+    germs = sampler.sample_batch(0, pilot_size, "pilot")
     x_batch, _ = kernel.gradient_parts(c, germs)
     z_batch = kernel.cv_auxiliary_batch(c, germs, mode)
     xc = x_batch - x_batch.mean(axis=0)
@@ -340,40 +267,3 @@ def estimate_cv_lambda(
     with np.errstate(divide="ignore", invalid="ignore"):
         lam = np.where(var_z > 0.0, -cov_xz / np.where(var_z > 0.0, var_z, 1.0), 0.0)
     return ControlVariateState(mode=mode, lam=lam, pilot_size=pilot_size)
-
-
-def cv_gradient_sample(
-    problem: ProblemInstance,
-    mesh: Mesh1D,
-    basis: PcBasisSet,
-    c: np.ndarray,
-    germ: np.ndarray,
-    state: ControlVariateState,
-) -> GradientSample:
-    kernel = kernel_for(problem, mesh, basis)
-    data = kernel.cv_gradient_batch(c, np.atleast_2d(germ), state)[0]
-    if not np.all(np.isfinite(data)):
-        raise FloatingPointError("non-finite gradient sample")
-    return GradientSample(data=data, germ=np.asarray(germ, dtype=float), cv_mode=state.mode)
-
-
-def minibatch_average(samples):
-    """Arithmetic mean of a homogeneous batch, accumulated in index order."""
-    if not samples:
-        raise ValueError("empty mini-batch")
-    first = samples[0]
-    if isinstance(first, GradientSample):
-        if not all(isinstance(s, GradientSample) for s in samples):
-            raise TypeError("mixed sample types in mini-batch")
-        total = np.zeros_like(first.data)
-        for s in samples:
-            total += s.data
-        return GradientSample(data=total / len(samples), cv_mode=first.cv_mode)
-    if isinstance(first, HessianBlockSample):
-        if not all(isinstance(s, HessianBlockSample) for s in samples):
-            raise TypeError("mixed sample types in mini-batch")
-        total = np.zeros_like(first.blocks)
-        for s in samples:
-            total += s.blocks
-        return HessianBlockSample(blocks=total / len(samples), stage=first.stage)
-    raise TypeError(f"unsupported sample type {type(first)!r}")

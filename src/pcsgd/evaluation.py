@@ -22,7 +22,10 @@ from .random_field import GermSampler
 from .sgd import Trajectory
 
 EVAL_PURPOSE = "eval"
-DEFAULT_CHUNK = 20_000
+# Germs per kernel call in the MC estimates; the exact-energy oracle holds
+# several (germs, SIMPSON_POINTS) arrays per chunk, so it takes fewer.
+EVAL_CHUNK = 20_000
+EXACT_ENERGY_CHUNK = 2_000
 
 
 @dataclass(eq=False)
@@ -56,7 +59,6 @@ def estimate_energy(
     c: np.ndarray,
     n_samples: int,
     seed: int,
-    chunk: int = DEFAULT_CHUNK,
 ) -> EnergyEstimate:
     """MC estimate of the energy at coefficients c."""
     if n_samples < 2:
@@ -64,7 +66,7 @@ def estimate_energy(
     kernel = kernel_for(problem, mesh, basis)
     sampler = GermSampler(seed, problem.germ_dim)
     energies = np.concatenate(
-        [kernel.energies(c, germs) for germs in _chunked_batches(sampler, n_samples, chunk)]
+        [kernel.energies(c, germs) for germs in _chunked_batches(sampler, n_samples, EVAL_CHUNK)]
     )
     return EnergyEstimate(
         mean=float(energies.mean()),
@@ -97,14 +99,13 @@ def pointwise_l2_error(
     x: float,
     n_samples: int,
     seed: int,
-    chunk: int = DEFAULT_CHUNK,
 ) -> EnergyEstimate:
     """MC estimate of E[(u*(x, Y) - u_c(x, Y))^2]."""
     if problem.exact_solution is None:
         raise ValueError(f"problem {problem.name!r} has no exact solution")
     sampler = GermSampler(seed, problem.germ_dim)
     sq = []
-    for germs in _chunked_batches(sampler, n_samples, chunk):
+    for germs in _chunked_batches(sampler, n_samples, EVAL_CHUNK):
         diff = problem.exact_solution(x, germs) - solution_at_point(
             problem, mesh, basis, c, x, germs
         )
@@ -200,8 +201,6 @@ def exact_energy_mc(
     problem: ProblemInstance,
     n_samples: int,
     seed: int,
-    n_grid: int = 801,
-    chunk: int = 2_000,
 ) -> EnergyEstimate:
     """MC energy of the attached exact solution on an independent Simpson grid.
 
@@ -211,10 +210,10 @@ def exact_energy_mc(
     if problem.exact_solution is None or problem.exact_solution_derivative is None:
         raise ValueError(f"problem {problem.name!r} has no exact solution data")
     half = problem.mesh.length / 2.0
-    x, w = _simpson_grid(-half, half, n_grid)
+    x, w = _simpson_grid(-half, half)
     sampler = GermSampler(seed, problem.germ_dim)
     energies = []
-    for germs in _chunked_batches(sampler, n_samples, chunk):
+    for germs in _chunked_batches(sampler, n_samples, EXACT_ENERGY_CHUNK):
         u = np.stack([problem.exact_solution(xi, germs) for xi in x], axis=1)
         du = np.stack(
             [problem.exact_solution_derivative(xi, germs) for xi in x], axis=1

@@ -271,7 +271,7 @@ def default_config(experiment: str) -> ExperimentConfig:
             record_stride=50,
             monitor_samples=2000,
         ),
-        "solve": dict(),
+        "solve": dict(problem="linear_nonhomogeneous"),
     }
     if experiment not in presets:
         raise ValueError(f"unknown experiment id {experiment!r}")

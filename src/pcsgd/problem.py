@@ -26,22 +26,14 @@ from .random_field import (
 class Nonlinearity:
     """Reaction term f(x, u) with antiderivative and u-derivative.
 
-    `antiderivative` satisfies d/du antiderivative = value.  When the
-    derivative admits a positive uniform lower bound it is recorded in
-    `delta_lower_bound`; the sine reaction has none (cos(u) hits -1) and
-    stores None, which is what forces the ridge/fallback logic in the
-    optimizer.
+    `antiderivative` satisfies d/du antiderivative = value.
     """
 
     name: str
     value: Callable[[np.ndarray, np.ndarray], np.ndarray]
     antiderivative: Callable[[np.ndarray, np.ndarray], np.ndarray]
     derivative: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    delta_lower_bound: float | None = None
     is_zero: bool = False
-    # |f| bound and Lipschitz constant, when finite
-    value_bound: float | None = None
-    lipschitz_bound: float | None = None
 
 
 ZERO_REACTION = Nonlinearity(
@@ -49,10 +41,7 @@ ZERO_REACTION = Nonlinearity(
     value=lambda x, u: np.zeros_like(u),
     antiderivative=lambda x, u: np.zeros_like(u),
     derivative=lambda x, u: np.zeros_like(u),
-    delta_lower_bound=0.0,
     is_zero=True,
-    value_bound=0.0,
-    lipschitz_bound=0.0,
 )
 
 SINE_REACTION = Nonlinearity(
@@ -60,9 +49,6 @@ SINE_REACTION = Nonlinearity(
     value=lambda x, u: np.sin(u),
     antiderivative=lambda x, u: -np.cos(u),
     derivative=lambda x, u: np.cos(u),
-    delta_lower_bound=None,
-    value_bound=1.0,
-    lipschitz_bound=1.0,
 )
 
 
@@ -97,26 +83,37 @@ class ProblemInstance:
         return self.field.germ_dim
 
 
-def _simpson_grid(a: float, b: float, n_grid: int) -> tuple[np.ndarray, np.ndarray]:
-    """Odd-sized Simpson grid and weights on [a, b]."""
-    if n_grid % 2 == 0:
-        n_grid += 1
-    x = np.linspace(a, b, n_grid)
-    w = np.ones(n_grid)
+# Points of the composite Simpson rule behind the exact-solution oracles;
+# Simpson needs an odd count.
+SIMPSON_POINTS = 801
+# Germ rows per field evaluation in `_inverse_kappa_integral`: each chunk
+# holds a (rows, SIMPSON_POINTS) array, about 6 MiB.
+INVERSE_KAPPA_CHUNK = 1024
+
+
+def _simpson_grid(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Simpson grid and weights on [a, b]."""
+    x = np.linspace(a, b, SIMPSON_POINTS)
+    w = np.ones(SIMPSON_POINTS)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    w *= (b - a) / (n_grid - 1) / 3.0
+    w *= (b - a) / (SIMPSON_POINTS - 1) / 3.0
     return x, w
 
 
 def _inverse_kappa_integral(
-    field: DiffusionField, a: float, b: float, germs: np.ndarray, n_grid: int = 801
+    field: DiffusionField, a: float, b: float, germs: np.ndarray
 ) -> np.ndarray:
     """Per-germ integral of 1/kappa over [a, b] by composite Simpson."""
+    germs = np.atleast_2d(germs)
     if b <= a:
-        return np.zeros(np.atleast_2d(germs).shape[0])
-    x, w = _simpson_grid(a, b, n_grid)
-    return (1.0 / field.values(x, germs)) @ w
+        return np.zeros(germs.shape[0])
+    x, w = _simpson_grid(a, b)
+    out = np.empty(germs.shape[0])
+    for start in range(0, germs.shape[0], INVERSE_KAPPA_CHUNK):
+        rows = slice(start, start + INVERSE_KAPPA_CHUNK)
+        out[rows] = (1.0 / field.values(x, germs[rows])) @ w
+    return out
 
 
 def builtin_linear_homogeneous(

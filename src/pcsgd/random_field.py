@@ -36,9 +36,6 @@ class GermSampler:
         """Standard-normal germs of shape (size, dim); rows are batch-size invariant."""
         return self._rng(iteration, purpose).standard_normal((size, self.dim))
 
-    def sample_germ(self, iteration: int, index: int, purpose: str) -> np.ndarray:
-        return self.sample_batch(iteration, index + 1, purpose)[index]
-
 
 class DiffusionField:
     """Positive random diffusivity parameterized by a standard-normal germ."""
@@ -125,24 +122,3 @@ class HomogeneousLogNormalField(DiffusionField):
         grad[0] = self.coefficient
         grad[1] = self.coefficient
         return grad
-
-
-def eval_kappa(field: DiffusionField, x, y) -> np.ndarray | float:
-    """Convenience scalar/array evaluation of the field."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.asarray(y, dtype=float)
-    single = y.ndim == 1
-    out = field.values(x, y if not single else y[None, :])
-    if single:
-        out = out[0]
-    return float(out[0]) if out.size == 1 else out
-
-
-def kappa_at_mean(field: DiffusionField, x):
-    out = field.value_at_mean(np.atleast_1d(np.asarray(x, dtype=float)))
-    return float(out[0]) if out.size == 1 else out
-
-
-def kappa_gradient_at_mean(field: DiffusionField, x) -> np.ndarray:
-    grad = field.gradient_at_mean(np.atleast_1d(np.asarray(x, dtype=float)))
-    return grad[:, 0] if grad.shape[1] == 1 else grad

@@ -9,7 +9,7 @@ the coefficients and is therefore very noisy while the iterates are.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -27,6 +27,10 @@ from .problem import ProblemInstance
 from .random_field import GermSampler
 
 HESSIAN_MODES = ("none", "linear-only", "staged", "full")
+
+# Relative diagonal shift of every Hessian block, as a share of its mean
+# diagonal entry.
+RIDGE = 1e-8
 
 
 @dataclass(eq=False)
@@ -54,10 +58,8 @@ class SgdConfig:
     schedule: LearningRateSchedule
     cv_mode: str = "none"
     cv_pilot_size: int = 1000
-    cv_refresh_every: Optional[int] = None  # None: estimate once
     hessian_mode: str = "staged"
     n_switch: int = 100
-    ridge: float = 1e-8
     seed: int = 0
     init: str = "zero"
     init_scale: float = 1.0
@@ -89,7 +91,7 @@ class Trajectory:
     energy_mean: np.ndarray
     energy_se: np.ndarray
     gradient_norm: np.ndarray
-    fallback_count: np.ndarray
+    fallback_count: np.ndarray  # block fallbacks since the previous record
     monitor_samples: int
     snapshots: dict = field(default_factory=dict)
 
@@ -97,13 +99,11 @@ class Trajectory:
 class SgdDivergenceError(RuntimeError):
     """Raised when an update produces non-finite coefficients."""
 
-    def __init__(self, iteration: int, seed: int, block_index: int | None = None):
+    def __init__(self, iteration: int, seed: int):
         self.iteration = iteration
         self.seed = seed
-        self.block_index = block_index
-        where = f" (block {block_index})" if block_index is not None else ""
         super().__init__(
-            f"non-finite update at iteration {iteration}{where}; "
+            f"non-finite update at iteration {iteration}; "
             f"germ streams derive from seed {seed}"
         )
 
@@ -194,6 +194,7 @@ def run(
         snapshots[n] = c.copy()
 
     record(0, 0.0, np.nan, 0)
+    fallbacks_since_record = 0
 
     def build_trajectory() -> Trajectory:
         return Trajectory(
@@ -209,16 +210,6 @@ def run(
 
     for n in range(1, config.n_iterations + 1):
         eta = config.schedule.rate(n)
-        if (
-            config.cv_mode != "none"
-            and config.cv_refresh_every is not None
-            and n > 1
-            and (n - 1) % config.cv_refresh_every == 0
-        ):
-            cv_state = estimate_cv_lambda(
-                problem, mesh, basis, c, config.cv_mode, config.cv_pilot_size,
-                sampler, iteration=n,
-            )
         germs_g = sampler.sample_batch(n, config.batch_gradient, "gradient")
         if cv_state.mode == "none":
             grad_batch = kernel.gradient_batch(c, germs_g)
@@ -226,14 +217,14 @@ def run(
             grad_batch = kernel.cv_gradient_batch(c, germs_g, cv_state)
         grad = grad_batch.mean(axis=0)
 
-        fallbacks = 0
         if config.hessian_mode == "none":
             step = grad
         else:
             stage = _hessian_stage(config, n)
             germs_h = sampler.sample_batch(n, config.batch_hessian, "hessian")
             blocks = kernel.averaged_hessian_blocks(c, germs_h, stage)
-            step, fallbacks = precondition_solve(blocks, grad, config.ridge)
+            step, fallbacks = precondition_solve(blocks, grad, RIDGE)
+            fallbacks_since_record += fallbacks
 
         if config.step_clip is not None:
             norm = np.linalg.norm(step)
@@ -247,16 +238,7 @@ def run(
             raise err
 
         if n % config.record_stride == 0 or n == config.n_iterations:
-            record(n, eta, float(np.linalg.norm(grad)), fallbacks)
+            record(n, eta, float(np.linalg.norm(grad)), fallbacks_since_record)
+            fallbacks_since_record = 0
 
     return build_trajectory(), c
-
-
-def first_order_run(
-    problem: ProblemInstance,
-    mesh: Mesh1D,
-    basis: PcBasisSet,
-    config: SgdConfig,
-) -> tuple[Trajectory, np.ndarray]:
-    """Plain mini-batch SGD: identity preconditioner, everything else equal."""
-    return run(problem, mesh, basis, replace(config, hessian_mode="none"))

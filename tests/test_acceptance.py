@@ -22,7 +22,6 @@ from pcsgd import (
     default_config,
     estimate_cv_lambda,
     empirical_cdf,
-    first_order_run,
     fit_convergence_rate,
     kernel_for,
     make_problem,
@@ -185,7 +184,7 @@ def test_criterion_7_convergence_rate():
         record_stride=5,
         monitor_samples=20_000,
     )
-    trajectory, _ = first_order_run(problem, problem.mesh, problem.basis, config)
+    trajectory, _ = run(problem, problem.mesh, problem.basis, config)
     slope = fit_convergence_rate(trajectory, 0.0, (50, 1000))
     assert -1.3 <= slope <= -0.7
     print(f"\nPASS criterion 7: fitted log-log slope {slope:.3f} in [-1.3, -0.7]")

@@ -134,6 +134,13 @@ def test_solve_writes_trajectory_and_coefficients(tmp_path):
     assert not c.any()
 
 
+def test_default_solve_moves_the_coefficients(tmp_path):
+    """The `solve` preset has boundary data (0, 1), so its gradient is not zero."""
+    config = _tiny_solve_config(tmp_path)
+    paths = run_experiment(config)
+    assert load_coefficients(paths[1], config.m).any()
+
+
 def test_experiment_rerun_is_bit_identical(tmp_path):
     config_a = _tiny_solve_config(tmp_path / "a")
     config_b = dataclasses.replace(config_a, out=str(tmp_path / "b"))

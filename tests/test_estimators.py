@@ -7,12 +7,8 @@ from pcsgd import (
     builtin_linear_nonhomogeneous,
     builtin_semilinear_homogeneous_field,
     builtin_semilinear_nonhomogeneous_field,
-    cv_gradient_sample,
     estimate_cv_lambda,
-    gradient_sample,
-    hessian_block_sample,
     kernel_for,
-    minibatch_average,
     zero_coefficients,
 )
 from pcsgd.estimators import coefficient_matrix, flat_index
@@ -117,13 +113,13 @@ def test_energy_matches_gradient_by_finite_differences():
 
 
 def test_hessian_blocks_match_gradient_finite_differences():
-    """Diagonal blocks against d g / d c within the same psi-block."""
+    """Diagonal blocks of a one-germ batch against d g / d c within the same psi-block."""
     problem = builtin_semilinear_nonhomogeneous_field(0.2, 1, 4.0, 4, 1)
     kernel = kernel_for(problem)
     rng = np.random.default_rng(8)
     c = 0.2 * rng.standard_normal(kernel.dim)
     germ = rng.standard_normal(2)
-    blocks = kernel.hessian_blocks_single(c, germ, "full")
+    blocks = kernel.averaged_hessian_blocks(c, np.atleast_2d(germ), "full")
     m = problem.mesh.n_interior
     eps = 1e-6
     for j in range(problem.basis.size):
@@ -140,6 +136,7 @@ def test_hessian_blocks_match_gradient_finite_differences():
 
 
 def test_averaged_blocks_equal_mean_of_single_samples():
+    """The 5-germ average equals the mean of the five one-germ averages."""
     problem = builtin_semilinear_nonhomogeneous_field(0.2, 1, 4.0, 4, 1)
     kernel = kernel_for(problem)
     rng = np.random.default_rng(9)
@@ -148,7 +145,8 @@ def test_averaged_blocks_equal_mean_of_single_samples():
     for stage in ("linear-only", "full"):
         averaged = kernel.averaged_hessian_blocks(c, germs, stage)
         manual = np.mean(
-            [kernel.hessian_blocks_single(c, g, stage) for g in germs], axis=0
+            [kernel.averaged_hessian_blocks(c, g[None, :], stage) for g in germs],
+            axis=0,
         )
         np.testing.assert_allclose(averaged, manual, atol=1e-12)
 
@@ -199,58 +197,6 @@ def test_lambda_zero_when_auxiliary_degenerate():
         problem, problem.mesh, problem.basis, c, "order1", 100, GermSampler(0, 2)
     )
     np.testing.assert_array_equal(state.lam, 0.0)
-
-
-def test_sample_wrappers_and_minibatch_average():
-    problem = builtin_linear_nonhomogeneous(0.2, 1, 10.0, 5, 1)
-    kernel = kernel_for(problem)
-    rng = np.random.default_rng(13)
-    c = rng.standard_normal(kernel.dim)
-    germs = rng.standard_normal((4, 2))
-    samples = [
-        gradient_sample(problem, problem.mesh, problem.basis, c, g) for g in germs
-    ]
-    averaged = minibatch_average(samples)
-    np.testing.assert_allclose(
-        averaged.data, kernel.gradient_batch(c, germs).mean(axis=0), atol=1e-12
-    )
-    blocks = [
-        hessian_block_sample(problem, problem.mesh, problem.basis, c, g)
-        for g in germs
-    ]
-    block_avg = minibatch_average(blocks)
-    np.testing.assert_allclose(
-        block_avg.blocks,
-        kernel.averaged_hessian_blocks(c, germs, "full"),
-        atol=1e-12,
-    )
-    with pytest.raises(ValueError):
-        minibatch_average([])
-    with pytest.raises(TypeError):
-        minibatch_average([samples[0], blocks[0]])
-
-
-def test_non_finite_germ_raises():
-    problem = builtin_linear_nonhomogeneous(0.2, 1, 10.0, 5, 1)
-    c = zero_coefficients(problem.mesh, problem.basis)
-    bad = np.array([np.nan, 0.0])
-    with pytest.raises(FloatingPointError):
-        gradient_sample(problem, problem.mesh, problem.basis, c, bad)
-
-
-def test_cv_gradient_sample_matches_batch():
-    problem = builtin_linear_nonhomogeneous(0.2, 1, 10.0, 5, 1)
-    kernel = kernel_for(problem)
-    rng = np.random.default_rng(14)
-    c = rng.standard_normal(kernel.dim)
-    state = estimate_cv_lambda(
-        problem, problem.mesh, problem.basis, c, "order0", 500, GermSampler(1, 2)
-    )
-    germ = rng.standard_normal(2)
-    single = cv_gradient_sample(problem, problem.mesh, problem.basis, c, germ, state)
-    batch = kernel.cv_gradient_batch(c, np.atleast_2d(germ), state)
-    np.testing.assert_allclose(single.data, batch[0], atol=1e-14)
-    assert single.cv_mode == "order0"
 
 
 def test_kernel_cached_per_problem():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,13 @@ from pcsgd import (
     builtin_semilinear_homogeneous_field,
     builtin_semilinear_nonhomogeneous_field,
 )
-from pcsgd.problem import SINE_REACTION, ZERO_REACTION
+from pcsgd.problem import (
+    INVERSE_KAPPA_CHUNK,
+    SINE_REACTION,
+    ZERO_REACTION,
+    _inverse_kappa_integral,
+    _simpson_grid,
+)
 
 
 def test_reaction_contracts():
@@ -17,10 +25,6 @@ def test_reaction_contracts():
     np.testing.assert_allclose(SINE_REACTION.value(0.0, u), np.sin(u))
     np.testing.assert_allclose(SINE_REACTION.antiderivative(0.0, u), -np.cos(u))
     np.testing.assert_allclose(SINE_REACTION.derivative(0.0, u), np.cos(u))
-    # metadata: |sin| <= 1 with Lipschitz constant 1, no positive curvature bound
-    assert SINE_REACTION.value_bound == 1.0
-    assert SINE_REACTION.lipschitz_bound == 1.0
-    assert SINE_REACTION.delta_lower_bound is None
 
 
 def test_antiderivative_consistency():
@@ -54,6 +58,37 @@ def test_linear_nonhomogeneous_exact_solution_boundary_values():
     left = problem.exact_solution(-1.0, germs)
     right = problem.exact_solution(2.0, germs)
     assert np.all(right > left)
+
+
+def test_inverse_kappa_integral_chunks_match_one_array_formula():
+    """Chunking the germs leaves the Simpson sums unchanged.
+
+    They are bit-identical at one BLAS thread; a multi-threaded BLAS may
+    sum a row in another order for another matrix shape (1.1e-15 measured
+    at two threads), hence the few-ulp tolerance.
+    """
+    field = builtin_linear_nonhomogeneous(0.2, 2, 10.0, 8, 2).field
+    germs = np.random.default_rng(5).standard_normal((2 * INVERSE_KAPPA_CHUNK + 37, 4))
+    x, w = _simpson_grid(-5.0, 2.0)
+    np.testing.assert_allclose(
+        _inverse_kappa_integral(field, -5.0, 2.0, germs),
+        (1.0 / field.values(x, germs)) @ w,
+        rtol=1e-14,
+        atol=0.0,
+    )
+
+
+def test_linear_nonhomogeneous_exact_solution_memory_is_bounded():
+    """One call at 1e4 germs stays far below two (n, SIMPSON_POINTS) arrays."""
+    problem = builtin_linear_nonhomogeneous(0.1, 2, 10.0, 8, 2)
+    germs = np.random.default_rng(6).standard_normal((10_000, 4))
+    tracemalloc.start()
+    try:
+        problem.exact_solution(2.0, germs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
 
 
 def test_linear_nonhomogeneous_flux_is_constant():

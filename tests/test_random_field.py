@@ -7,9 +7,6 @@ from pcsgd import (
     GermSampler,
     HomogeneousLogNormalField,
     TrigLogNormalField,
-    eval_kappa,
-    kappa_at_mean,
-    kappa_gradient_at_mean,
 )
 
 
@@ -39,9 +36,10 @@ def test_seed_separation():
 
 
 def test_single_germ_matches_batch_row():
+    """Row 5 is the same germ whether the batch has 8 rows or only 6."""
     sampler = GermSampler(9, 4)
     batch = sampler.sample_batch(3, 8, "pilot")
-    np.testing.assert_array_equal(sampler.sample_germ(3, 5, "pilot"), batch[5])
+    np.testing.assert_array_equal(sampler.sample_batch(3, 6, "pilot")[5], batch[5])
 
 
 def test_trig_field_values_match_direct_formula():
@@ -117,19 +115,6 @@ def test_homogeneous_field_gradient_at_mean():
     field = HomogeneousLogNormalField()
     x = np.array([0.0, 1.0])
     np.testing.assert_allclose(field.gradient_at_mean(x), 0.2)
-
-
-def test_module_level_wrappers():
-    field = TrigLogNormalField(0.2, 1, 5.0)
-    x = np.array([1.0])
-    germ = np.array([0.3, -0.7])
-    assert eval_kappa(field, 1.0, germ) == pytest.approx(
-        field.values(x, np.atleast_2d(germ))[0, 0]
-    )
-    assert kappa_at_mean(field, 1.0) == pytest.approx(field.value_at_mean(x)[0])
-    np.testing.assert_allclose(
-        kappa_gradient_at_mean(field, x), field.gradient_at_mean(x)[:, 0]
-    )
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(0, 100))

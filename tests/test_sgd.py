@@ -7,8 +7,8 @@ from pcsgd import (
     SgdDivergenceError,
     builtin_linear_homogeneous,
     builtin_linear_nonhomogeneous,
+    builtin_semilinear_homogeneous_field,
     builtin_semilinear_nonhomogeneous_field,
-    first_order_run,
     precondition_solve,
     run,
 )
@@ -101,6 +101,25 @@ def test_trajectory_recording():
     assert trajectory.monitor_samples == 500
 
 
+def test_fallback_count_sums_fallbacks_between_records():
+    """Each record counts every block fallback since the previous record."""
+    problem = builtin_semilinear_homogeneous_field(12.0, 10, 1)
+    totals = []
+    for stride in (5, 1):
+        config = small_config(
+            n_iterations=40,
+            schedule=LearningRateSchedule(10.0, 0.0),
+            hessian_mode="full",
+            init="gaussian",
+            record_stride=stride,
+            monitor_samples=100,
+        )
+        trajectory, _ = run(problem, problem.mesh, problem.basis, config)
+        totals.append(int(trajectory.fallback_count.sum()))
+    assert totals[1] > 0
+    assert totals[0] == totals[1]
+
+
 def test_converges_on_linear_problem():
     """Preconditioned SGD drives the quadratic benchmark energy to ~0."""
     problem = builtin_linear_homogeneous(0.1, 1, 10.0, 10, 2)
@@ -148,7 +167,7 @@ def test_first_order_divergence_raises_with_partial_trajectory():
     )
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(SgdDivergenceError) as info:
-            first_order_run(problem, problem.mesh, problem.basis, config)
+            run(problem, problem.mesh, problem.basis, config)
     err = info.value
     assert err.iteration >= 1
     assert err.trajectory.iterations[-1] < err.iteration + 1
