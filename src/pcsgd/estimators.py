@@ -1,20 +1,21 @@
 """Batched gradient / block-Hessian estimators and control variates.
 
-All heavy lifting happens in `Kernel`, which precomputes the quadrature
-tables for one (problem, mesh, basis) triple and evaluates whole germ
-batches with dense linear algebra.
-
-Coefficient layout: flat vector of length M*(N+1) in stochastic-major
-blocks, c[j*M + (i-1)] multiplying phi_i * psi_j.
+All heavy lifting happens in `Kernel`, which evaluates whole germ batches
+element by element on the P1 mesh (M interior nodes, M+1 elements); the
+README's "Kernel data layout" section describes its arrays.  Coefficients
+are a flat vector of length M*(N+1) in stochastic-major blocks,
+c[j*M + (i-1)] multiplying phi_i * psi_j.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .fem1d import Mesh1D, QuadratureRule, hat_tables, lifting_tables, quadrature_points
+from .fem1d import Mesh1D, quadrature_points
 from .pc_basis import MomentTable, PcBasisSet, eval_all, moment_table
 from .problem import ProblemInstance
 
@@ -46,95 +47,112 @@ class ControlVariateState:
     pilot_size: int = 0
 
 
+class GermTables(NamedTuple):
+    psi: np.ndarray  # (n, N+1)
+    conductance: np.ndarray  # integrals of kappa over each element, (n, M+1)
+    loads: np.ndarray | None  # the source's nodal loads (n, M+2), if it has one
+
+
 class Kernel:
-    """Precomputed evaluation tables for one (problem, mesh, basis) triple."""
+    """Element-local evaluation for one (problem, mesh, basis) triple."""
 
     def __init__(self, problem: ProblemInstance, mesh: Mesh1D, basis: PcBasisSet):
         if basis.germ_dim != problem.germ_dim:
             raise ValueError("basis germ dimension does not match the field")
-        self.problem = problem
-        self.mesh = mesh
-        self.basis = basis
-        self.rule: QuadratureRule = quadrature_points(mesh, DEFAULT_QUADRATURE_ORDER)
-        self.x = self.rule.points
-        self.w = self.rule.weights
-        self.phi, self.dphi = hat_tables(mesh, self.rule)
-        self.lift_vals, self.lift_dvals = lifting_tables(
-            mesh, self.rule, *problem.boundary
-        )
-        self.has_lifting = problem.boundary != (0.0, 0.0)
+        self.problem, self.mesh, self.basis = problem, mesh, basis
+        rule = quadrature_points(mesh, DEFAULT_QUADRATURE_ORDER)
+        self.x, self.w = rule.points, rule.weights
+        # an element's weights, and its left and right node's hats at its points
+        w = self._element_w = self.w[:DEFAULT_QUADRATURE_ORDER]
+        n1 = (self.x[:DEFAULT_QUADRATURE_ORDER] - mesh.nodes[0]) / mesh.h
+        n0 = 1.0 - n1
+        self._shape = np.stack([n0, n1])  # (2, q)
+        self._load_w = w[:, None] * self._shape.T
+        self._mass_w = w[:, None] * np.stack([n0 * n0, n0 * n1, n1 * n1], axis=1)
         self.moments: MomentTable = moment_table(basis)
         self.dim = mesh.n_interior * basis.size
-        # mean-point field data for the control variates
-        self.kappa0 = problem.field.value_at_mean(self.x)  # (P,)
-        self.kappa_grad0 = problem.field.gradient_at_mean(self.x)  # (K, P)
-        # deterministic stiffness actions T[i, i2] = sum_t w * weight_t * dphi dphi
-        self._stiff0 = self.dphi.T @ (self.w[:, None] * self.kappa0[:, None] * self.dphi)
-        self._stiffk = np.einsum(
-            "pi,kp,pj->kij", self.dphi, self.w * self.kappa_grad0, self.dphi
-        )
-        self._lift0 = self.dphi.T @ (self.w * self.kappa0 * self.lift_dvals)
-        self._liftk = (self.w * self.kappa_grad0 * self.lift_dvals) @ self.dphi
+        # element conductances of the mean-point surrogates for the control variates
+        self._cond0 = self._per_element(problem.field.value_at_mean(self.x)[None], w)[0]
+        self._condk = self._per_element(problem.field.gradient_at_mean(self.x), w)
 
-    # -- field / solution evaluation -------------------------------------
+    # -- germ tables --------------------------------------------------------
 
-    def psi(self, germs: np.ndarray) -> np.ndarray:
-        return eval_all(self.basis, np.atleast_2d(germs))
+    def _per_element(self, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """Sums of point values (rows, P) over each element with weights (q,) or (q, r)."""
+        sums = values.reshape(-1, DEFAULT_QUADRATURE_ORDER) @ weights
+        return sums.reshape(values.shape[0], self.mesh.n_interior + 1, *weights.shape[1:])
 
-    def kappa(self, germs: np.ndarray) -> np.ndarray:
-        return self.problem.field.values(self.x, np.atleast_2d(germs))
+    def _loads(self, values: np.ndarray) -> np.ndarray:
+        """Nodal loads (n, M+2): integrals of point values (n, P) against each hat."""
+        ends = self._per_element(values, self._load_w)
+        loads = np.pad(ends[..., 0], ((0, 0), (0, 1)))
+        loads[:, 1:] += ends[..., 1]
+        return loads
 
-    def solution_values(
-        self, c: np.ndarray, germs: np.ndarray, psi: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """u and u' at the quadrature points, lifting included, shape (n, P)."""
-        if psi is None:
-            psi = self.psi(germs)
-        spatial = psi @ coefficient_matrix(c, self.mesh.n_interior)  # (n, M)
-        u = spatial @ self.phi.T + self.lift_vals
-        du = spatial @ self.dphi.T + self.lift_dvals
-        return u, du
+    def conductances(self, germs: np.ndarray) -> np.ndarray:
+        """Per-germ integrals of kappa over each element, (n, M+1)."""
+        kappa = self.problem.field.values(self.x, np.atleast_2d(germs))
+        return self._per_element(kappa, self._element_w)
 
-    # -- energies ---------------------------------------------------------
-
-    def energies(self, c: np.ndarray, germs: np.ndarray) -> np.ndarray:
-        """Per-germ spatial integral of the energy density, shape (n,)."""
+    def germ_tables(self, germs: np.ndarray) -> GermTables:
         germs = np.atleast_2d(germs)
-        u, du = self.solution_values(c, germs)
-        kap = self.kappa(germs)
-        density = 0.5 * kap * du**2
+        source = self.problem.source
+        loads = None if source is None else self._loads(source(self.x, germs))
+        return GermTables(eval_all(self.basis, germs), self.conductances(germs), loads)
+
+    # -- solution evaluation ------------------------------------------------
+
+    def solution_values(self, c: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Nodal values padded with the boundary data (n, M+2), and u' per element (n, M+1)."""
+        nodal = psi @ self.padded_coefficients(c)
+        return nodal, np.diff(nodal, axis=1) / self.mesh.h
+
+    def _at_points(self, nodal: np.ndarray) -> np.ndarray:
+        """u at the quadrature points, (n, P): each element's two end values times its hats."""
+        ends = sliding_window_view(nodal, 2, axis=1).reshape(-1, 2)  # (n * (M+1), 2)
+        return (ends @ self._shape).reshape(nodal.shape[0], -1)
+
+    def _stiffness_rows(self, flux: np.ndarray) -> np.ndarray:
+        """Integrals of flux * phi_i', (..., M), from per-element fluxes (..., M+1)."""
+        return (flux[..., :-1] - flux[..., 1:]) / self.mesh.h
+
+    def _tensor(self, psi: np.ndarray, spatial: np.ndarray) -> np.ndarray:
+        """Rows psi_j * v_i in the flat coefficient layout, (n, dim)."""
+        return (psi[:, :, None] * spatial[:, None, :]).reshape(psi.shape[0], self.dim)
+
+    def padded_coefficients(self, c: np.ndarray) -> np.ndarray:
+        """(N+1, M+2) coefficients; row 0, psi_0 = 1, carries the boundary data."""
+        padded = np.zeros((self.basis.size, self.mesh.n_interior + 2))
+        padded[:, 1:-1] = coefficient_matrix(c, self.mesh.n_interior)
+        padded[0, 0], padded[0, -1] = self.problem.boundary
+        return padded
+
+    # -- energies and gradients ---------------------------------------------
+
+    def energies(self, c: np.ndarray, germs: np.ndarray, tables: GermTables | None = None):
+        """Per-germ energy integral (n,); `tables` may hold `germ_tables(germs)`."""
+        psi, conductance, loads = tables or self.germ_tables(germs)
+        nodal, du = self.solution_values(c, psi)
+        energy = 0.5 * np.einsum("ne,ne->n", conductance, du * du)
         nl = self.problem.nonlinearity
         if not nl.is_zero:
-            density = density + nl.antiderivative(self.x, u)
-        if self.problem.source is not None:
-            density = density + self.problem.source(self.x, germs) * u
-        return density @ self.w
+            energy += nl.antiderivative(self.x, self._at_points(nodal)) @ self.w
+        if loads is not None:
+            energy += np.einsum("ni,ni->n", loads, nodal)
+        return energy
 
-    # -- gradients --------------------------------------------------------
-
-    def gradient_parts(
-        self, c: np.ndarray, germs: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def gradient_parts(self, c: np.ndarray, germs: np.ndarray, tables: GermTables | None = None):
         """Linear and nonlinear gradient parts, each (n, dim)."""
-        germs = np.atleast_2d(germs)
-        psi = self.psi(germs)
-        u, du = self.solution_values(c, germs, psi)
-        kap = self.kappa(germs)
-        v1 = (self.w * kap * du) @ self.dphi  # (n, M)
-        g1 = (psi[:, :, None] * v1[:, None, :]).reshape(germs.shape[0], self.dim)
+        psi, conductance, loads = tables or self.germ_tables(germs)
+        nodal, du = self.solution_values(c, psi)
+        g1 = self._tensor(psi, self._stiffness_rows(conductance * du))
         nl = self.problem.nonlinearity
-        reaction = None
         if not nl.is_zero:
-            reaction = nl.value(self.x, u)
-        if self.problem.source is not None:
-            src = self.problem.source(self.x, germs)
-            reaction = src if reaction is None else reaction + src
-        if reaction is None:
-            g2 = np.zeros_like(g1)
-        else:
-            v2 = (self.w * reaction) @ self.phi
-            g2 = (psi[:, :, None] * v2[:, None, :]).reshape(germs.shape[0], self.dim)
-        return g1, g2
+            reaction = self._loads(nl.value(self.x, self._at_points(nodal)))
+            loads = reaction if loads is None else reaction + loads
+        if loads is None:
+            return g1, np.zeros_like(g1)
+        return g1, self._tensor(psi, loads[:, 1:-1])
 
     def gradient_batch(self, c: np.ndarray, germs: np.ndarray) -> np.ndarray:
         g1, g2 = self.gradient_parts(c, germs)
@@ -142,81 +160,63 @@ class Kernel:
 
     # -- control variates -------------------------------------------------
 
-    def cv_auxiliary_batch(
-        self, c: np.ndarray, germs: np.ndarray, order: str
-    ) -> np.ndarray:
+    def cv_auxiliary_batch(self, c, germs, order: str, tables: GermTables | None = None):
         """Linear-part gradient with kappa replaced by its mean-point surrogate."""
-        germs = np.atleast_2d(germs)
-        psi = self.psi(germs)
-        _, du = self.solution_values(c, germs, psi)
-        if order == "order0":
-            surrogate = self.kappa0[None, :]
-        elif order == "order1":
-            surrogate = self.kappa0[None, :] + germs @ self.kappa_grad0
-        else:
+        if order not in ("order0", "order1"):
             raise ValueError(f"unknown control-variate order {order!r}")
-        v1 = (self.w * surrogate * du) @ self.dphi
-        return (psi[:, :, None] * v1[:, None, :]).reshape(germs.shape[0], self.dim)
+        germs = np.atleast_2d(germs)
+        psi = eval_all(self.basis, germs) if tables is None else tables.psi
+        _, du = self.solution_values(c, psi)
+        surrogate = self._cond0 + (germs @ self._condk if order == "order1" else 0.0)
+        return self._tensor(psi, self._stiffness_rows(surrogate * du))
 
     def cv_known_mean(self, c: np.ndarray, order: str) -> np.ndarray:
         """Analytic expectation of the auxiliary estimator at coefficients c."""
-        C = coefficient_matrix(c, self.mesh.n_interior)
-        pair = self.moments.pair_moments
-        mean = pair @ (C @ self._stiff0)
-        if self.has_lifting:
-            mean = mean + np.outer(pair[:, 0], self._lift0)
-        if order == "order1":
-            for k in range(self.basis.germ_dim):
-                lin_k = self.moments.linear_moments[k]
-                mean = mean + lin_k @ (C @ self._stiffk[k])
-                if self.has_lifting:
-                    mean = mean + np.outer(lin_k[:, 0], self._liftk[k])
-        elif order != "order0":
+        if order not in ("order0", "order1"):
             raise ValueError(f"unknown control-variate order {order!r}")
+        slopes = np.diff(self.padded_coefficients(c), axis=1) / self.mesh.h
+        mean = self.moments.pair_moments @ self._stiffness_rows(self._cond0 * slopes)
+        if order == "order1":
+            rows = self._stiffness_rows(self._condk[:, None, :] * slopes)  # (K, N+1, M)
+            mean += np.einsum("kab,kbi->ai", self.moments.linear_moments, rows)
         return mean.reshape(self.dim)
 
-    def cv_gradient_batch(
-        self, c: np.ndarray, germs: np.ndarray, state: ControlVariateState
-    ) -> np.ndarray:
+    def cv_gradient_batch(self, c: np.ndarray, germs: np.ndarray, state: ControlVariateState):
         if state.mode == "none":
             return self.gradient_batch(c, germs)
         if state.lam is None:
             raise ValueError("control-variate multipliers not estimated yet")
-        g1, g2 = self.gradient_parts(c, germs)
-        aux = self.cv_auxiliary_batch(c, germs, state.mode)
+        tables = self.germ_tables(germs)
+        g1, g2 = self.gradient_parts(c, germs, tables)
+        aux = self.cv_auxiliary_batch(c, germs, state.mode, tables)
         known = self.cv_known_mean(c, state.mode)
         return g1 + g2 + state.lam * (aux - known[None, :])
 
     # -- Hessian blocks ---------------------------------------------------
 
-    def averaged_hessian_blocks(
-        self, c: np.ndarray, germs: np.ndarray, stage: str
-    ) -> np.ndarray:
-        """Mini-batch mean of the diagonal Hessian blocks, shape (N+1, M, M).
+    def averaged_hessian_blocks(self, c: np.ndarray, germs: np.ndarray, stage: str):
+        """Mini-batch mean of the diagonal Hessian blocks as (N+1, 2, M) lower bands.
 
-        The mean over samples s of psi_j(s)^2 * A(s) collapses into one
-        weighted assembly per block, avoiding per-sample M x M outer
-        products.
+        The mean over samples of psi_j^2 * A collapses into per-block element
+        weights: conductances, and f'(u) times the element's hat products.
         """
         if stage not in ("linear-only", "full"):
             raise ValueError(f"unknown Hessian stage {stage!r}")
         germs = np.atleast_2d(germs)
-        n = germs.shape[0]
-        psi2 = self.psi(germs) ** 2  # (n, N+1)
-        kap = self.kappa(germs)  # (n, P)
-        wa = (psi2.T @ kap) * (self.w[None, :] / n)  # (N+1, P)
-        n_blocks = self.basis.size
-        m = self.mesh.n_interior
-        blocks = np.empty((n_blocks, m, m))
-        for j in range(n_blocks):
-            blocks[j] = self.dphi.T @ (wa[j][:, None] * self.dphi)
-        if stage == "full" and not self.problem.nonlinearity.is_zero:
-            u, _ = self.solution_values(c, germs)
-            dfu = self.problem.nonlinearity.derivative(self.x, u)  # (n, P)
-            wb = (psi2.T @ dfu) * (self.w[None, :] / n)
-            for j in range(n_blocks):
-                blocks[j] += self.phi.T @ (wb[j][:, None] * self.phi)
-        return blocks
+        psi = eval_all(self.basis, germs)
+        psi2 = psi**2 / germs.shape[0]
+        conductance = psi2.T @ self.conductances(germs) / self.mesh.h**2  # (N+1, M+1)
+        bands = np.zeros((self.basis.size, 2, self.mesh.n_interior))
+        bands[:, 0] = conductance[:, :-1] + conductance[:, 1:]
+        bands[:, 1, :-1] = -conductance[:, 1:-1]
+        nl = self.problem.nonlinearity
+        if stage == "full" and not nl.is_zero:
+            nodal, _ = self.solution_values(c, psi)
+            dfu = nl.derivative(self.x, self._at_points(nodal))
+            mass = self._per_element(psi2.T @ dfu, self._mass_w)  # (N+1, M+1, 3)
+            bands[:, 0] += mass[:, :-1, 2] + mass[:, 1:, 0]
+            bands[:, 1, :-1] += mass[:, 1:-1, 1]
+        return bands
 
 
 def kernel_for(
@@ -258,8 +258,9 @@ def estimate_cv_lambda(
         raise ValueError("pilot batch needs at least two samples")
     kernel = kernel_for(problem, mesh, basis)
     germs = sampler.sample_batch(0, pilot_size, "pilot")
-    x_batch, _ = kernel.gradient_parts(c, germs)
-    z_batch = kernel.cv_auxiliary_batch(c, germs, mode)
+    tables = kernel.germ_tables(germs)
+    x_batch, _ = kernel.gradient_parts(c, germs, tables)
+    z_batch = kernel.cv_auxiliary_batch(c, germs, mode, tables)
     xc = x_batch - x_batch.mean(axis=0)
     zc = z_batch - z_batch.mean(axis=0)
     var_z = (zc * zc).sum(axis=0)

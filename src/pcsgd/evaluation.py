@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
 
-from .estimators import coefficient_matrix, kernel_for
-from .fem1d import LiftingFunction, Mesh1D, eval_phi
+from .estimators import kernel_for
+from .fem1d import Mesh1D, element_hats
 from .pc_basis import PcBasisSet, eval_all
 from .problem import ProblemInstance, _simpson_grid
 from .random_field import GermSampler
@@ -84,11 +84,10 @@ def solution_at_point(
     germs: np.ndarray,
 ) -> np.ndarray:
     """Expansion values u_c(x, Y) (lifting included) for a germ batch."""
-    phi_x = np.array([eval_phi(mesh, i, x) for i in range(1, mesh.n_interior + 1)])
-    lift = LiftingFunction(*problem.boundary).value(mesh, x)
+    element, hats = element_hats(mesh, x)
+    padded = kernel_for(problem, mesh, basis).padded_coefficients(c)
     psi = eval_all(basis, np.atleast_2d(germs))
-    spatial = coefficient_matrix(c, mesh.n_interior) @ phi_x  # (N+1,)
-    return psi @ spatial + float(lift)
+    return psi @ (padded[:, element : element + 2] @ hats)
 
 
 def pointwise_l2_error(
@@ -185,16 +184,13 @@ def reference_solve_linear(
     if not problem.is_linear:
         raise ValueError("reference solve only applies to linear problems")
     kernel = kernel_for(problem, mesh, problem.basis)
-    kap = kernel.kappa(np.atleast_2d(germ))[0]
-    weighted = kernel.w * kap
-    stiffness = kernel.dphi.T @ (weighted[:, None] * kernel.dphi)
-    rhs = -kernel.dphi.T @ (weighted * kernel.lift_dvals)
-    if problem.source is not None:
-        src = problem.source(kernel.x, np.atleast_2d(germ))[0]
-        rhs = rhs - kernel.phi.T @ (kernel.w * src)
-    interior = scipy.linalg.solve(stiffness, rhs, assume_a="pos")
-    left, right = problem.boundary
-    return np.concatenate([[left], interior, [right]])
+    germ, zero = np.atleast_2d(germ), np.zeros(kernel.dim)
+    # The energy is quadratic.  At one germ, block 0 (psi_0 = 1) of its Hessian
+    # is the stiffness and of its gradient at c = 0 the lifting's residual.
+    bands = kernel.averaged_hessian_blocks(zero, germ, "linear-only")[0]
+    rhs = -kernel.gradient_batch(zero, germ)[0, : mesh.n_interior]
+    interior = scipy.linalg.solveh_banded(bands, rhs, lower=True)
+    return np.concatenate([[problem.boundary[0]], interior, [problem.boundary[1]]])
 
 
 def exact_energy_mc(

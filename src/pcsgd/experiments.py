@@ -166,7 +166,7 @@ def _parse_value(key: str, raw: str):
 
 
 def config_from_ini(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    """Parse an INI config, starting from `base` (default config) values.
+    """Parse an INI config, starting from `base`, else the INI experiment's defaults.
 
     Sections and keys not known to ExperimentConfig raise ValueError so a
     misspelled key can never be silently ignored.
@@ -181,7 +181,7 @@ def config_from_ini(text: str, base: ExperimentConfig | None = None) -> Experime
             if key not in _SECTIONS[section]:
                 raise ValueError(f"unknown config key {key!r} in section [{section}]")
             updates[key] = _parse_value(key, raw)
-    base = base if base is not None else ExperimentConfig()
+    base = base or default_config(updates.get("experiment", ExperimentConfig.experiment))
     return replace(base, **updates)
 
 

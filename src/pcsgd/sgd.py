@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dptsv
 
 from .estimators import (
     ControlVariateState,
@@ -113,28 +113,22 @@ def precondition_solve(
 ) -> tuple[np.ndarray, int]:
     """Solve the block systems (B_j + ridge tr(B_j)/M I) s_j = g_j.
 
+    `blocks` holds each tridiagonal B_j as lower bands, shape (N+1, 2, M).
     Blocks that fail the symmetric factorization fall back to identity
     scaling (s_j = g_j); the count of such blocks is returned.
     """
-    n_blocks, m, _ = blocks.shape
-    g = gradient.reshape(n_blocks, m)
-    step = np.empty_like(g)
+    n_blocks, _, m = blocks.shape
+    step = gradient.reshape(n_blocks, m).copy()
     fallbacks = 0
-    eye = np.eye(m)
-    for j in range(n_blocks):
-        block = blocks[j]
-        if not np.all(np.isfinite(block)):
-            step[j] = g[j]
-            fallbacks += 1
-            continue
-        shift = ridge * abs(np.trace(block)) / m
-        try:
-            factor = scipy.linalg.cho_factor(
-                block + shift * eye, lower=True, check_finite=False
-            )
-            step[j] = scipy.linalg.cho_solve(factor, g[j], check_finite=False)
-        except scipy.linalg.LinAlgError:
-            step[j] = g[j]
+    for j, (diagonal, sub) in enumerate(blocks):
+        info = 1
+        if np.all(np.isfinite(blocks[j])):
+            shift = ridge * abs(diagonal.sum()) / m
+            # LDL^T, info > 0 if not positive definite; dptsv wants len(e) >= 1
+            _, _, solution, info = dptsv(diagonal + shift, sub[: max(m - 1, 1)], step[j])
+        if info == 0:
+            step[j] = solution
+        else:
             fallbacks += 1
     return step.reshape(-1), fallbacks
 
@@ -173,6 +167,7 @@ def run(
     c = _initial_coefficients(kernel, config)
 
     monitor_germs = sampler.sample_batch(0, config.monitor_samples, "monitor")
+    monitor_tables = kernel.germ_tables(monitor_germs)  # fixed germs: evaluated once
 
     cv_state = ControlVariateState(mode="none")
     if config.cv_mode != "none":
@@ -184,7 +179,7 @@ def run(
     snapshots: dict[int, np.ndarray] = {}
 
     def record(n: int, eta: float, grad_norm: float, fallbacks: int):
-        energies = kernel.energies(c, monitor_germs)
+        energies = kernel.energies(c, monitor_germs, monitor_tables)
         records["n"].append(n)
         records["eta"].append(eta)
         records["jm"].append(float(energies.mean()))

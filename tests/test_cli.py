@@ -28,6 +28,11 @@ def test_config_round_trips_through_ini(experiment):
     assert config_from_ini(config_to_ini(config)) == config
 
 
+def test_config_from_ini_starts_from_the_experiment_defaults():
+    assert config_from_ini("[experiment]\nexperiment = solve\n") == default_config("solve")
+    assert config_from_ini("[experiment]\nexperiment = table3\n") == default_config("table3")
+
+
 def test_unknown_section_and_key_rejected():
     with pytest.raises(ValueError, match="unknown config section"):
         config_from_ini("[mystery]\nx = 1\n")

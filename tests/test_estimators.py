@@ -11,9 +11,42 @@ from pcsgd import (
     kernel_for,
     zero_coefficients,
 )
-from pcsgd.estimators import coefficient_matrix, flat_index
-from pcsgd.fem1d import LiftingFunction, eval_dphi, eval_phi
+from pcsgd.estimators import DEFAULT_QUADRATURE_ORDER, coefficient_matrix, flat_index
+from pcsgd.fem1d import (
+    LiftingFunction,
+    eval_dphi,
+    eval_phi,
+    hat_tables,
+    lifting_tables,
+    quadrature_points,
+)
 from pcsgd.pc_basis import eval_all
+
+
+def dense_from_bands(bands):
+    """(N+1, M, M) symmetric tridiagonal blocks from (N+1, 2, M) lower bands."""
+    blocks = np.stack([np.diag(b[0]) for b in bands])
+    for j, b in enumerate(bands):
+        blocks[j] += np.diag(b[1, :-1], -1) + np.diag(b[1, :-1], 1)
+    return blocks
+
+
+def dense_hessian_blocks(problem, c, germs, stage):
+    """Averaged blocks by dense assembly over the full (P, M) hat tables."""
+    mesh = problem.mesh
+    rule = quadrature_points(mesh, DEFAULT_QUADRATURE_ORDER)
+    x, w = rule.points, rule.weights
+    phi, dphi = hat_tables(mesh, rule)
+    lift, _ = lifting_tables(mesh, rule, *problem.boundary)
+    psi = eval_all(problem.basis, germs)
+    psi2 = psi**2 / germs.shape[0]
+    wa = (psi2.T @ problem.field.values(x, germs)) * w
+    blocks = np.stack([dphi.T @ (row[:, None] * dphi) for row in wa])
+    if stage == "full":
+        u = psi @ coefficient_matrix(c, mesh.n_interior) @ phi.T + lift
+        wb = (psi2.T @ problem.nonlinearity.derivative(x, u)) * w
+        blocks += np.stack([phi.T @ (row[:, None] * phi) for row in wb])
+    return blocks
 
 
 def test_flat_index_layout_round_trip():
@@ -119,7 +152,7 @@ def test_hessian_blocks_match_gradient_finite_differences():
     rng = np.random.default_rng(8)
     c = 0.2 * rng.standard_normal(kernel.dim)
     germ = rng.standard_normal(2)
-    blocks = kernel.averaged_hessian_blocks(c, np.atleast_2d(germ), "full")
+    blocks = dense_from_bands(kernel.averaged_hessian_blocks(c, np.atleast_2d(germ), "full"))
     m = problem.mesh.n_interior
     eps = 1e-6
     for j in range(problem.basis.size):
@@ -144,11 +177,33 @@ def test_averaged_blocks_equal_mean_of_single_samples():
     germs = rng.standard_normal((5, 2))
     for stage in ("linear-only", "full"):
         averaged = kernel.averaged_hessian_blocks(c, germs, stage)
+        assert averaged.shape == (problem.basis.size, 2, problem.mesh.n_interior)
         manual = np.mean(
             [kernel.averaged_hessian_blocks(c, g[None, :], stage) for g in germs],
             axis=0,
         )
         np.testing.assert_allclose(averaged, manual, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        builtin_linear_nonhomogeneous(0.3, 1, 10.0, 7, 2),
+        builtin_semilinear_homogeneous_field(12.0, 9, 2),
+        builtin_semilinear_nonhomogeneous_field(0.3, 1, 12.0, 8, 2),
+    ],
+    ids=["linear-lifting", "semilinear-source", "semilinear-trig"],
+)
+def test_hessian_bands_match_dense_assembly(problem):
+    """Both stages' bands equal a dense hat-table assembly, which is tridiagonal."""
+    kernel = kernel_for(problem)
+    rng = np.random.default_rng(13)
+    c = 0.5 * rng.standard_normal(kernel.dim)
+    germs = rng.standard_normal((11, problem.germ_dim))
+    for stage in ("linear-only", "full"):
+        dense = dense_hessian_blocks(problem, c, germs, stage)
+        banded = dense_from_bands(kernel.averaged_hessian_blocks(c, germs, stage))
+        assert np.max(np.abs(banded - dense)) <= 1e-13 * np.max(np.abs(dense))
 
 
 def test_cv_known_mean_matches_monte_carlo():

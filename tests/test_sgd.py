@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from pcsgd import (
     LearningRateSchedule,
@@ -54,23 +55,34 @@ def test_config_validation():
         small_config(record_stride=0)
 
 
+def random_spd_bands(rng, n_blocks, m):
+    """Lower bands of diagonally dominant, hence SPD, tridiagonals."""
+    bands = np.zeros((n_blocks, 2, m))
+    bands[:, 1, :-1] = rng.standard_normal((n_blocks, m - 1))
+    bands[:, 0] = 2.5 + rng.random((n_blocks, m)) * 2.0
+    return bands
+
+
 def test_precondition_solve_spd_blocks():
+    """The banded solve agrees with a dense Cholesky solve of each block."""
     rng = np.random.default_rng(0)
-    blocks = np.empty((3, 4, 4))
-    for j in range(3):
-        a = rng.standard_normal((4, 4))
-        blocks[j] = a @ a.T + 4 * np.eye(4)
-    g = rng.standard_normal(12)
-    step, fallbacks = precondition_solve(blocks, g, 0.0)
-    assert fallbacks == 0
-    for j in range(3):
-        np.testing.assert_allclose(
-            blocks[j] @ step[4 * j : 4 * (j + 1)], g[4 * j : 4 * (j + 1)], atol=1e-10
-        )
+    for m in (1, 6):  # one interior node leaves no sub-diagonal
+        bands = random_spd_bands(rng, 3, m)
+        g = rng.standard_normal(3 * m)
+        step, fallbacks = precondition_solve(bands, g, 0.0)
+        assert fallbacks == 0
+        for j in range(3):
+            sub = bands[j, 1, :-1]
+            dense = np.diag(bands[j, 0]) + np.diag(sub, -1) + np.diag(sub, 1)
+            gj, sj = g[m * j : m * (j + 1)], step[m * j : m * (j + 1)]
+            np.testing.assert_allclose(dense @ sj, gj, atol=1e-10)
+            expected = scipy.linalg.cho_solve(scipy.linalg.cho_factor(dense), gj)
+            np.testing.assert_allclose(sj, expected, rtol=1e-14, atol=1e-14)
 
 
 def test_precondition_solve_fallback_on_bad_block():
-    blocks = np.stack([np.eye(2), -np.eye(2), np.full((2, 2), np.nan)])
+    identity = np.array([[1.0, 1.0], [0.0, 0.0]])  # diagonal (1, 1), zero sub-diagonal
+    blocks = np.stack([identity, -identity, np.full((2, 2), np.nan)])
     g = np.ones(6)
     step, fallbacks = precondition_solve(blocks, g, 0.0)
     assert fallbacks == 2
