@@ -6,8 +6,11 @@ Two subcommands share the same flags:
     pcsgd experiment <id> [--config F] [--seed N] [--out DIR] [--override k=v]...
 
 Precedence, lowest to highest: per-experiment defaults, the INI config
-file, --override flags, then --seed/--out.  Unknown config keys are
-rejected with the offending section and key named.
+file, --override flags, then --seed/--out.  Unknown config keys and
+invalid problem or SGD settings are rejected before any work starts.
+
+Exit codes: 0 on success, 1 when an experiment's check fails or its SGD
+run diverges (`FAIL: ...`), 2 on a config error (`error: ...`).
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ from .experiments import (
     apply_override,
     config_from_ini,
     default_config,
+    make_problem,
+    make_sgd_config,
     run_experiment,
 )
 
@@ -71,6 +76,10 @@ def resolve_config(args: argparse.Namespace):
         config = apply_override(config, f"seed={args.seed}")
     if args.out is not None:
         config = apply_override(config, f"out={args.out}")
+    # Both raise ValueError on an invalid value; checked once, on the final
+    # config, so that the order of the overrides cannot matter.
+    make_problem(config)
+    make_sgd_config(config)
     return config
 
 

@@ -44,7 +44,6 @@ class ControlVariateState:
 
     mode: str
     lam: np.ndarray | None = None
-    pilot_size: int = 0
 
 
 class GermTables(NamedTuple):
@@ -251,7 +250,7 @@ def estimate_cv_lambda(
     lam = 0 so the estimator falls back to the plain one there.
     """
     if mode == "none":
-        return ControlVariateState(mode="none", lam=None, pilot_size=0)
+        return ControlVariateState(mode="none")
     if mode not in CV_MODES:
         raise ValueError(f"unknown control-variate mode {mode!r}")
     if pilot_size < 2:
@@ -267,4 +266,4 @@ def estimate_cv_lambda(
     cov_xz = (xc * zc).sum(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         lam = np.where(var_z > 0.0, -cov_xz / np.where(var_z > 0.0, var_z, 1.0), 0.0)
-    return ControlVariateState(mode=mode, lam=lam, pilot_size=pilot_size)
+    return ControlVariateState(mode=mode, lam=lam)

@@ -43,13 +43,23 @@ class CdfEstimate:
     sample_count: int
 
 
-def _chunked_batches(sampler: GermSampler, n_samples: int, chunk: int):
-    """Yield germ chunks from one prefix-stable batch stream."""
-    done = 0
-    rng_batch = sampler.sample_batch(0, n_samples, EVAL_PURPOSE)
-    while done < n_samples:
-        yield rng_batch[done : done + chunk]
-        done += chunk
+def _mc_estimate(problem: ProblemInstance, n_samples: int, seed: int, chunk: int, values):
+    """Mean and standard error of `values(germs)` over n_samples evaluation germs.
+
+    `values` sees at most `chunk` germs per call, which bounds the
+    temporaries of the kernel calls inside it.
+    """
+    if n_samples < 2:
+        raise ValueError("need at least two samples for a standard error")
+    germs = GermSampler(seed, problem.germ_dim).sample_batch(0, n_samples, EVAL_PURPOSE)
+    samples = np.concatenate(
+        [values(germs[k : k + chunk]) for k in range(0, n_samples, chunk)]
+    )
+    return EnergyEstimate(
+        mean=float(samples.mean()),
+        standard_error=float(samples.std(ddof=1) / np.sqrt(n_samples)),
+        sample_count=n_samples,
+    )
 
 
 def estimate_energy(
@@ -61,17 +71,9 @@ def estimate_energy(
     seed: int,
 ) -> EnergyEstimate:
     """MC estimate of the energy at coefficients c."""
-    if n_samples < 2:
-        raise ValueError("need at least two samples for a standard error")
     kernel = kernel_for(problem, mesh, basis)
-    sampler = GermSampler(seed, problem.germ_dim)
-    energies = np.concatenate(
-        [kernel.energies(c, germs) for germs in _chunked_batches(sampler, n_samples, EVAL_CHUNK)]
-    )
-    return EnergyEstimate(
-        mean=float(energies.mean()),
-        standard_error=float(energies.std(ddof=1) / np.sqrt(n_samples)),
-        sample_count=n_samples,
+    return _mc_estimate(
+        problem, n_samples, seed, EVAL_CHUNK, lambda germs: kernel.energies(c, germs)
     )
 
 
@@ -102,19 +104,14 @@ def pointwise_l2_error(
     """MC estimate of E[(u*(x, Y) - u_c(x, Y))^2]."""
     if problem.exact_solution is None:
         raise ValueError(f"problem {problem.name!r} has no exact solution")
-    sampler = GermSampler(seed, problem.germ_dim)
-    sq = []
-    for germs in _chunked_batches(sampler, n_samples, EVAL_CHUNK):
-        diff = problem.exact_solution(x, germs) - solution_at_point(
-            problem, mesh, basis, c, x, germs
-        )
-        sq.append(diff**2)
-    sq = np.concatenate(sq)
-    return EnergyEstimate(
-        mean=float(sq.mean()),
-        standard_error=float(sq.std(ddof=1) / np.sqrt(n_samples)),
-        sample_count=n_samples,
-    )
+
+    def squared_error(germs):
+        return (
+            problem.exact_solution(x, germs)
+            - solution_at_point(problem, mesh, basis, c, x, germs)
+        ) ** 2
+
+    return _mc_estimate(problem, n_samples, seed, EVAL_CHUNK, squared_error)
 
 
 def _empirical_cdf_of_values(
@@ -207,9 +204,8 @@ def exact_energy_mc(
         raise ValueError(f"problem {problem.name!r} has no exact solution data")
     half = problem.mesh.length / 2.0
     x, w = _simpson_grid(-half, half)
-    sampler = GermSampler(seed, problem.germ_dim)
-    energies = []
-    for germs in _chunked_batches(sampler, n_samples, EXACT_ENERGY_CHUNK):
+
+    def energies(germs):
         u = np.stack([problem.exact_solution(xi, germs) for xi in x], axis=1)
         du = np.stack(
             [problem.exact_solution_derivative(xi, germs) for xi in x], axis=1
@@ -220,13 +216,9 @@ def exact_energy_mc(
             density = density + problem.nonlinearity.antiderivative(x, u)
         if problem.source is not None:
             density = density + problem.source(x, germs) * u
-        energies.append(density @ w)
-    energies = np.concatenate(energies)
-    return EnergyEstimate(
-        mean=float(energies.mean()),
-        standard_error=float(energies.std(ddof=1) / np.sqrt(n_samples)),
-        sample_count=n_samples,
-    )
+        return density @ w
+
+    return _mc_estimate(problem, n_samples, seed, EXACT_ENERGY_CHUNK, energies)
 
 
 def fit_convergence_rate(

@@ -15,12 +15,13 @@ import configparser
 import hashlib
 import io
 import os
+from collections.abc import Iterable
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from ._version import __version__
-from .estimators import estimate_cv_lambda, flat_index, kernel_for
+from .estimators import CV_MODES, estimate_cv_lambda, flat_index, kernel_for
 from .evaluation import (
     empirical_cdf,
     estimate_energy,
@@ -35,25 +36,14 @@ from .problem import (
     builtin_semilinear_nonhomogeneous_field,
 )
 from .random_field import GermSampler
-from .sgd import LearningRateSchedule, SgdConfig, SgdDivergenceError, run
+from .sgd import LearningRateSchedule, SgdConfig, SgdDivergenceError, Trajectory, run
 
-EXPERIMENT_IDS = (
-    "table1",
-    "table2",
-    "table3",
-    "fig-convergence",
-    "fig-cdf",
-    "fig-staged-hessian",
-    "fig-batch-study",
-    "solve",
-)
-
-PROBLEM_NAMES = (
-    "linear_homogeneous",
-    "linear_nonhomogeneous",
-    "semilinear_homogeneous_field",
-    "semilinear_nonhomogeneous_field",
-)
+PROBLEMS = {
+    "linear_homogeneous": builtin_linear_homogeneous,
+    "linear_nonhomogeneous": builtin_linear_nonhomogeneous,
+    "semilinear_homogeneous_field": builtin_semilinear_homogeneous_field,
+    "semilinear_nonhomogeneous_field": builtin_semilinear_nonhomogeneous_field,
+}
 
 # An iterate counts as converged when the monitored energy is this close
 # to the known minimum (the energies of diverged runs stay astronomically
@@ -74,17 +64,18 @@ class ExperimentConfig:
     rejected on load.
     """
 
+    # [experiment]; each section starts at the key named in _FIRST_KEYS
     experiment: str = "solve"
     seed: int = 0
     out: str = "."
-    # problem
+    # [problem]
     problem: str = "linear_homogeneous"
     beta: float = 0.1
     n_v: int = 2
     length: float = 10.0
     m: int = 50
     p: int = 3
-    # sgd
+    # [sgd]
     n_iterations: int = 500
     batch_gradient: int = 128
     batch_hessian: int = 64
@@ -99,46 +90,34 @@ class ExperimentConfig:
     record_stride: int = 1
     monitor_samples: int = 10_000
     step_clip: float = 0.0  # 0 disables clipping
-    # evaluation
+    # [evaluation]
     n_mc: int = 100_000
-    points: str = "0.5"
+    points: float = 0.5
     threshold_lo: float = 0.0
     threshold_hi: float = 4.0
     threshold_count: int = 801
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENT_IDS:
+        if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment id {self.experiment!r}")
-        if self.problem not in PROBLEM_NAMES:
+        if self.problem not in PROBLEMS:
             raise ValueError(f"unknown problem {self.problem!r}")
 
 
+# INI sections by their first key: a section holds the fields from there up to
+# the next section's first key, so field order is INI key order, which fixes
+# config_hash and every CSV header.
+_FIRST_KEYS = {
+    "experiment": "experiment",
+    "problem": "problem",
+    "sgd": "n_iterations",
+    "evaluation": "n_mc",
+}
+_KEYS = [f.name for f in fields(ExperimentConfig)]
+_BOUNDS = [_KEYS.index(key) for key in _FIRST_KEYS.values()] + [len(_KEYS)]
 _SECTIONS = {
-    "experiment": ("experiment", "seed", "out"),
-    "problem": ("problem", "beta", "n_v", "length", "m", "p"),
-    "sgd": (
-        "n_iterations",
-        "batch_gradient",
-        "batch_hessian",
-        "rate_numerator",
-        "rate_offset",
-        "cv_mode",
-        "cv_pilot_size",
-        "hessian_mode",
-        "n_switch",
-        "init",
-        "init_scale",
-        "record_stride",
-        "monitor_samples",
-        "step_clip",
-    ),
-    "evaluation": (
-        "n_mc",
-        "points",
-        "threshold_lo",
-        "threshold_hi",
-        "threshold_count",
-    ),
+    section: tuple(_KEYS[start:stop])
+    for section, start, stop in zip(_FIRST_KEYS, _BOUNDS, _BOUNDS[1:])
 }
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
@@ -169,9 +148,10 @@ def config_from_ini(text: str, base: ExperimentConfig | None = None) -> Experime
     """Parse an INI config, starting from `base`, else the INI experiment's defaults.
 
     Sections and keys not known to ExperimentConfig raise ValueError so a
-    misspelled key can never be silently ignored.
+    misspelled key can never be silently ignored.  A ";" after whitespace
+    starts a comment.
     """
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     parser.read_string(text)
     updates = {}
     for section in parser.sections():
@@ -208,130 +188,49 @@ def config_hash(config: ExperimentConfig) -> str:
 
 def default_config(experiment: str) -> ExperimentConfig:
     """Per-experiment defaults matching the benchmark setups."""
-    presets = {
-        "table1": dict(problem="linear_homogeneous", m=10, p=3),
-        "table2": dict(
-            problem="linear_homogeneous", m=50, p=3, init="gaussian", seed=1
-        ),
-        "table3": dict(
-            problem="semilinear_homogeneous_field",
-            length=12.0,
-            m=100,
-            p=3,
-            n_iterations=1000,
-            batch_gradient=100,
-            batch_hessian=100,
-            rate_numerator=10.0,
-            rate_offset=0.0,
-            hessian_mode="full",
-            record_stride=100,
-            seed=21,
-        ),
-        "fig-convergence": dict(
-            problem="linear_homogeneous", m=50, p=3, init="gaussian", seed=21,
-            record_stride=1,
-        ),
-        "fig-cdf": dict(
-            problem="semilinear_homogeneous_field",
-            length=12.0,
-            m=100,
-            p=3,
-            n_iterations=1000,
-            batch_gradient=100,
-            batch_hessian=100,
-            rate_numerator=10.0,
-            rate_offset=0.0,
-            hessian_mode="full",
-            record_stride=200,
-            seed=21,
-        ),
-        "fig-staged-hessian": dict(
-            problem="semilinear_nonhomogeneous_field",
-            beta=0.3,
-            length=12.0,
-            m=50,
-            p=3,
-            batch_gradient=256,
-            batch_hessian=64,
-            hessian_mode="staged",
-            init="gaussian",
-            init_scale=0.1,
-            record_stride=10,
-            monitor_samples=2000,
-        ),
-        "fig-batch-study": dict(
-            problem="semilinear_nonhomogeneous_field",
-            beta=0.4,
-            length=12.0,
-            m=50,
-            p=3,
-            hessian_mode="staged",
-            init="gaussian",
-            init_scale=0.1,
-            record_stride=50,
-            monitor_samples=2000,
-        ),
-        "solve": dict(problem="linear_nonhomogeneous"),
-    }
-    if experiment not in presets:
+    if experiment not in EXPERIMENTS:
         raise ValueError(f"unknown experiment id {experiment!r}")
-    return ExperimentConfig(experiment=experiment, **presets[experiment])
+    _, preset = EXPERIMENTS[experiment]
+    return ExperimentConfig(experiment=experiment, **preset)
 
 
 # -- problem / sgd assembly -------------------------------------------------
 
 
 def make_problem(config: ExperimentConfig) -> ProblemInstance:
-    if config.problem == "linear_homogeneous":
-        return builtin_linear_homogeneous(
-            config.beta, config.n_v, config.length, config.m, config.p
-        )
-    if config.problem == "linear_nonhomogeneous":
-        return builtin_linear_nonhomogeneous(
-            config.beta, config.n_v, config.length, config.m, config.p
-        )
-    if config.problem == "semilinear_homogeneous_field":
-        return builtin_semilinear_homogeneous_field(config.length, config.m, config.p)
-    return builtin_semilinear_nonhomogeneous_field(
-        config.beta, config.n_v, config.length, config.m, config.p
-    )
+    builtin = PROBLEMS[config.problem]
+    # a spatially constant field has no amplitude beta or harmonic pairs n_v
+    field = () if builtin is builtin_semilinear_homogeneous_field else (config.beta, config.n_v)
+    return builtin(*field, config.length, config.m, config.p)
 
 
-def make_sgd_config(config: ExperimentConfig, **overrides) -> SgdConfig:
-    kwargs = dict(
-        n_iterations=config.n_iterations,
-        batch_gradient=config.batch_gradient,
-        batch_hessian=config.batch_hessian,
+# Every SgdConfig field but the schedule has an ExperimentConfig key of its name.
+_SGD_KEYS = tuple(f.name for f in fields(SgdConfig) if f.name != "schedule")
+
+
+def make_sgd_config(config: ExperimentConfig) -> SgdConfig:
+    """The run's SgdConfig; raises ValueError on an invalid [sgd] value."""
+    return SgdConfig(
         schedule=LearningRateSchedule(config.rate_numerator, config.rate_offset),
-        cv_mode=config.cv_mode,
-        cv_pilot_size=config.cv_pilot_size,
-        hessian_mode=config.hessian_mode,
-        n_switch=config.n_switch,
-        seed=config.seed,
-        init=config.init,
-        init_scale=config.init_scale,
-        record_stride=config.record_stride,
-        monitor_samples=config.monitor_samples,
-        step_clip=config.step_clip if config.step_clip > 0 else None,
+        **{key: getattr(config, key) for key in _SGD_KEYS},
     )
-    kwargs.update(overrides)
-    return SgdConfig(**kwargs)
 
 
-def _run_quiet(problem, sgd_config):
-    """SGD run with overflow warnings silenced (divergent trials overflow
-    by design while their energies are being monitored)."""
+def _solve(
+    problem: ProblemInstance, config: ExperimentConfig
+) -> tuple[Trajectory, np.ndarray | None]:
+    """One SGD run: its trajectory and final c, or None for c if it diverged.
+
+    A diverged run's trajectory ends at the last record before the
+    non-finite update.  Overflow warnings are silenced: divergent trials
+    overflow by design while their energies are being monitored.
+    """
+    sgd_config = make_sgd_config(config)
     with np.errstate(over="ignore", invalid="ignore"):
-        return run(problem, problem.mesh, problem.basis, sgd_config)
-
-
-def _final_energy_gap(problem, sgd_config, minimum):
-    """Final |J - minimum|; infinite when the iteration blows up."""
-    try:
-        trajectory, _ = _run_quiet(problem, sgd_config)
-    except SgdDivergenceError:
-        return np.inf, None
-    return abs(float(trajectory.energy_mean[-1]) - minimum), trajectory
+        try:
+            return run(problem, problem.mesh, problem.basis, sgd_config)
+        except SgdDivergenceError as err:
+            return err.trajectory, None
 
 
 # -- CSV plumbing -----------------------------------------------------------
@@ -346,12 +245,13 @@ def _fmt(value) -> str:
 
 
 def write_csv(
-    path: str,
+    name: str,
     header: list[str],
-    rows: list[tuple],
+    rows: Iterable[tuple],
     config: ExperimentConfig,
     extra_meta: dict | None = None,
 ) -> str:
+    """Write the CSV `name` under config.out, after the metadata comment block."""
     lines = [
         f"# config_hash={config_hash(config)}",
         f"# seed={config.seed}",
@@ -361,6 +261,7 @@ def write_csv(
         lines.append(f"# {key}={_fmt(value)}")
     lines.append(",".join(header))
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    path = os.path.join(config.out, name)
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -398,7 +299,6 @@ def load_coefficients(path: str, n_interior: int) -> np.ndarray:
 # -- experiments ------------------------------------------------------------
 
 TABLE1_BETAS = (0.05, 0.1, 0.2, 0.4)
-CV_ORDER = ("none", "order0", "order1")
 
 
 def run_table1(config: ExperimentConfig) -> list[str]:
@@ -413,40 +313,29 @@ def run_table1(config: ExperimentConfig) -> list[str]:
         kernel = kernel_for(problem)
         c = rng.standard_normal(kernel.dim)
         sampler = GermSampler(config.seed, problem.germ_dim)
-        states = {
-            mode: estimate_cv_lambda(
-                problem, problem.mesh, problem.basis, c, mode,
-                config.cv_pilot_size, sampler,
-            )
-            for mode in CV_ORDER
-        }
         germs = sampler.sample_batch(0, config.n_mc, "gradient")
-        for mode in CV_ORDER:
+        for mode in CV_MODES:
+            state = estimate_cv_lambda(
+                problem, problem.mesh, problem.basis, c, mode, config.cv_pilot_size, sampler
+            )
             component = np.concatenate(
                 [
-                    kernel.cv_gradient_batch(c, germs[k : k + 5000], states[mode])[:, 0]
-                    if mode != "none"
-                    else kernel.gradient_batch(c, germs[k : k + 5000])[:, 0]
+                    kernel.cv_gradient_batch(c, germs[k : k + 5000], state)[:, 0]
                     for k in range(0, config.n_mc, 5000)
                 ]
             )
-            std = float(component.std(ddof=1))
+            std = component.std(ddof=1)
             stds[(beta, mode)] = std
             rows.append(
                 (beta, mode, "c_1_0", std, std / np.sqrt(2.0 * (config.n_mc - 1)))
             )
-    path = write_csv(
-        os.path.join(config.out, "table1.csv"),
-        ["beta", "cv_mode", "component", "std", "se"],
-        rows,
-        config,
-    )
+    path = write_csv("table1.csv", ["beta", "cv_mode", "component", "std", "se"], rows, config)
     for beta in TABLE1_BETAS:
         if not stds[(beta, "order1")] < stds[(beta, "order0")] < stds[(beta, "none")]:
             raise ExperimentFailure(f"CV variance ordering violated at beta={beta}")
     if stds[(0.05, "order1")] / stds[(0.05, "none")] >= 0.05:
         raise ExperimentFailure("order1/none std ratio at beta=0.05 not below 0.05")
-    for mode in CV_ORDER:
+    for mode in CV_MODES:
         if stds[(0.4, mode)] <= stds[(0.05, mode)]:
             raise ExperimentFailure(f"std not increasing in beta for mode {mode}")
     return [path]
@@ -463,23 +352,22 @@ def run_table2(config: ExperimentConfig) -> list[str]:
     flags: dict[tuple[float, str], bool] = {}
     for numerator in TABLE2_RATES:
         for cv in ("order1", "none"):
-            sgd_config = make_sgd_config(
-                config,
-                schedule=LearningRateSchedule(numerator, config.rate_offset),
-                cv_mode=cv,
-                record_stride=config.n_iterations,
+            trajectory, c = _solve(
+                problem,
+                replace(
+                    config,
+                    rate_numerator=numerator,
+                    cv_mode=cv,
+                    record_stride=config.n_iterations,
+                ),
             )
-            gap, trajectory = _final_energy_gap(problem, sgd_config, 0.0)
-            final = np.nan if trajectory is None else float(trajectory.energy_mean[-1])
-            converged = gap <= CONVERGENCE_GAP
+            final = np.nan if c is None else trajectory.energy_mean[-1]
+            converged = abs(final) <= CONVERGENCE_GAP  # the minimum energy is 0
             finals[(numerator, cv)] = final
             flags[(numerator, cv)] = converged
             rows.append((numerator, cv, final, converged))
     path = write_csv(
-        os.path.join(config.out, "table2.csv"),
-        ["rate_numerator", "cv_mode", "final_j", "converged"],
-        rows,
-        config,
+        "table2.csv", ["rate_numerator", "cv_mode", "final_j", "converged"], rows, config
     )
     for numerator in TABLE2_RATES:
         plain = finals[(numerator, "none")]
@@ -498,23 +386,24 @@ def run_table2(config: ExperimentConfig) -> list[str]:
 
 def run_table3(config: ExperimentConfig) -> list[str]:
     """Accuracy of the semilinear benchmark versus the chaos order."""
-    x_point = float(config.points.split(",")[0])
     rows = []
     for p in range(config.p + 1):
         problem = make_problem(replace(config, p=p))
-        _, c = _run_quiet(problem, make_sgd_config(config))
+        _, c = _solve(problem, config)
+        if c is None:
+            raise ExperimentFailure(f"the p={p} run diverged")
         energy = estimate_energy(
             problem, problem.mesh, problem.basis, c, config.n_mc, config.seed + 101
         )
         error = pointwise_l2_error(
-            problem, problem.mesh, problem.basis, c, x_point, config.n_mc,
+            problem, problem.mesh, problem.basis, c, config.points, config.n_mc,
             config.seed + 202,
         )
         rows.append((p, energy.mean, energy.standard_error, error.mean))
     oracle_problem = make_problem(config)
     oracle = exact_energy_mc(oracle_problem, config.n_mc, config.seed + 303)
     path = write_csv(
-        os.path.join(config.out, "table3.csv"),
+        "table3.csv",
         ["p", "final_j", "se", "l2_error"],
         rows,
         config,
@@ -544,7 +433,8 @@ def run_fig_convergence(config: ExperimentConfig) -> list[str]:
 
     Two CSVs: the linear benchmark under first-order / second-order /
     second-order-with-CV variants, and the semilinear benchmark trace
-    including one tracked coefficient.
+    including one tracked coefficient.  A diverged run contributes its
+    records up to the divergence.
     """
     problem = make_problem(config)
     rows = []
@@ -554,53 +444,42 @@ def run_fig_convergence(config: ExperimentConfig) -> list[str]:
         ("second-order-cv", dict(cv_mode="order1")),
     )
     for label, overrides in variants:
-        sgd_config = make_sgd_config(config, **overrides)
-        try:
-            trajectory, _ = _run_quiet(problem, sgd_config)
-        except SgdDivergenceError as err:
-            trajectory = err.trajectory
-        for n, j, se in zip(
-            trajectory.iterations, trajectory.energy_mean, trajectory.energy_se
-        ):
-            rows.append((label, int(n), float(j), float(se)))
+        trajectory, _ = _solve(problem, replace(config, **overrides))
+        rows.extend(
+            (label, n, j, se)
+            for n, j, se in zip(
+                trajectory.iterations, trajectory.energy_mean, trajectory.energy_se
+            )
+        )
     linear_path = write_csv(
-        os.path.join(config.out, "fig-convergence-linear.csv"),
-        ["variant", "n", "energy", "se"],
-        rows,
-        config,
+        "fig-convergence-linear.csv", ["variant", "n", "energy", "se"], rows, config
     )
 
     semi_config = default_config("table3")
     semi_config = replace(
         semi_config, seed=config.seed, out=config.out, record_stride=10
     )
-    semi_problem = make_problem(semi_config)
-    trajectory, _ = _run_quiet(semi_problem, make_sgd_config(semi_config))
+    trajectory, _ = _solve(make_problem(semi_config), semi_config)
     tracked = flat_index(1, 2, semi_config.m)
     semi_rows = [
-        (int(n), float(j), float(trajectory.snapshots[int(n)][tracked]))
+        (n, j, trajectory.snapshots[n][tracked])
         for n, j in zip(trajectory.iterations, trajectory.energy_mean)
     ]
     semi_path = write_csv(
-        os.path.join(config.out, "fig-convergence-semilinear.csv"),
-        ["n", "energy", "c_1_2"],
-        semi_rows,
-        semi_config,
+        "fig-convergence-semilinear.csv", ["n", "energy", "c_1_2"], semi_rows, semi_config
     )
     return [linear_path, semi_path]
 
 
-def _kolmogorov(problem, c, x, grid, n_samples, seed):
-    approx = empirical_cdf(
-        problem, problem.mesh, problem.basis, c, [x], [grid], n_samples, seed
-    )
-    exact = empirical_cdf(
-        problem, problem.mesh, problem.basis, c, [x], [grid], n_samples, seed,
-        use_exact_solution=True,
-    )
-    return approx.probabilities, exact.probabilities, float(
-        np.max(np.abs(approx.probabilities - exact.probabilities))
-    )
+def _cdf_pair(problem, c, points, grids, n_samples, seed) -> list[np.ndarray]:
+    """CDF probabilities of the expansion and of the exact solution, on the same germs."""
+    return [
+        empirical_cdf(
+            problem, problem.mesh, problem.basis, c, points, grids, n_samples, seed,
+            use_exact_solution=exact,
+        ).probabilities
+        for exact in (False, True)
+    ]
 
 
 def run_fig_cdf(config: ExperimentConfig) -> list[str]:
@@ -610,27 +489,22 @@ def run_fig_cdf(config: ExperimentConfig) -> list[str]:
     benchmark and the joint CDF at (x1, x2) = (-4, 2) for the linear
     nonhomogeneous-boundary benchmark.
     """
-    paths = []
     # semilinear, x = 0.5
     problem = make_problem(config)
-    _, c = _run_quiet(problem, make_sgd_config(config))
+    _, c = _solve(problem, config)
+    if c is None:
+        raise ExperimentFailure("the semilinear run diverged")
     grid = np.linspace(config.threshold_lo, config.threshold_hi, config.threshold_count)
-    x_point = float(config.points.split(",")[0])
-    approx, exact, ks_semi = _kolmogorov(
-        problem, c, x_point, grid, config.n_mc, config.seed + 11
+    approx, exact = _cdf_pair(
+        problem, c, [config.points], [grid], config.n_mc, config.seed + 11
     )
-    rows = [
-        (float(y), float(fe), float(fa), float(fe - fa))
-        for y, fe, fa in zip(grid, exact, approx)
-    ]
-    paths.append(
-        write_csv(
-            os.path.join(config.out, "fig-cdf-semilinear.csv"),
-            ["threshold", "cdf_exact", "cdf_approx", "error"],
-            rows,
-            config,
-            extra_meta={"x": x_point, "ks_distance": ks_semi},
-        )
+    ks_semi = np.max(np.abs(approx - exact))
+    semi_path = write_csv(
+        "fig-cdf-semilinear.csv",
+        ["threshold", "cdf_exact", "cdf_approx", "error"],
+        zip(grid, exact, approx, exact - approx),
+        config,
+        extra_meta={"x": config.points, "ks_distance": ks_semi},
     )
 
     # linear with boundary data, joint CDF at (-4, 2)
@@ -647,72 +521,59 @@ def run_fig_cdf(config: ExperimentConfig) -> list[str]:
         init="zero",
     )
     lin_problem = make_problem(lin_config)
-    _, lin_c = _run_quiet(lin_problem, make_sgd_config(lin_config))
+    _, lin_c = _solve(lin_problem, lin_config)
+    if lin_c is None:
+        raise ExperimentFailure("the linear run diverged")
     joint_grid = np.linspace(0.0, 1.0, 101)
-    joint_approx = empirical_cdf(
-        lin_problem, lin_problem.mesh, lin_problem.basis, lin_c, [-4.0, 2.0],
-        [joint_grid, joint_grid], config.n_mc, config.seed + 12,
+    joint_approx, joint_exact = _cdf_pair(
+        lin_problem, lin_c, [-4.0, 2.0], [joint_grid, joint_grid], config.n_mc,
+        config.seed + 12,
     )
-    joint_exact = empirical_cdf(
-        lin_problem, lin_problem.mesh, lin_problem.basis, lin_c, [-4.0, 2.0],
-        [joint_grid, joint_grid], config.n_mc, config.seed + 12,
-        use_exact_solution=True,
-    )
-    _, _, ks_lin = _kolmogorov(
-        lin_problem, lin_c, 2.0, np.linspace(0.0, 1.0, 801), config.n_mc,
+    lin_approx, lin_exact = _cdf_pair(
+        lin_problem, lin_c, [2.0], [np.linspace(0.0, 1.0, 801)], config.n_mc,
         config.seed + 13,
     )
+    ks_lin = np.max(np.abs(lin_approx - lin_exact))
+    joint_error = joint_exact - joint_approx
     joint_rows = [
-        (
-            float(joint_grid[a]),
-            float(joint_grid[b]),
-            float(joint_exact.probabilities[a, b]),
-            float(joint_approx.probabilities[a, b]),
-            float(joint_exact.probabilities[a, b] - joint_approx.probabilities[a, b]),
-        )
-        for a in range(joint_grid.size)
-        for b in range(joint_grid.size)
+        (y1, y2, joint_exact[a, b], joint_approx[a, b], joint_error[a, b])
+        for a, y1 in enumerate(joint_grid)
+        for b, y2 in enumerate(joint_grid)
     ]
-    paths.append(
-        write_csv(
-            os.path.join(config.out, "fig-cdf-linear.csv"),
-            ["y1", "y2", "cdf_exact", "cdf_approx", "error"],
-            joint_rows,
-            lin_config,
-            extra_meta={"x1": -4.0, "x2": 2.0, "ks_distance_x2": ks_lin},
-        )
+    lin_path = write_csv(
+        "fig-cdf-linear.csv",
+        ["y1", "y2", "cdf_exact", "cdf_approx", "error"],
+        joint_rows,
+        lin_config,
+        extra_meta={"x1": -4.0, "x2": 2.0, "ks_distance_x2": ks_lin},
     )
-    probs = joint_approx.probabilities
-    if np.any(np.diff(probs, axis=0) < 0) or np.any(np.diff(probs, axis=1) < 0):
+    if np.any(np.diff(joint_approx, axis=0) < 0) or np.any(np.diff(joint_approx, axis=1) < 0):
         raise ExperimentFailure("joint CDF not monotone along both axes")
     if ks_semi > 0.07 or ks_lin > 0.07:
         raise ExperimentFailure(
             f"Kolmogorov distance above 0.07 (semilinear {ks_semi:.4f}, linear {ks_lin:.4f})"
         )
-    return paths
+    return [semi_path, lin_path]
 
 
 def run_fig_staged_hessian(config: ExperimentConfig) -> list[str]:
     """Staged versus full-from-start Hessian on the semilinear benchmark."""
     problem = make_problem(config)
     minimum = -config.length
-    traces = {}
-    gaps = {}
-    for label, mode in (("staged", "staged"), ("full", "full")):
-        gap, trajectory = _final_energy_gap(
-            problem, make_sgd_config(config, hessian_mode=mode), minimum
-        )
-        gaps[label] = gap
-        traces[label] = trajectory
     rows = []
-    for label in ("staged", "full"):
-        trajectory = traces[label]
-        if trajectory is None:
+    gaps = {}
+    for mode in ("staged", "full"):
+        trajectory, c = _solve(problem, replace(config, hessian_mode=mode))
+        if c is None:  # a diverged arm is left out of the CSV
+            gaps[mode] = np.inf
             continue
-        for n, j in zip(trajectory.iterations, trajectory.energy_mean):
-            rows.append((label, int(n), float(j), abs(float(j) - minimum)))
+        gaps[mode] = abs(trajectory.energy_mean[-1] - minimum)
+        rows.extend(
+            (mode, n, j, abs(j - minimum))
+            for n, j in zip(trajectory.iterations, trajectory.energy_mean)
+        )
     path = write_csv(
-        os.path.join(config.out, "fig-staged-hessian.csv"),
+        "fig-staged-hessian.csv",
         ["variant", "n", "energy", "gap"],
         rows,
         config,
@@ -744,20 +605,19 @@ def run_fig_batch_study(config: ExperimentConfig) -> list[str]:
     rows = []
     flags = {}
     for beta in (0.3, 0.4):
-        problem = make_problem(replace(config, beta=beta))
+        beta_config = replace(config, beta=beta)
+        problem = make_problem(beta_config)
         for batch_g, batch_h in BATCH_STUDY_SIZES:
-            gap, _ = _final_energy_gap(
+            trajectory, c = _solve(
                 problem,
-                make_sgd_config(
-                    config, batch_gradient=batch_g, batch_hessian=batch_h
-                ),
-                minimum,
+                replace(beta_config, batch_gradient=batch_g, batch_hessian=batch_h),
             )
+            gap = np.inf if c is None else abs(trajectory.energy_mean[-1] - minimum)
             converged = gap <= CONVERGENCE_GAP
             flags[(beta, batch_g, batch_h)] = converged
             rows.append((beta, batch_g, batch_h, gap, converged))
     path = write_csv(
-        os.path.join(config.out, "fig-batch-study.csv"),
+        "fig-batch-study.csv",
         ["beta", "batch_gradient", "batch_hessian", "final_gap", "converged"],
         rows,
         config,
@@ -770,50 +630,86 @@ def run_fig_batch_study(config: ExperimentConfig) -> list[str]:
 
 
 def run_solve(config: ExperimentConfig) -> list[str]:
-    """Generic solve: trajectory CSV plus a reloadable coefficient dump."""
+    """Generic solve: trajectory CSV plus a reloadable coefficient dump.
+
+    A diverged run writes its trajectory up to the divergence, no dump,
+    and fails.
+    """
     problem = make_problem(config)
-    trajectory, c = _run_quiet(problem, make_sgd_config(config))
-    rows = [
-        (
-            int(n),
-            float(eta),
-            float(j),
-            float(se),
-            float(gn),
-            int(fb),
-        )
-        for n, eta, j, se, gn, fb in zip(
+    trajectory, c = _solve(problem, config)
+    csv_path = write_csv(
+        "solve-trajectory.csv",
+        ["n", "eta", "energy", "se", "grad_norm", "fallbacks"],
+        zip(
             trajectory.iterations,
             trajectory.rates,
             trajectory.energy_mean,
             trajectory.energy_se,
             trajectory.gradient_norm,
             trajectory.fallback_count,
-        )
-    ]
-    csv_path = write_csv(
-        os.path.join(config.out, "solve-trajectory.csv"),
-        ["n", "eta", "energy", "se", "grad_norm", "fallbacks"],
-        rows,
+        ),
         config,
     )
+    if c is None:
+        raise ExperimentFailure(
+            f"non-finite update after iteration {trajectory.iterations[-1]} "
+            f"(seed {config.seed}); the trajectory up to there is in {csv_path}"
+        )
     coeff_path = save_coefficients(
         os.path.join(config.out, "solve-coefficients.txt"), c, config.m
     )
     return [csv_path, coeff_path]
 
 
-_RUNNERS = {
-    "table1": run_table1,
-    "table2": run_table2,
-    "table3": run_table3,
-    "fig-convergence": run_fig_convergence,
-    "fig-cdf": run_fig_cdf,
-    "fig-staged-hessian": run_fig_staged_hessian,
-    "fig-batch-study": run_fig_batch_study,
-    "solve": run_solve,
+# Shared presets: table2 and the linear half of fig-convergence solve the same
+# problem, fig-cdf runs the table3 solve, and the two staged-Hessian studies
+# share their semilinear setup.
+_LINEAR = dict(problem="linear_homogeneous", m=50, p=3, init="gaussian")
+_TABLE3 = dict(
+    problem="semilinear_homogeneous_field",
+    length=12.0,
+    m=100,
+    p=3,
+    n_iterations=1000,
+    batch_gradient=100,
+    batch_hessian=100,
+    rate_numerator=10.0,
+    rate_offset=0.0,
+    hessian_mode="full",
+    record_stride=100,
+    seed=21,
+)
+_STAGED_STUDY = dict(
+    problem="semilinear_nonhomogeneous_field",
+    length=12.0,
+    m=50,
+    p=3,
+    hessian_mode="staged",
+    init="gaussian",
+    init_scale=0.1,
+    monitor_samples=2000,
+)
+
+# Experiment id -> (runner, preset over the ExperimentConfig defaults).
+EXPERIMENTS = {
+    "table1": (run_table1, dict(problem="linear_homogeneous", m=10, p=3)),
+    "table2": (run_table2, dict(_LINEAR, seed=1)),
+    "table3": (run_table3, _TABLE3),
+    "fig-convergence": (run_fig_convergence, dict(_LINEAR, seed=21)),
+    "fig-cdf": (run_fig_cdf, dict(_TABLE3, record_stride=200)),
+    "fig-staged-hessian": (
+        run_fig_staged_hessian,
+        dict(_STAGED_STUDY, beta=0.3, batch_gradient=256, batch_hessian=64, record_stride=10),
+    ),
+    "fig-batch-study": (
+        run_fig_batch_study,
+        dict(_STAGED_STUDY, beta=0.4, record_stride=50),
+    ),
+    "solve": (run_solve, dict(problem="linear_nonhomogeneous")),
 }
+EXPERIMENT_IDS = tuple(EXPERIMENTS)
 
 
 def run_experiment(config: ExperimentConfig) -> list[str]:
-    return _RUNNERS[config.experiment](config)
+    runner, _ = EXPERIMENTS[config.experiment]
+    return runner(config)

@@ -15,11 +15,25 @@ from pcsgd import (
     load_coefficients,
     make_problem,
     make_sgd_config,
+    run,
     run_experiment,
     save_coefficients,
 )
-from pcsgd.cli import main
+from pcsgd.cli import build_parser, main, resolve_config
 from pcsgd.experiments import EXPERIMENT_IDS
+
+# config_hash heads every CSV, so these pin the INI text of each preset,
+# its key order included.
+PRESET_HASHES = {
+    "table1": "707b5d01b090",
+    "table2": "4a4cf18d1785",
+    "table3": "762992954981",
+    "fig-convergence": "9e43cfc13eda",
+    "fig-cdf": "344114ed2035",
+    "fig-staged-hessian": "6eae0d16002f",
+    "fig-batch-study": "485eadcb32b3",
+    "solve": "db42f7dffdf0",
+}
 
 
 @pytest.mark.parametrize("experiment", EXPERIMENT_IDS)
@@ -31,6 +45,12 @@ def test_config_round_trips_through_ini(experiment):
 def test_config_from_ini_starts_from_the_experiment_defaults():
     assert config_from_ini("[experiment]\nexperiment = solve\n") == default_config("solve")
     assert config_from_ini("[experiment]\nexperiment = table3\n") == default_config("table3")
+
+
+def test_ini_inline_comments_are_ignored():
+    """The README's config block annotates values with ` ; ...` comments."""
+    config = config_from_ini("[sgd]\nrate_offset = 3.0   ; numerator / (offset + n)\n")
+    assert config.rate_offset == 3.0
 
 
 def test_unknown_section_and_key_rejected():
@@ -51,6 +71,13 @@ def test_overrides():
         apply_override(config, "mystery=1")
     with pytest.raises(ValueError):
         apply_override(config, "sgd.beta=0.3")  # beta lives in [problem]
+    assert apply_override(config, "points=0.25").points == 0.25
+    with pytest.raises(ValueError):
+        apply_override(config, "points=0.5,1.0")  # one point, not a list
+
+
+def test_config_hash_pinned_per_experiment():
+    assert {e: config_hash(default_config(e)) for e in EXPERIMENT_IDS} == PRESET_HASHES
 
 
 def test_config_hash_sensitivity():
@@ -84,11 +111,17 @@ def test_make_problem_dispatch():
         assert problem.mesh.n_interior == 6
 
 
-def test_make_sgd_config_step_clip_mapping():
-    config = default_config("solve")
-    assert make_sgd_config(config).step_clip is None
-    clipped = dataclasses.replace(config, step_clip=2.5)
-    assert make_sgd_config(clipped).step_clip == 2.5
+def test_make_sgd_config_step_clip_mapping(tmp_path):
+    """step_clip = 0, the default, runs unclipped; a positive value clips."""
+    config = _tiny_solve_config(tmp_path)
+    problem = make_problem(config)
+    finals = {}
+    for clip in (0.0, 1e300, 1e-6):
+        sgd_config = make_sgd_config(dataclasses.replace(config, step_clip=clip))
+        assert sgd_config.step_clip == clip
+        _, finals[clip] = run(problem, problem.mesh, problem.basis, sgd_config)
+    np.testing.assert_array_equal(finals[0.0], finals[1e300])
+    assert not np.array_equal(finals[0.0], finals[1e-6])
 
 
 @given(
@@ -216,6 +249,74 @@ def test_cli_config_file(tmp_path, capsys):
 def test_cli_rejects_bad_override(capsys):
     assert main(["solve", "--override", "mystery=1"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--override", "cv_mode=bogus"],
+        ["experiment", "table3", "--override", "init=bogus"],
+        ["solve", "--override", "m=0"],
+    ],
+)
+def test_cli_rejects_invalid_config_value(argv, capsys):
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_sgd_values_are_checked_after_all_overrides():
+    """Only the final config must be valid: n_switch=100 > n_iterations=4 in between."""
+    overrides = ["hessian_mode=staged", "n_iterations=4", "n_switch=2"]
+    configs = [
+        resolve_config(
+            build_parser().parse_args(
+                ["solve"] + [arg for o in order for arg in ("--override", o)]
+            )
+        )
+        for order in (overrides, overrides[::-1])
+    ]
+    assert configs[0] == configs[1]
+
+
+def test_cli_reports_divergence_as_fail(tmp_path, capsys):
+    overrides = [
+        "hessian_mode=none",
+        "rate_numerator=1e6",
+        "m=6",
+        "p=1",
+        "n_iterations=100",
+        "monitor_samples=100",
+    ]
+    argv = ["solve", "--out", str(tmp_path)]
+    assert main(argv + [arg for o in overrides for arg in ("--override", o)]) == 1
+    assert capsys.readouterr().err.startswith("FAIL: non-finite update after iteration")
+    assert (tmp_path / "solve-trajectory.csv").exists()
+    assert not (tmp_path / "solve-coefficients.txt").exists()
+
+
+def test_fig_convergence_writes_partial_trajectories(tmp_path):
+    """The linear half shrunk so its first-order variant diverges; the
+    semilinear half runs the table3 preset."""
+    config = dataclasses.replace(
+        default_config("fig-convergence"),
+        out=str(tmp_path),
+        m=6,
+        p=1,
+        n_v=1,
+        n_iterations=100,
+        batch_gradient=8,
+        batch_hessian=4,
+        rate_numerator=1e6,
+        monitor_samples=100,
+    )
+    linear_path, semi_path = run_experiment(config)
+    variants = [line.split(",")[0] for line in open(linear_path) if line[0] != "#"]
+    counts = {v: variants.count(v) for v in ("first-order", "second-order", "second-order-cv")}
+    assert min(counts.values()) >= 1
+    assert counts["first-order"] < config.n_iterations + 1  # cut short by the divergence
+    semi = [line for line in open(semi_path) if line[0] != "#"]
+    assert semi[0] == "n,energy,c_1_2\n"
+    assert [int(line.split(",")[0]) for line in semi[1:]] == list(range(0, 1001, 10))
 
 
 def test_cli_rejects_mismatched_config_experiment(tmp_path, capsys):
