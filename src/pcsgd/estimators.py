@@ -45,11 +45,22 @@ class ControlVariateState:
     mode: str
     lam: np.ndarray | None = None
 
+    def __post_init__(self):
+        if self.mode != "none" and self.lam is None:
+            raise ValueError("a control-variate mode needs its fitted multipliers")
+
 
 class GermTables(NamedTuple):
     psi: np.ndarray  # (n, N+1)
     conductance: np.ndarray  # integrals of kappa over each element, (n, M+1)
     loads: np.ndarray | None  # the source's nodal loads (n, M+2), if it has one
+
+
+class GradientRows(NamedTuple):
+    """Per-germ spatial rows (n, M); a part's sample s is psi[s] times its row."""
+    linear: np.ndarray  # integrals of kappa u' phi_i'
+    total: np.ndarray  # linear plus the reaction and source loads
+    surrogate: np.ndarray | None  # linear with kappa's mean-point surrogate, for a CV order
 
 
 class Kernel:
@@ -90,8 +101,11 @@ class Kernel:
 
     def conductances(self, germs: np.ndarray) -> np.ndarray:
         """Per-germ integrals of kappa over each element, (n, M+1)."""
-        kappa = self.problem.field.values(self.x, np.atleast_2d(germs))
-        return self._per_element(kappa, self._element_w)
+        germs, field = np.atleast_2d(germs), self.problem.field
+        scalar = field.scalar_values(germs)
+        if scalar is not None:  # constant in x: kappa times each element's width
+            return np.multiply.outer(scalar, np.full(self.mesh.n_interior + 1, self.mesh.h))
+        return self._per_element(field.values(self.x, germs), self._element_w)
 
     def germ_tables(self, germs: np.ndarray) -> GermTables:
         germs = np.atleast_2d(germs)
@@ -131,43 +145,48 @@ class Kernel:
     def energies(self, c: np.ndarray, germs: np.ndarray, tables: GermTables | None = None):
         """Per-germ energy integral (n,); `tables` may hold `germ_tables(germs)`."""
         psi, conductance, loads = tables or self.germ_tables(germs)
-        nodal, du = self.solution_values(c, psi)
+        padded = self.padded_coefficients(c)
+        du = psi @ (np.diff(padded, axis=1) / self.mesh.h)  # nodal values only if needed
         energy = 0.5 * np.einsum("ne,ne->n", conductance, du * du)
         nl = self.problem.nonlinearity
+        if not nl.is_zero or loads is not None:
+            nodal = psi @ padded
         if not nl.is_zero:
             energy += nl.antiderivative(self.x, self._at_points(nodal)) @ self.w
         if loads is not None:
             energy += np.einsum("ni,ni->n", loads, nodal)
         return energy
 
-    def gradient_parts(self, c: np.ndarray, germs: np.ndarray, tables: GermTables | None = None):
-        """Linear and nonlinear gradient parts, each (n, dim)."""
+    def gradient_parts(self, c, germs, tables: GermTables | None = None, order: str = "none"):
+        """Per-germ spatial rows of the gradient, with the CV surrogate's for a CV `order`."""
+        germs = np.atleast_2d(germs)
         psi, conductance, loads = tables or self.germ_tables(germs)
         nodal, du = self.solution_values(c, psi)
-        g1 = self._tensor(psi, self._stiffness_rows(conductance * du))
+        linear = self._stiffness_rows(conductance * du)
         nl = self.problem.nonlinearity
         if not nl.is_zero:
             reaction = self._loads(nl.value(self.x, self._at_points(nodal)))
             loads = reaction if loads is None else reaction + loads
-        if loads is None:
-            return g1, np.zeros_like(g1)
-        return g1, self._tensor(psi, loads[:, 1:-1])
+        total = linear if loads is None else linear + loads[:, 1:-1]
+        if order == "none":
+            return GradientRows(linear, total, None)
+        if order not in CV_MODES:
+            raise ValueError(f"unknown control-variate order {order!r}")
+        surrogate = self._cond0 + (germs @ self._condk if order == "order1" else 0.0)
+        return GradientRows(linear, total, self._stiffness_rows(surrogate * du))
 
     def gradient_batch(self, c: np.ndarray, germs: np.ndarray) -> np.ndarray:
-        g1, g2 = self.gradient_parts(c, germs)
-        return g1 + g2
+        tables = self.germ_tables(germs)
+        return self._tensor(tables.psi, self.gradient_parts(c, germs, tables).total)
 
     # -- control variates -------------------------------------------------
 
     def cv_auxiliary_batch(self, c, germs, order: str, tables: GermTables | None = None):
-        """Linear-part gradient with kappa replaced by its mean-point surrogate."""
+        """Linear-part gradient with kappa replaced by its mean-point surrogate, (n, dim)."""
         if order not in ("order0", "order1"):
             raise ValueError(f"unknown control-variate order {order!r}")
-        germs = np.atleast_2d(germs)
-        psi = eval_all(self.basis, germs) if tables is None else tables.psi
-        _, du = self.solution_values(c, psi)
-        surrogate = self._cond0 + (germs @ self._condk if order == "order1" else 0.0)
-        return self._tensor(psi, self._stiffness_rows(surrogate * du))
+        tables = tables or self.germ_tables(germs)
+        return self._tensor(tables.psi, self.gradient_parts(c, germs, tables, order).surrogate)
 
     def cv_known_mean(self, c: np.ndarray, order: str) -> np.ndarray:
         """Analytic expectation of the auxiliary estimator at coefficients c."""
@@ -181,15 +200,23 @@ class Kernel:
         return mean.reshape(self.dim)
 
     def cv_gradient_batch(self, c: np.ndarray, germs: np.ndarray, state: ControlVariateState):
+        """Per-sample gradients (n, dim) of the estimator with control variate `state`."""
         if state.mode == "none":
             return self.gradient_batch(c, germs)
-        if state.lam is None:
-            raise ValueError("control-variate multipliers not estimated yet")
         tables = self.germ_tables(germs)
-        g1, g2 = self.gradient_parts(c, germs, tables)
-        aux = self.cv_auxiliary_batch(c, germs, state.mode, tables)
-        known = self.cv_known_mean(c, state.mode)
-        return g1 + g2 + state.lam * (aux - known[None, :])
+        rows = self.gradient_parts(c, germs, tables, state.mode)
+        aux = self._tensor(tables.psi, rows.surrogate) - self.cv_known_mean(c, state.mode)
+        return self._tensor(tables.psi, rows.total) + state.lam * aux
+
+    def gradient_mean(self, c: np.ndarray, germs: np.ndarray, state: ControlVariateState):
+        """Batch mean (dim,) of `cv_gradient_batch`: each part's rows projected onto psi once."""
+        tables = self.germ_tables(germs)
+        rows = self.gradient_parts(c, germs, tables, state.mode)
+        mean = (tables.psi.T @ rows.total).reshape(self.dim) / len(tables.psi)
+        if state.mode == "none":
+            return mean
+        aux = (tables.psi.T @ rows.surrogate).reshape(self.dim) / len(tables.psi)
+        return mean + state.lam * (aux - self.cv_known_mean(c, state.mode))
 
     # -- Hessian blocks ---------------------------------------------------
 
@@ -258,8 +285,9 @@ def estimate_cv_lambda(
     kernel = kernel_for(problem, mesh, basis)
     germs = sampler.sample_batch(0, pilot_size, "pilot")
     tables = kernel.germ_tables(germs)
-    x_batch, _ = kernel.gradient_parts(c, germs, tables)
-    z_batch = kernel.cv_auxiliary_batch(c, germs, mode, tables)
+    rows = kernel.gradient_parts(c, germs, tables, mode)
+    x_batch = kernel._tensor(tables.psi, rows.linear)
+    z_batch = kernel._tensor(tables.psi, rows.surrogate)
     xc = x_batch - x_batch.mean(axis=0)
     zc = z_batch - z_batch.mean(axis=0)
     var_z = (zc * zc).sum(axis=0)

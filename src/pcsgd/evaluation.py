@@ -185,7 +185,7 @@ def reference_solve_linear(
     # The energy is quadratic.  At one germ, block 0 (psi_0 = 1) of its Hessian
     # is the stiffness and of its gradient at c = 0 the lifting's residual.
     bands = kernel.averaged_hessian_blocks(zero, germ, "linear-only")[0]
-    rhs = -kernel.gradient_batch(zero, germ)[0, : mesh.n_interior]
+    rhs = -kernel.gradient_parts(zero, germ).total[0]
     interior = scipy.linalg.solveh_banded(bands, rhs, lower=True)
     return np.concatenate([[problem.boundary[0]], interior, [problem.boundary[1]]])
 

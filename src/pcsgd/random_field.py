@@ -46,6 +46,9 @@ class DiffusionField:
         """Field at points x (n_pts,) for germs (n, germ_dim) -> (n, n_pts)."""
         raise NotImplementedError
 
+    def scalar_values(self, germs: np.ndarray) -> np.ndarray | None:
+        """Per-germ value (n,) of a field constant in x; None for a field varying in x."""
+
     def value_at_mean(self, x: np.ndarray) -> np.ndarray:
         """Field with the germ frozen at its mean (the zero vector)."""
         raise NotImplementedError

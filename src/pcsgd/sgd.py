@@ -108,23 +108,23 @@ def precondition_solve(
     """Solve the block systems (B_j + ridge tr(B_j)/M I) s_j = g_j.
 
     `blocks` holds each tridiagonal B_j as lower bands, shape (N+1, 2, M).
-    Blocks that fail the symmetric factorization fall back to identity
-    scaling (s_j = g_j); the count of such blocks is returned.
+    LAPACK's `dptsv` solves them stacked, uncoupled by zeros between blocks.
+    Blocks that are not finite or fail the factorization fall back to
+    identity scaling (s_j = g_j); the count of such blocks is returned.
     """
-    n_blocks, _, m = blocks.shape
-    step = gradient.reshape(n_blocks, m).copy()
-    fallbacks = 0
-    for j, (diagonal, sub) in enumerate(blocks):
-        info = 1
-        if np.all(np.isfinite(blocks[j])):
-            shift = ridge * abs(diagonal.sum()) / m
-            # LDL^T, info > 0 if not positive definite; dptsv wants len(e) >= 1
-            _, _, solution, info = dptsv(diagonal + shift, sub[: max(m - 1, 1)], step[j])
+    m = blocks.shape[2]
+    failed = ~np.isfinite(blocks).all(axis=(1, 2))
+    bands = np.where(failed[:, None, None], 0.0, blocks)
+    diagonal = bands[:, 0] + ridge * np.abs(bands[:, 0].sum(axis=1, keepdims=True)) / m
+    sub = np.pad(bands[:, 1, :-1], ((0, 0), (0, 1)))  # no coupling to the next block
+    while True:
+        diagonal[failed], sub[failed] = 1.0, 0.0
+        # dptsv wants len(e) >= 1
+        _, _, step, info = dptsv(diagonal.ravel(), sub.ravel()[: max(sub.size - 1, 1)], gradient)
         if info == 0:
-            step[j] = solution
-        else:
-            fallbacks += 1
-    return step.reshape(-1), fallbacks
+            return step, int(failed.sum())
+        # pivot `info` is not positive; identity pivots stay 1, so no block fails twice
+        failed[(info - 1) // m] = True
 
 
 def _initial_coefficients(kernel: Kernel, config: SgdConfig) -> np.ndarray:
@@ -198,11 +198,7 @@ def run(
     for n in range(1, config.n_iterations + 1):
         eta = config.schedule.rate(n)
         germs_g = sampler.sample_batch(n, config.batch_gradient, "gradient")
-        # Bound to a name, the batch lives until the next one exists, so the
-        # allocator reuses its pages; freed at once, a fig-staged-hessian run
-        # took 1.7x as long, mostly in page faults of fresh (n, dim) arrays.
-        grad_batch = kernel.cv_gradient_batch(c, germs_g, cv_state)
-        grad = grad_batch.mean(axis=0)
+        grad = kernel.gradient_mean(c, germs_g, cv_state)
 
         if config.hessian_mode == "none":
             step = grad

@@ -27,9 +27,9 @@ from pcsgd.experiments import EXPERIMENT_IDS
 PRESET_HASHES = {
     "table1": "707b5d01b090",
     "table2": "4a4cf18d1785",
-    "table3": "762992954981",
+    "table3": "d608190cc4f8",
     "fig-convergence": "9e43cfc13eda",
-    "fig-cdf": "344114ed2035",
+    "fig-cdf": "27dfc0225be1",
     "fig-staged-hessian": "6eae0d16002f",
     "fig-batch-study": "485eadcb32b3",
     "solve": "db42f7dffdf0",

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from pcsgd import (
+    ControlVariateState,
     GermSampler,
     Kernel,
+    builtin_linear_homogeneous,
     builtin_linear_nonhomogeneous,
     builtin_semilinear_homogeneous_field,
     builtin_semilinear_nonhomogeneous_field,
@@ -252,6 +254,70 @@ def test_lambda_zero_when_auxiliary_degenerate():
         problem, problem.mesh, problem.basis, c, "order1", 100, GermSampler(0, 2)
     )
     np.testing.assert_array_equal(state.lam, 0.0)
+
+
+ALL_BUILTINS = [
+    builtin_linear_homogeneous(0.3, 1, 10.0, 7, 2),
+    builtin_linear_nonhomogeneous(0.3, 1, 10.0, 7, 2),
+    builtin_semilinear_homogeneous_field(12.0, 9, 2),
+    builtin_semilinear_nonhomogeneous_field(0.3, 1, 12.0, 8, 2),
+]
+BUILTIN_IDS = ["linear", "linear-lifting", "semilinear-source", "semilinear-trig"]
+
+
+@pytest.mark.parametrize("problem", ALL_BUILTINS, ids=BUILTIN_IDS)
+@pytest.mark.parametrize("mode", ["none", "order0", "order1"])
+def test_gradient_mean_equals_mean_of_cv_batches(problem, mode):
+    """The once-projected batch mean equals the mean of the per-sample estimator."""
+    kernel = kernel_for(problem)
+    rng = np.random.default_rng(14)
+    c = 0.5 * rng.standard_normal(kernel.dim)
+    sampler = GermSampler(6, problem.germ_dim)
+    state = estimate_cv_lambda(problem, problem.mesh, problem.basis, c, mode, 200, sampler)
+    germs = sampler.sample_batch(1, 64, "gradient")
+    expected = kernel.cv_gradient_batch(c, germs, state).mean(axis=0)
+    mean = kernel.gradient_mean(c, germs, state)
+    assert np.max(np.abs(mean - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+def test_control_variate_state_needs_fitted_multipliers():
+    ControlVariateState("none")
+    with pytest.raises(ValueError):
+        ControlVariateState("order1")
+
+
+def test_constant_field_conductances_match_quadrature():
+    """kappa times the element width equals the quadrature sum over each element."""
+    problem = builtin_semilinear_homogeneous_field(12.0, 9, 2)
+    kernel = kernel_for(problem)
+    germs = np.random.default_rng(15).standard_normal((50, 2))
+    q = DEFAULT_QUADRATURE_ORDER
+    kappa = problem.field.values(kernel.x, germs)
+    quadrature = (kappa * kernel.w).reshape(50, -1, q).sum(axis=2)
+    np.testing.assert_allclose(kernel.conductances(germs), quadrature, rtol=1e-14, atol=0)
+    assert problem.field.scalar_values(germs) is not None
+    assert builtin_linear_homogeneous(0.3, 1, 10.0, 7, 2).field.scalar_values(germs) is None
+
+
+@pytest.mark.parametrize("problem", ALL_BUILTINS, ids=BUILTIN_IDS)
+def test_energies_match_nodal_difference_formula(problem):
+    """u' from differenced coefficients gives the energy of u' from differenced nodal values."""
+    kernel = kernel_for(problem)
+    rng = np.random.default_rng(16)
+    c = rng.standard_normal(kernel.dim)
+    germs = rng.standard_normal((40, problem.germ_dim))
+    psi, conductance, loads = kernel.germ_tables(germs)
+    nodal = psi @ kernel.padded_coefficients(c)
+    du = np.diff(nodal, axis=1) / problem.mesh.h
+    expected = 0.5 * np.sum(conductance * du * du, axis=1)
+    if not problem.nonlinearity.is_zero:
+        q = DEFAULT_QUADRATURE_ORDER
+        t = (kernel.x[:q] - problem.mesh.nodes[0]) / problem.mesh.h
+        u = (nodal[:, :-1, None] * (1.0 - t) + nodal[:, 1:, None] * t).reshape(40, -1)
+        expected += problem.nonlinearity.antiderivative(kernel.x, u) @ kernel.w
+    if loads is not None:
+        expected += np.sum(loads * nodal, axis=1)
+    np.testing.assert_allclose(kernel.energies(c, germs), expected, rtol=1e-12)
 
 
 def test_kernel_cached_per_problem():

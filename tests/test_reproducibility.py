@@ -10,11 +10,14 @@ import sys
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
-# A shortened table3 solve: M=100, p=3, full Hessian, the preset's seed 21.
+# A shortened table3 solve (M=100, p=3, full Hessian, the preset's seed 21),
+# then a short solve-size linear solve with boundary data and an order-1
+# control variate, whose batch means are BLAS products with psi.
 SOLVE = """
 import hashlib
 import pcsgd
 
+digest = hashlib.sha256()
 problem = pcsgd.builtin_semilinear_homogeneous_field(12.0, 100, 3)
 config = pcsgd.SgdConfig(
     n_iterations=150, batch_gradient=100, batch_hessian=100,
@@ -22,7 +25,16 @@ config = pcsgd.SgdConfig(
     seed=21, record_stride=50, monitor_samples=2000,
 )
 trajectory, c = pcsgd.run(problem, problem.mesh, problem.basis, config)
-print(hashlib.sha256(c.tobytes() + trajectory.energy_mean.tobytes()).hexdigest())
+digest.update(c.tobytes() + trajectory.energy_mean.tobytes())
+problem = pcsgd.builtin_linear_nonhomogeneous(0.1, 2, 10.0, 50, 3)
+config = pcsgd.SgdConfig(
+    n_iterations=50, batch_gradient=128, batch_hessian=64,
+    schedule=pcsgd.LearningRateSchedule(5.0, 2.0), hessian_mode="linear-only",
+    cv_mode="order1", cv_pilot_size=1000, seed=3, record_stride=25, monitor_samples=2000,
+)
+trajectory, c = pcsgd.run(problem, problem.mesh, problem.basis, config)
+digest.update(c.tobytes() + trajectory.energy_mean.tobytes())
+print(digest.hexdigest())
 """
 
 

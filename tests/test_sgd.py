@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg.lapack import dptsv
 
 from pcsgd import (
     LearningRateSchedule,
@@ -88,6 +89,43 @@ def test_precondition_solve_fallback_on_bad_block():
     assert fallbacks == 2
     np.testing.assert_allclose(step[:2], 1.0)  # solved
     np.testing.assert_allclose(step[2:], 1.0)  # identity fallbacks
+
+
+def per_block_solve(blocks, gradient, ridge):
+    """One dptsv call per block, each failed or non-finite block left as the identity."""
+    n_blocks, _, m = blocks.shape
+    step = gradient.reshape(n_blocks, m).copy()
+    fallbacks = 0
+    for j, (diagonal, sub) in enumerate(blocks):
+        info = 1
+        if np.all(np.isfinite(blocks[j])):
+            shift = ridge * abs(diagonal.sum()) / m
+            _, _, solution, info = dptsv(diagonal + shift, sub[:-1], step[j])
+        if info == 0:
+            step[j] = solution
+        else:
+            fallbacks += 1
+    return step.reshape(-1), fallbacks
+
+
+def test_stacked_solve_is_bit_identical_to_per_block_solves():
+    """One stacked dptsv call, retried after each failed block, equals the block-by-block solves."""
+    rng = np.random.default_rng(5)
+    fallback_cases = 0
+    for _ in range(300):
+        n_blocks, m = rng.integers(1, 36), rng.integers(2, 60)
+        bands = random_spd_bands(rng, n_blocks, m)
+        bands *= 10.0 ** rng.uniform(-3, 3, (n_blocks, 1, 1))
+        kind = rng.integers(0, 6, n_blocks)
+        bands[kind == 0, 0] -= 3.0 * bands[:, 0].max()  # indefinite
+        bands[kind == 1, 0, rng.integers(0, m)] = np.nan
+        g = rng.standard_normal(n_blocks * m)
+        step, fallbacks = precondition_solve(bands, g, 1e-8)
+        expected, expected_fallbacks = per_block_solve(bands, g, 1e-8)
+        np.testing.assert_array_equal(step, expected)
+        assert fallbacks == expected_fallbacks
+        fallback_cases += fallbacks > 0
+    assert fallback_cases > 200
 
 
 def test_run_is_deterministic():
