@@ -29,11 +29,8 @@ from .pc_basis import (
     MomentTable,
     PcBasisSet,
     eval_all,
-    eval_univariate,
     generate_basis,
-    linear_weighted_moment,
     moment_table,
-    pair_moment,
 )
 from .problem import (
     Nonlinearity,

@@ -7,7 +7,8 @@ Two subcommands share the same flags:
 
 Precedence, lowest to highest: per-experiment defaults, the INI config
 file, --override flags, then --seed/--out.  Unknown config keys and
-invalid problem or SGD settings are rejected before any work starts.
+invalid problem, SGD or evaluation settings are rejected before any work
+starts.
 
 Exit codes: 0 on success, 1 when an experiment's check fails or its SGD
 run diverges (`FAIL: ...`), 2 on a config error (`error: ...`).

@@ -149,9 +149,9 @@ class Kernel:
         du = psi @ (np.diff(padded, axis=1) / self.mesh.h)  # nodal values only if needed
         energy = 0.5 * np.einsum("ne,ne->n", conductance, du * du)
         nl = self.problem.nonlinearity
-        if not nl.is_zero or loads is not None:
+        if nl is not None or loads is not None:
             nodal = psi @ padded
-        if not nl.is_zero:
+        if nl is not None:
             energy += nl.antiderivative(self.x, self._at_points(nodal)) @ self.w
         if loads is not None:
             energy += np.einsum("ni,ni->n", loads, nodal)
@@ -164,7 +164,7 @@ class Kernel:
         nodal, du = self.solution_values(c, psi)
         linear = self._stiffness_rows(conductance * du)
         nl = self.problem.nonlinearity
-        if not nl.is_zero:
+        if nl is not None:
             reaction = self._loads(nl.value(self.x, self._at_points(nodal)))
             loads = reaction if loads is None else reaction + loads
         total = linear if loads is None else linear + loads[:, 1:-1]
@@ -236,7 +236,7 @@ class Kernel:
         bands[:, 0] = conductance[:, :-1] + conductance[:, 1:]
         bands[:, 1, :-1] = -conductance[:, 1:-1]
         nl = self.problem.nonlinearity
-        if stage == "full" and not nl.is_zero:
+        if stage == "full" and nl is not None:
             nodal, _ = self.solution_values(c, psi)
             dfu = nl.derivative(self.x, self._at_points(nodal))
             mass = self._per_element(psi2.T @ dfu, self._mass_w)  # (N+1, M+1, 3)

@@ -178,7 +178,7 @@ def reference_solve_linear(
 
     Returns nodal solution values including the boundary nodes.
     """
-    if not problem.is_linear:
+    if problem.nonlinearity is not None:
         raise ValueError("reference solve only applies to linear problems")
     kernel = kernel_for(problem, mesh, problem.basis)
     germ, zero = np.atleast_2d(germ), np.zeros(kernel.dim)
@@ -212,7 +212,7 @@ def exact_energy_mc(
         )
         kap = problem.field.values(x, germs)
         density = 0.5 * kap * du**2
-        if not problem.nonlinearity.is_zero:
+        if problem.nonlinearity is not None:
             density = density + problem.nonlinearity.antiderivative(x, u)
         if problem.source is not None:
             density = density + problem.source(x, germs) * u

@@ -11,7 +11,7 @@ quadrature is only ever used as an independent oracle in the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -42,23 +42,10 @@ class PcBasisSet:
     germ_dim: int
     degree_bound: int
     indices: tuple[tuple[int, ...], ...]
-    _position: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        if not self._position:
-            self._position = {m: i for i, m in enumerate(self.indices)}
 
     @property
     def size(self) -> int:
         return len(self.indices)
-
-    @property
-    def degrees(self) -> np.ndarray:
-        """Multi-indices as an int array of shape (size, germ_dim)."""
-        return np.array(self.indices, dtype=np.int64)
-
-    def position(self, multi_index: Sequence[int]) -> int | None:
-        return self._position.get(tuple(multi_index))
 
 
 def generate_basis(germ_dim: int, degree_bound: int) -> PcBasisSet:
@@ -79,14 +66,6 @@ def generate_basis(germ_dim: int, degree_bound: int) -> PcBasisSet:
     )
     assert len(indices) == count
     return PcBasisSet(germ_dim, degree_bound, indices)
-
-
-def eval_univariate(degree: int, y):
-    """Probabilists' Hermite polynomial He_n via the three-term recurrence."""
-    if degree < 0:
-        raise ValueError("degree must be non-negative")
-    y = np.asarray(y, dtype=float)
-    return hermite_table(degree, y)[..., degree]
 
 
 def hermite_table(max_degree: int, y: np.ndarray) -> np.ndarray:
@@ -129,35 +108,6 @@ def _norm(alpha: Sequence[int]) -> float:
     return float(math.prod(math.factorial(a) for a in alpha))
 
 
-def pair_moment(basis: PcBasisSet, a: int, b: int) -> float:
-    """E[psi_a psi_b]; diagonal by orthogonality, with value prod(alpha_k!)."""
-    if basis.indices[a] != basis.indices[b]:
-        return 0.0
-    return _norm(basis.indices[a])
-
-
-def linear_weighted_moment(basis: PcBasisSet, k: int, a: int, b: int) -> float:
-    """E[Y_k psi_a psi_b], analytically.
-
-    Uses y He_n = He_{n+1} + n He_{n-1} on component k of index a, then
-    orthogonality against index b.  The shifted indices need not belong to
-    the truncated basis; only their tuples matter.
-    """
-    if not 0 <= k < basis.germ_dim:
-        raise ValueError(f"germ component {k} out of range")
-    alpha = basis.indices[a]
-    beta = basis.indices[b]
-    up = alpha[:k] + (alpha[k] + 1,) + alpha[k + 1 :]
-    total = 0.0
-    if up == beta:
-        total += _norm(beta)
-    if alpha[k] > 0:
-        down = alpha[:k] + (alpha[k] - 1,) + alpha[k + 1 :]
-        if down == beta:
-            total += alpha[k] * _norm(beta)
-    return total
-
-
 @dataclass(eq=False)
 class MomentTable:
     """Precomputed E[psi_a psi_b] and E[Y_k psi_a psi_b] for a basis set."""
@@ -167,7 +117,11 @@ class MomentTable:
 
 
 def moment_table(basis: PcBasisSet) -> MomentTable:
+    """Analytic moments: E[psi_a psi_b] is prod(alpha_k!) on the diagonal, and
+    E[Y_k psi_a psi_b] follows from y He_n = He_{n+1} + n He_{n-1} on component k.
+    """
     n = basis.size
+    position = {alpha: a for a, alpha in enumerate(basis.indices)}
     pair = np.zeros((n, n))
     for a in range(n):
         pair[a, a] = _norm(basis.indices[a])
@@ -180,7 +134,7 @@ def moment_table(basis: PcBasisSet) -> MomentTable:
                 if alpha[k] + shift < 0 or weight == 0:
                     continue
                 moved = alpha[:k] + (alpha[k] + shift,) + alpha[k + 1 :]
-                b = basis.position(moved)
+                b = position.get(moved)
                 if b is not None:
                     linear[k, a, b] = weight * _norm(moved)
     return MomentTable(pair, linear)

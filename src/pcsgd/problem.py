@@ -33,16 +33,6 @@ class Nonlinearity:
     value: Callable[[np.ndarray, np.ndarray], np.ndarray]
     antiderivative: Callable[[np.ndarray, np.ndarray], np.ndarray]
     derivative: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    is_zero: bool = False
-
-
-ZERO_REACTION = Nonlinearity(
-    name="zero",
-    value=lambda x, u: np.zeros_like(u),
-    antiderivative=lambda x, u: np.zeros_like(u),
-    derivative=lambda x, u: np.zeros_like(u),
-    is_zero=True,
-)
 
 SINE_REACTION = Nonlinearity(
     name="sine",
@@ -58,13 +48,14 @@ class ProblemInstance:
 
     `source` maps (quadrature points (P,), germs (n, K)) to per-germ source
     values (n, P); it enters the energy as source * u and the gradient as
-    its projection onto the basis.  `exact_solution` maps (x scalar, germs)
-    to per-germ solution values.
+    its projection onto the basis.  `nonlinearity` is None for a linear
+    problem.  `exact_solution` maps (x scalar, germs) to per-germ solution
+    values.
     """
 
     name: str
     field: DiffusionField
-    nonlinearity: Nonlinearity
+    nonlinearity: Nonlinearity | None
     mesh: Mesh1D
     basis: PcBasisSet
     boundary: tuple[float, float] = (0.0, 0.0)
@@ -73,10 +64,6 @@ class ProblemInstance:
     exact_solution_derivative: Callable[[float, np.ndarray], np.ndarray] | None = None
     exact_energy: float | None = None
     _cache: dict = dc_field(default_factory=dict, repr=False)
-
-    @property
-    def is_linear(self) -> bool:
-        return self.nonlinearity.is_zero
 
     @property
     def germ_dim(self) -> int:
@@ -124,7 +111,7 @@ def builtin_linear_homogeneous(
     return ProblemInstance(
         name="linear_homogeneous",
         field=field,
-        nonlinearity=ZERO_REACTION,
+        nonlinearity=None,
         mesh=Mesh1D(length, n_interior),
         basis=generate_basis(field.germ_dim, degree_bound),
         exact_solution=lambda x, germs: np.zeros(np.atleast_2d(germs).shape[0]),
@@ -159,7 +146,7 @@ def builtin_linear_nonhomogeneous(
     return ProblemInstance(
         name="linear_nonhomogeneous",
         field=field,
-        nonlinearity=ZERO_REACTION,
+        nonlinearity=None,
         mesh=Mesh1D(length, n_interior),
         basis=generate_basis(field.germ_dim, degree_bound),
         boundary=(0.0, 1.0),

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dptsv
 
-from .estimators import Kernel, estimate_cv_lambda, kernel_for
+from .estimators import CV_MODES, Kernel, estimate_cv_lambda, kernel_for
 from .fem1d import Mesh1D
 from .pc_basis import PcBasisSet
 from .problem import ProblemInstance
@@ -59,15 +59,16 @@ class SgdConfig:
     init_scale: float = 1.0
     record_stride: int = 1
     monitor_samples: int = 10_000
-    step_clip: float = 0.0  # max step norm, escape hatch for eta_1 >> 1; 0 disables it
 
     def __post_init__(self):
         if self.n_iterations < 0:
             raise ValueError("iteration count must be non-negative")
         if self.batch_gradient < 1 or self.batch_hessian < 1:
             raise ValueError("batch sizes must be at least 1")
-        if self.cv_mode not in ("none", "order0", "order1"):
+        if self.cv_mode not in CV_MODES:
             raise ValueError(f"unknown cv_mode {self.cv_mode!r}")
+        if self.cv_pilot_size < 2:
+            raise ValueError("cv_pilot_size must be >= 2")
         if self.hessian_mode not in HESSIAN_MODES:
             raise ValueError(f"unknown hessian_mode {self.hessian_mode!r}")
         if self.hessian_mode == "staged" and self.n_switch > max(self.n_iterations, 1):
@@ -76,6 +77,8 @@ class SgdConfig:
             raise ValueError(f"unknown init rule {self.init!r}")
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
+        if self.monitor_samples < 2:
+            raise ValueError("monitor_samples must be >= 2")
 
 
 @dataclass(eq=False)
@@ -208,11 +211,6 @@ def run(
             blocks = kernel.averaged_hessian_blocks(c, germs_h, stage)
             step, fallbacks = precondition_solve(blocks, grad, RIDGE)
             fallbacks_since_record += fallbacks
-
-        if config.step_clip > 0:
-            norm = np.linalg.norm(step)
-            if norm > config.step_clip:
-                step = step * (config.step_clip / norm)
 
         c = c - eta * step
         if not np.all(np.isfinite(c)):

@@ -1,15 +1,29 @@
-"""The benchmark's traced run must find every pcsgd name it wraps.
+"""The benchmark's calls into pcsgd must keep working.
 
-`perfbench/spans.py` wraps pcsgd functions and methods by name.  Installing
-it in a child process turns a removed or renamed name into a test failure,
-and keeps the wrappers out of the pytest process.
+`perfbench/spans.py` wraps pcsgd functions and methods by name, and
+`perfbench/worker.py` calls the builtins and `SgdConfig` with the keywords
+in `perfbench/workloads.py`.  Running them in child processes turns a
+removed or renamed name, keyword or a value pcsgd now rejects into a test
+failure, and keeps the wrappers out of the pytest process.
 """
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
+
+# plain data, importable without pcsgd; registered because its dataclass looks itself up
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_workloads", os.path.join(PERFBENCH, "workloads.py")
+)
+workloads = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
 
 INSTALL = """
 import sys
@@ -26,7 +40,7 @@ def test_benchmark_hook_points_exist():
             sys.executable,
             "-c",
             INSTALL,
-            os.path.join(ROOT, "perfbench"),
+            PERFBENCH,
             os.path.join(ROOT, "src"),
         ],
         capture_output=True,
@@ -34,3 +48,39 @@ def test_benchmark_hook_points_exist():
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+# The SgdConfig of a round, built as worker.py builds it.
+SGD_CONFIG = """
+import sys
+sys.path[:0] = sys.argv[2:]
+import pcsgd
+from workloads import WORKLOADS, seeds
+w = WORKLOADS[sys.argv[1]]
+pcsgd.SgdConfig(
+    schedule=pcsgd.LearningRateSchedule(*w.rate), seed=seeds(w, 0)["sgd"], **w.sgd
+)
+"""
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+def test_benchmark_workload_sets_up_and_builds_its_sgd_config(workload):
+    setup = subprocess.run(
+        [
+            sys.executable,
+            os.path.join(PERFBENCH, "worker.py"),
+            "--workload", workload, "--seed", "0", "--mode", "setup",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert setup.returncode == 0, setup.stderr
+    assert json.loads(setup.stdout.splitlines()[-1])["setup_s"] > 0
+    config = subprocess.run(
+        [sys.executable, "-c", SGD_CONFIG, workload, PERFBENCH, os.path.join(ROOT, "src")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert config.returncode == 0, config.stderr

@@ -1,4 +1,5 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from pcsgd import (
     ExperimentConfig,
+    ExperimentFailure,
     apply_override,
     config_from_ini,
     config_hash,
@@ -14,25 +16,25 @@ from pcsgd import (
     default_config,
     load_coefficients,
     make_problem,
-    make_sgd_config,
-    run,
     run_experiment,
     save_coefficients,
 )
 from pcsgd.cli import build_parser, main, resolve_config
 from pcsgd.experiments import EXPERIMENT_IDS
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 # config_hash heads every CSV, so these pin the INI text of each preset,
 # its key order included.
 PRESET_HASHES = {
-    "table1": "707b5d01b090",
-    "table2": "4a4cf18d1785",
-    "table3": "d608190cc4f8",
-    "fig-convergence": "9e43cfc13eda",
-    "fig-cdf": "27dfc0225be1",
-    "fig-staged-hessian": "6eae0d16002f",
-    "fig-batch-study": "485eadcb32b3",
-    "solve": "db42f7dffdf0",
+    "table1": "ca1b2a035f9e",
+    "table2": "88c387ced1ae",
+    "table3": "0aeb6540ce50",
+    "fig-convergence": "55e36859ad4e",
+    "fig-cdf": "42b533db62cb",
+    "fig-staged-hessian": "f35dd6e817a7",
+    "fig-batch-study": "3b364006983d",
+    "solve": "39864a36c3e4",
 }
 
 
@@ -51,6 +53,12 @@ def test_ini_inline_comments_are_ignored():
     """The README's config block annotates values with ` ; ...` comments."""
     config = config_from_ini("[sgd]\nrate_offset = 3.0   ; numerator / (offset + n)\n")
     assert config.rate_offset == 3.0
+
+
+def test_readme_config_block_loads_as_the_solve_defaults():
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        block = fh.read().split("```ini\n", 1)[1].split("```", 1)[0]
+    assert config_from_ini(block) == default_config("solve")
 
 
 def test_unknown_section_and_key_rejected():
@@ -109,19 +117,6 @@ def test_make_problem_dispatch():
         problem = make_problem(config)
         assert problem.name == name
         assert problem.mesh.n_interior == 6
-
-
-def test_make_sgd_config_step_clip_mapping(tmp_path):
-    """step_clip = 0, the default, runs unclipped; a positive value clips."""
-    config = _tiny_solve_config(tmp_path)
-    problem = make_problem(config)
-    finals = {}
-    for clip in (0.0, 1e300, 1e-6):
-        sgd_config = make_sgd_config(dataclasses.replace(config, step_clip=clip))
-        assert sgd_config.step_clip == clip
-        _, finals[clip] = run(problem, problem.mesh, problem.basis, sgd_config)
-    np.testing.assert_array_equal(finals[0.0], finals[1e300])
-    assert not np.array_equal(finals[0.0], finals[1e-6])
 
 
 @given(
@@ -257,10 +252,16 @@ def test_cli_rejects_bad_override(capsys):
         ["solve", "--override", "cv_mode=bogus"],
         ["experiment", "table3", "--override", "init=bogus"],
         ["solve", "--override", "m=0"],
+        ["solve", "--override", "monitor_samples=0", "--override", "n_iterations=2"],
+        ["solve", "--override", "cv_mode=order1", "--override", "cv_pilot_size=1"],
+        ["experiment", "table3", "--override", "n_mc=1"],
+        ["experiment", "table3", "--override", "points=7.0"],
     ],
 )
-def test_cli_rejects_invalid_config_value(argv, capsys):
-    assert main(argv) == 2
+def test_cli_rejects_invalid_config_value(argv, tmp_path, capsys):
+    """Each is rejected before any solve runs, so nothing lands in --out."""
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert not any(tmp_path.iterdir())
     assert "error:" in capsys.readouterr().err
 
 
@@ -276,6 +277,17 @@ def test_sgd_values_are_checked_after_all_overrides():
         for order in (overrides, overrides[::-1])
     ]
     assert configs[0] == configs[1]
+
+
+@pytest.mark.parametrize("experiment", ["table2", "fig-staged-hessian", "fig-batch-study"])
+def test_gap_studies_need_a_known_minimum(experiment, tmp_path):
+    """They measure the gap to problem.exact_energy, which linear_nonhomogeneous lacks."""
+    config = dataclasses.replace(
+        default_config(experiment), problem="linear_nonhomogeneous", out=str(tmp_path)
+    )
+    with pytest.raises(ExperimentFailure, match="no known minimum"):
+        run_experiment(config)
+    assert not any(tmp_path.iterdir())
 
 
 def test_cli_reports_divergence_as_fail(tmp_path, capsys):

@@ -44,7 +44,7 @@ def dense_hessian_blocks(problem, c, germs, stage):
     psi2 = psi**2 / germs.shape[0]
     wa = (psi2.T @ problem.field.values(x, germs)) * w
     blocks = np.stack([dphi.T @ (row[:, None] * dphi) for row in wa])
-    if stage == "full":
+    if stage == "full" and problem.nonlinearity is not None:
         u = psi @ coefficient_matrix(c, mesh.n_interior) @ phi.T + lift
         wb = (psi2.T @ problem.nonlinearity.derivative(x, u)) * w
         blocks += np.stack([phi.T @ (row[:, None] * phi) for row in wb])
@@ -94,7 +94,7 @@ def naive_gradient(problem, c, germ, n_quad_per_element=4):
             u = u + cm[j, i - 1] * phi_vals * psi[j]
             du = du + cm[j, i - 1] * dphi_vals * psi[j]
     reaction = np.zeros_like(u)
-    if not problem.nonlinearity.is_zero:
+    if problem.nonlinearity is not None:
         reaction = problem.nonlinearity.value(rule_x, u)
     if problem.source is not None:
         reaction = reaction + problem.source(rule_x, np.atleast_2d(germ))[0]
@@ -310,7 +310,7 @@ def test_energies_match_nodal_difference_formula(problem):
     nodal = psi @ kernel.padded_coefficients(c)
     du = np.diff(nodal, axis=1) / problem.mesh.h
     expected = 0.5 * np.sum(conductance * du * du, axis=1)
-    if not problem.nonlinearity.is_zero:
+    if problem.nonlinearity is not None:
         q = DEFAULT_QUADRATURE_ORDER
         t = (kernel.x[:q] - problem.mesh.nodes[0]) / problem.mesh.h
         u = (nodal[:, :-1, None] * (1.0 - t) + nodal[:, 1:, None] * t).reshape(40, -1)

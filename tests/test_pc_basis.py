@@ -3,17 +3,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from pcsgd import (
-    eval_all,
-    eval_univariate,
-    generate_basis,
-    linear_weighted_moment,
-    moment_table,
-    pair_moment,
-)
+from pcsgd import eval_all, generate_basis, moment_table
 from pcsgd.pc_basis import hermite_table
 
 
@@ -50,15 +41,9 @@ def test_univariate_values_match_explicit_polynomials():
         y**4 - 6 * y**2 + 3,
         y**5 - 10 * y**3 + 15 * y,
     ]
-    for n, ref in enumerate(explicit):
-        np.testing.assert_allclose(eval_univariate(n, y), ref, atol=1e-10)
-
-
-def test_hermite_table_matches_eval_univariate():
-    y = np.array([-1.7, 0.0, 0.3, 2.2])
     table = hermite_table(5, y)
-    for n in range(6):
-        np.testing.assert_allclose(table[..., n], eval_univariate(n, y))
+    for n, ref in enumerate(explicit):
+        np.testing.assert_allclose(table[..., n], ref, atol=1e-10)
 
 
 def gauss_hermite_expectation(f, dim, n_nodes=24):
@@ -73,55 +58,33 @@ def gauss_hermite_expectation(f, dim, n_nodes=24):
     return total
 
 
+def psi_at(basis, y):
+    """Every basis function at one germ y, each a product of univariate He_n."""
+    table = hermite_table(basis.degree_bound, y)  # (germ_dim, p+1)
+    return np.array([np.prod([table[k, n] for k, n in enumerate(alpha)]) for alpha in basis.indices])
+
+
 def test_pair_moments_against_quadrature():
     """Criterion 8 (moments part): analytic E[Psi_a Psi_b] vs quadrature."""
     basis = generate_basis(2, 3)
-
-    def product(a, b):
-        def f(y):
-            pa = np.prod([eval_univariate(n, np.array([yi]))[0] for n, yi in zip(basis.indices[a], y)])
-            pb = np.prod([eval_univariate(n, np.array([yi]))[0] for n, yi in zip(basis.indices[b], y)])
-            return pa * pb
-        return f
-
-    for a in range(basis.size):
-        for b in range(a, basis.size):
-            numeric = gauss_hermite_expectation(product(a, b), 2)
-            assert abs(pair_moment(basis, a, b) - numeric) < 1e-10
+    numeric = gauss_hermite_expectation(lambda y: np.outer(psi_at(basis, y), psi_at(basis, y)), 2)
+    np.testing.assert_allclose(moment_table(basis).pair_moments, numeric, rtol=0, atol=1e-10)
 
 
 def test_linear_weighted_moments_against_quadrature():
     basis = generate_basis(2, 3)
 
-    def triple(k, a, b):
-        def f(y):
-            pa = np.prod([eval_univariate(n, np.array([yi]))[0] for n, yi in zip(basis.indices[a], y)])
-            pb = np.prod([eval_univariate(n, np.array([yi]))[0] for n, yi in zip(basis.indices[b], y)])
-            return y[k] * pa * pb
-        return f
+    def triple(y):
+        psi = psi_at(basis, y)
+        return y[:, None, None] * np.outer(psi, psi)
 
-    for k in range(2):
-        for a in range(basis.size):
-            for b in range(basis.size):
-                numeric = gauss_hermite_expectation(triple(k, a, b), 2)
-                assert abs(linear_weighted_moment(basis, k, a, b) - numeric) < 1e-10
-
-
-@given(st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=4))
-@settings(max_examples=50, deadline=None)
-def test_squared_norm_is_product_of_factorials(alpha):
-    basis = generate_basis(len(alpha), sum(alpha))
-    a = basis.indices.index(tuple(alpha))
-    expected = np.prod([math.factorial(n) for n in alpha])
-    assert pair_moment(basis, a, a) == pytest.approx(expected)
+    numeric = gauss_hermite_expectation(triple, 2)
+    np.testing.assert_allclose(moment_table(basis).linear_moments, numeric, rtol=0, atol=1e-10)
 
 
 def test_orthogonality_off_diagonal():
-    basis = generate_basis(3, 3)
-    for a in range(basis.size):
-        for b in range(basis.size):
-            if a != b:
-                assert pair_moment(basis, a, b) == 0.0
+    pair = moment_table(generate_basis(3, 3)).pair_moments
+    np.testing.assert_array_equal(pair - np.diag(np.diag(pair)), 0.0)
 
 
 def test_moment_table_consistency():
@@ -129,13 +92,6 @@ def test_moment_table_consistency():
     table = moment_table(basis)
     assert table.pair_moments.shape == (basis.size, basis.size)
     assert table.linear_moments.shape == (2, basis.size, basis.size)
-    for a in range(basis.size):
-        for b in range(basis.size):
-            assert table.pair_moments[a, b] == pair_moment(basis, a, b)
-            for k in range(2):
-                assert table.linear_moments[k, a, b] == linear_weighted_moment(
-                    basis, k, a, b
-                )
     # the linear tables are symmetric
     for k in range(2):
         np.testing.assert_array_equal(
@@ -152,7 +108,7 @@ def test_eval_all_is_product_of_univariate():
     for j, alpha in enumerate(basis.indices):
         ref = np.ones(17)
         for k, n in enumerate(alpha):
-            ref *= eval_univariate(n, germs[:, k])
+            ref *= hermite_table(n, germs[:, k])[:, n]
         np.testing.assert_allclose(values[:, j], ref, rtol=1e-12)
 
 

@@ -12,7 +12,6 @@ from pcsgd import (
 from pcsgd.problem import (
     INVERSE_KAPPA_CHUNK,
     SINE_REACTION,
-    ZERO_REACTION,
     _inverse_kappa_integral,
     _simpson_grid,
 )
@@ -20,8 +19,6 @@ from pcsgd.problem import (
 
 def test_reaction_contracts():
     u = np.linspace(-4.0, 4.0, 33)
-    assert ZERO_REACTION.is_zero
-    assert not SINE_REACTION.is_zero
     np.testing.assert_allclose(SINE_REACTION.value(0.0, u), np.sin(u))
     np.testing.assert_allclose(SINE_REACTION.antiderivative(0.0, u), -np.cos(u))
     np.testing.assert_allclose(SINE_REACTION.derivative(0.0, u), np.cos(u))
@@ -40,7 +37,7 @@ def test_antiderivative_consistency():
 
 def test_linear_homogeneous_shape():
     problem = builtin_linear_homogeneous(0.1, 2, 10.0, 8, 2)
-    assert problem.is_linear
+    assert problem.nonlinearity is None
     assert problem.germ_dim == 4
     assert problem.exact_energy == 0.0
     assert problem.boundary == (0.0, 0.0)
@@ -142,7 +139,7 @@ def test_semilinear_homogeneous_rejects_odd_length():
 def test_semilinear_nonhomogeneous_minimum():
     problem = builtin_semilinear_nonhomogeneous_field(0.3, 2, 12.0, 10, 2)
     assert problem.exact_energy == -12.0
-    assert not problem.is_linear
+    assert problem.nonlinearity is SINE_REACTION
     germs = np.ones((2, 4))
     np.testing.assert_array_equal(problem.exact_solution(0.0, germs), 0.0)
 
