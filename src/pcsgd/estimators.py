@@ -286,12 +286,12 @@ def estimate_cv_lambda(
     germs = sampler.sample_batch(0, pilot_size, "pilot")
     tables = kernel.germ_tables(germs)
     rows = kernel.gradient_parts(c, germs, tables, mode)
-    x_batch = kernel._tensor(tables.psi, rows.linear)
-    z_batch = kernel._tensor(tables.psi, rows.surrogate)
-    xc = x_batch - x_batch.mean(axis=0)
-    zc = z_batch - z_batch.mean(axis=0)
-    var_z = (zc * zc).sum(axis=0)
-    cov_xz = (xc * zc).sum(axis=0)
+    sums = np.empty((2, basis.size, mesh.n_interior))  # centered Z·Z and X·Z sums per psi_j
+    for j, psi_j in enumerate(tables.psi.T[:, :, None]):
+        x_j, z_j = psi_j * rows.linear, psi_j * rows.surrogate  # X, Z on psi_j's block
+        xc, zc = x_j - x_j.mean(axis=0), z_j - z_j.mean(axis=0)
+        sums[:, j] = (zc * zc).sum(axis=0), (xc * zc).sum(axis=0)
+    var_z, cov_xz = sums.reshape(2, kernel.dim)
     with np.errstate(divide="ignore", invalid="ignore"):
         lam = np.where(var_z > 0.0, -cov_xz / np.where(var_z > 0.0, var_z, 1.0), 0.0)
     return ControlVariateState(mode=mode, lam=lam)

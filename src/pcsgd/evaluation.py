@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -18,14 +19,10 @@ from .estimators import kernel_for
 from .fem1d import Mesh1D, element_hats
 from .pc_basis import PcBasisSet, eval_all
 from .problem import ProblemInstance, _simpson_grid
-from .random_field import GermSampler
+from .random_field import GERM_CHUNK, GermSampler
 from .sgd import Trajectory
 
 EVAL_PURPOSE = "eval"
-# Germs per kernel call in the MC estimates; the exact-energy oracle holds
-# several (germs, SIMPSON_POINTS) arrays per chunk, so it takes fewer.
-EVAL_CHUNK = 20_000
-EXACT_ENERGY_CHUNK = 2_000
 
 
 @dataclass(eq=False)
@@ -43,18 +40,18 @@ class CdfEstimate:
     sample_count: int
 
 
-def _mc_estimate(problem: ProblemInstance, n_samples: int, seed: int, chunk: int, values):
-    """Mean and standard error of `values(germs)` over n_samples evaluation germs.
+def _over_eval_germs(problem: ProblemInstance, n_samples: int, seed: int, values):
+    """`values(germs)` over n_samples evaluation germs, GERM_CHUNK germs per call."""
+    germs = GermSampler(seed, problem.germ_dim).sample_batch(0, n_samples, EVAL_PURPOSE)
+    chunks = (germs[k : k + GERM_CHUNK] for k in range(0, n_samples, GERM_CHUNK))
+    return np.concatenate([values(chunk) for chunk in chunks])
 
-    `values` sees at most `chunk` germs per call, which bounds the
-    temporaries of the kernel calls inside it.
-    """
+
+def _mc_estimate(problem: ProblemInstance, n_samples: int, seed: int, values):
+    """Mean and standard error of `values(germs)` over n_samples evaluation germs."""
     if n_samples < 2:
         raise ValueError("need at least two samples for a standard error")
-    germs = GermSampler(seed, problem.germ_dim).sample_batch(0, n_samples, EVAL_PURPOSE)
-    samples = np.concatenate(
-        [values(germs[k : k + chunk]) for k in range(0, n_samples, chunk)]
-    )
+    samples = _over_eval_germs(problem, n_samples, seed, values)
     return EnergyEstimate(
         mean=float(samples.mean()),
         standard_error=float(samples.std(ddof=1) / np.sqrt(n_samples)),
@@ -72,9 +69,7 @@ def estimate_energy(
 ) -> EnergyEstimate:
     """MC estimate of the energy at coefficients c."""
     kernel = kernel_for(problem, mesh, basis)
-    return _mc_estimate(
-        problem, n_samples, seed, EVAL_CHUNK, lambda germs: kernel.energies(c, germs)
-    )
+    return _mc_estimate(problem, n_samples, seed, lambda germs: kernel.energies(c, germs))
 
 
 def solution_at_point(
@@ -111,7 +106,7 @@ def pointwise_l2_error(
             - solution_at_point(problem, mesh, basis, c, x, germs)
         ) ** 2
 
-    return _mc_estimate(problem, n_samples, seed, EVAL_CHUNK, squared_error)
+    return _mc_estimate(problem, n_samples, seed, squared_error)
 
 
 def _empirical_cdf_of_values(
@@ -152,21 +147,21 @@ def empirical_cdf(
         raise ValueError("one or two evaluation points supported")
     if len(thresholds) != len(points):
         raise ValueError("need one threshold grid per evaluation point")
-    sampler = GermSampler(seed, problem.germ_dim)
-    germs = sampler.sample_batch(0, n_samples, EVAL_PURPOSE)
+    if n_samples < 1:
+        raise ValueError("need at least one sample")
+    solution = partial(solution_at_point, problem, mesh, basis, c)
     if use_exact_solution:
         if problem.exact_solution is None:
             raise ValueError(f"problem {problem.name!r} has no exact solution")
-        values = [problem.exact_solution(x, germs) for x in points]
-    else:
-        values = [
-            solution_at_point(problem, mesh, basis, c, x, germs) for x in points
-        ]
+        solution = problem.exact_solution
+    values = _over_eval_germs(
+        problem, n_samples, seed, lambda germs: np.stack([solution(x, germs) for x in points], 1)
+    )
     grids = tuple(np.asarray(t, dtype=float) for t in thresholds)
     return CdfEstimate(
         points=tuple(float(x) for x in points),
         thresholds=grids,
-        probabilities=_empirical_cdf_of_values(values, grids),
+        probabilities=_empirical_cdf_of_values(list(values.T), grids),
         sample_count=n_samples,
     )
 
@@ -218,7 +213,7 @@ def exact_energy_mc(
             density = density + problem.source(x, germs) * u
         return density @ w
 
-    return _mc_estimate(problem, n_samples, seed, EXACT_ENERGY_CHUNK, energies)
+    return _mc_estimate(problem, n_samples, seed, energies)
 
 
 def fit_convergence_rate(

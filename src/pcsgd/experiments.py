@@ -35,7 +35,7 @@ from .problem import (
     builtin_semilinear_homogeneous_field,
     builtin_semilinear_nonhomogeneous_field,
 )
-from .random_field import GermSampler
+from .random_field import GERM_CHUNK, GermSampler
 from .sgd import LearningRateSchedule, SgdConfig, SgdDivergenceError, Trajectory, run
 
 PROBLEMS = {
@@ -150,7 +150,10 @@ def config_from_ini(text: str, base: ExperimentConfig | None = None) -> Experime
     starts a comment.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
-    parser.read_string(text)
+    try:
+        parser.read_string(text)
+    except configparser.Error as err:
+        raise ValueError(f"malformed config file: {err}") from err
     updates = {}
     for section in parser.sections():
         if section not in _SECTIONS:
@@ -289,6 +292,7 @@ def save_coefficients(path: str, c: np.ndarray, n_interior: int) -> str:
 
 
 def load_coefficients(path: str, n_interior: int) -> np.ndarray:
+    """Inverse of `save_coefficients`; ValueError unless the dump fills the (i, j) grid."""
     entries = {}
     with open(path) as fh:
         for line in fh:
@@ -297,6 +301,9 @@ def load_coefficients(path: str, n_interior: int) -> np.ndarray:
                 continue
             i_str, j_str, hex_str = line.split()
             entries[(int(i_str), int(j_str))] = float.fromhex(hex_str)
+    n_basis = len(entries) // n_interior
+    if entries.keys() != {(i, j) for i in range(1, n_interior + 1) for j in range(n_basis)}:
+        raise ValueError(f"{path} is not a coefficient dump for n_interior={n_interior}")
     c = np.zeros(len(entries))
     for (i, j), value in entries.items():
         c[flat_index(i, j, n_interior)] = value
@@ -327,8 +334,8 @@ def run_table1(config: ExperimentConfig) -> list[str]:
             )
             # c_1_0 multiplies phi_1 psi_0 = phi_1: its samples are the rows' first column
             chunks = [
-                kernel.gradient_parts(c, germs[k : k + 5000], order=mode)
-                for k in range(0, config.n_mc, 5000)
+                kernel.gradient_parts(c, germs[k : k + GERM_CHUNK], order=mode)
+                for k in range(0, config.n_mc, GERM_CHUNK)
             ]
             component = np.concatenate([chunk.total[:, 0] for chunk in chunks])
             if mode != "none":

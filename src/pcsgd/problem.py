@@ -16,6 +16,7 @@ import numpy as np
 from .fem1d import Mesh1D
 from .pc_basis import PcBasisSet, generate_basis
 from .random_field import (
+    GERM_CHUNK,
     DiffusionField,
     HomogeneousLogNormalField,
     TrigLogNormalField,
@@ -73,9 +74,6 @@ class ProblemInstance:
 # Points of the composite Simpson rule behind the exact-solution oracles;
 # Simpson needs an odd count.
 SIMPSON_POINTS = 801
-# Germ rows per field evaluation in `_inverse_kappa_integral`: each chunk
-# holds a (rows, SIMPSON_POINTS) array, about 6 MiB.
-INVERSE_KAPPA_CHUNK = 1024
 
 
 def _simpson_grid(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
@@ -97,8 +95,8 @@ def _inverse_kappa_integral(
         return np.zeros(germs.shape[0])
     x, w = _simpson_grid(a, b)
     out = np.empty(germs.shape[0])
-    for start in range(0, germs.shape[0], INVERSE_KAPPA_CHUNK):
-        rows = slice(start, start + INVERSE_KAPPA_CHUNK)
+    for start in range(0, germs.shape[0], GERM_CHUNK):
+        rows = slice(start, start + GERM_CHUNK)
         out[rows] = (1.0 / field.values(x, germs[rows])) @ w
     return out
 

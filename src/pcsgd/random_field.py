@@ -14,6 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Germs per call in every Monte Carlo pass over more germs than a mini-batch;
+# it bounds the (germs, points) temporaries, about 6 MiB each at 801 points.
+GERM_CHUNK = 1024
+
 
 def _purpose_code(purpose: str) -> int:
     return zlib.crc32(purpose.encode("utf-8"))

@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dptsv
 
-from .estimators import CV_MODES, Kernel, estimate_cv_lambda, kernel_for
+from .estimators import CV_MODES, GermTables, Kernel, estimate_cv_lambda, kernel_for
 from .fem1d import Mesh1D
 from .pc_basis import PcBasisSet
 from .problem import ProblemInstance
-from .random_field import GermSampler
+from .random_field import GERM_CHUNK, GermSampler
 
 HESSIAN_MODES = ("none", "linear-only", "staged", "full")
 
@@ -164,7 +164,11 @@ def run(
     c = _initial_coefficients(kernel, config)
 
     monitor_germs = sampler.sample_batch(0, config.monitor_samples, "monitor")
-    monitor_tables = kernel.germ_tables(monitor_germs)  # fixed germs: evaluated once
+    tables = kernel.germ_tables(monitor_germs)  # fixed germs: evaluated once, used in chunks
+    monitor_chunks = [
+        (monitor_germs[s], GermTables(*(t if t is None else t[s] for t in tables)))
+        for s in (slice(k, k + GERM_CHUNK) for k in range(0, config.monitor_samples, GERM_CHUNK))
+    ]
 
     cv_state = estimate_cv_lambda(
         problem, mesh, basis, c, config.cv_mode, config.cv_pilot_size, sampler
@@ -174,7 +178,7 @@ def run(
     snapshots: dict[int, np.ndarray] = {}
 
     def record(n: int, eta: float, grad_norm: float, fallbacks: int):
-        energies = kernel.energies(c, monitor_germs, monitor_tables)
+        energies = np.concatenate([kernel.energies(c, *chunk) for chunk in monitor_chunks])
         records["n"].append(n)
         records["eta"].append(eta)
         records["jm"].append(float(energies.mean()))

@@ -50,6 +50,43 @@ def test_benchmark_hook_points_exist():
     assert result.returncode == 0, result.stderr
 
 
+# A short traced solve whose monitor germs span three GERM_CHUNK slices;
+# prints the monitor germ count and the number of records.
+MONITOR_COUNT = """
+import sys
+sys.path[:0] = sys.argv[1:]
+import pcsgd
+import spans
+from pcsgd.random_field import GERM_CHUNK
+tracer = spans.install(pcsgd)
+problem = pcsgd.builtin_linear_nonhomogeneous(0.2, 1, 10.0, 6, 2)
+config = pcsgd.SgdConfig(
+    n_iterations=3,
+    batch_gradient=8,
+    batch_hessian=8,
+    schedule=pcsgd.LearningRateSchedule(1.0, 2.0),
+    hessian_mode="linear-only",
+    monitor_samples=2 * GERM_CHUNK + 37,
+)
+trajectory, _ = pcsgd.run(problem, problem.mesh, problem.basis, config)
+print(tracer.counts["sgd.monitor_germs"], config.monitor_samples, len(trajectory.iterations))
+"""
+
+
+def test_benchmark_monitor_germ_count_survives_chunking():
+    """`sgd.monitor_germs` counts every monitor germ at every record."""
+    result = subprocess.run(
+        [sys.executable, "-c", MONITOR_COUNT, PERFBENCH, os.path.join(ROOT, "src")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    counted, monitor_samples, records = map(int, result.stdout.split())
+    assert records == 4
+    assert counted == monitor_samples * records
+
+
 # The SgdConfig of a round, built as worker.py builds it.
 SGD_CONFIG = """
 import sys

@@ -137,6 +137,22 @@ def test_coefficient_dump_round_trip(values):
         np.testing.assert_array_equal(load_coefficients(path, 3), c)
 
 
+def test_load_coefficients_rejects_a_dump_of_another_mesh(tmp_path):
+    path = str(tmp_path / "c.txt")
+    save_coefficients(path, np.arange(3.0), 3)
+    with pytest.raises(ValueError):
+        load_coefficients(path, 4)
+
+
+def test_load_coefficients_rejects_a_dump_with_a_missing_line(tmp_path):
+    path = tmp_path / "c.txt"
+    save_coefficients(str(path), np.arange(6.0), 3)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:2] + lines[3:]))
+    with pytest.raises(ValueError):
+        load_coefficients(str(path), 3)
+
+
 def _tiny_solve_config(out):
     config = default_config("solve")
     return dataclasses.replace(
@@ -329,6 +345,22 @@ def test_fig_convergence_writes_partial_trajectories(tmp_path):
     semi = [line for line in open(semi_path) if line[0] != "#"]
     assert semi[0] == "n,energy,c_1_2\n"
     assert [int(line.split(",")[0]) for line in semi[1:]] == list(range(0, 1001, 10))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "experiment = solve\n",
+        "[experiment]\nseed = 1\nseed = 2\n",
+        "[experiment]\nseed\n",
+    ],
+    ids=["no-section-header", "duplicate-key", "key-without-value"],
+)
+def test_cli_rejects_malformed_config_file(text, tmp_path, capsys):
+    config_path = tmp_path / "run.ini"
+    config_path.write_text(text)
+    assert main(["solve", "--config", str(config_path), "--out", str(tmp_path)]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_cli_rejects_mismatched_config_experiment(tmp_path, capsys):

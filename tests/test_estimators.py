@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -278,6 +280,38 @@ def test_gradient_mean_equals_mean_of_cv_batches(problem, mode):
     expected = kernel.cv_gradient_batch(c, germs, state).mean(axis=0)
     mean = kernel.gradient_mean(c, germs, state)
     assert np.max(np.abs(mean - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("problem", ALL_BUILTINS, ids=BUILTIN_IDS)
+@pytest.mark.parametrize("mode", ["order0", "order1"])
+def test_cv_lambda_matches_per_sample_products(problem, mode):
+    """Fitting one psi_j at a time sums in the order of the full (n, dim) sample arrays."""
+    kernel = kernel_for(problem)
+    c = 0.5 * np.random.default_rng(16).standard_normal(kernel.dim)
+    sampler = GermSampler(7, problem.germ_dim)
+    state = estimate_cv_lambda(problem, problem.mesh, problem.basis, c, mode, 300, sampler)
+    germs = sampler.sample_batch(0, 300, "pilot")
+    x = kernel._tensor(eval_all(problem.basis, germs), kernel.gradient_parts(c, germs).linear)
+    z = kernel.cv_auxiliary_batch(c, germs, mode)
+    xc, zc = x - x.mean(axis=0), z - z.mean(axis=0)
+    var_z = (zc * zc).sum(axis=0)
+    expected = np.where(var_z > 0, -(xc * zc).sum(axis=0) / np.where(var_z > 0, var_z, 1), 0)
+    np.testing.assert_array_equal(state.lam, expected)
+
+
+def test_cv_lambda_memory_is_bounded():
+    """Solve size (M=50, N+1=35), 1,000-germ order1 pilot: no (pilot, dim) arrays."""
+    problem = builtin_linear_nonhomogeneous(0.1, 2, 10.0, 50, 3)
+    c = zero_coefficients(problem.mesh, problem.basis)
+    tracemalloc.start()
+    try:
+        estimate_cv_lambda(
+            problem, problem.mesh, problem.basis, c, "order1", 1000, GermSampler(0, 4)
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_control_variate_state_needs_fitted_multipliers():

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,18 +8,20 @@ from pcsgd import (
     Trajectory,
     builtin_linear_homogeneous,
     builtin_linear_nonhomogeneous,
+    builtin_semilinear_homogeneous_field,
     builtin_semilinear_nonhomogeneous_field,
     empirical_cdf,
     estimate_energy,
     exact_energy_mc,
     fit_convergence_rate,
+    kernel_for,
     pointwise_l2_error,
     reference_solve_linear,
     zero_coefficients,
 )
-from pcsgd.evaluation import solution_at_point
+from pcsgd.evaluation import EVAL_PURPOSE, solution_at_point
 from pcsgd.fem1d import Mesh1D
-from pcsgd.random_field import GermSampler
+from pcsgd.random_field import GERM_CHUNK, GermSampler
 
 
 def test_energy_zero_for_linear_homogeneous_at_zero():
@@ -215,3 +218,38 @@ def test_estimate_energy_rejects_tiny_sample():
     c = zero_coefficients(problem.mesh, problem.basis)
     with pytest.raises(ValueError):
         estimate_energy(problem, problem.mesh, problem.basis, c, 1, 0)
+
+
+def test_estimate_energy_chunks_match_one_kernel_call():
+    """GERM_CHUNK-row calls give the mean and SE of one call on all the germs."""
+    problem = builtin_semilinear_homogeneous_field(12.0, 9, 2)
+    kernel = kernel_for(problem)
+    c = 0.3 * np.random.default_rng(3).standard_normal(kernel.dim)
+    n = 2 * GERM_CHUNK + 37
+    germs = GermSampler(4, problem.germ_dim).sample_batch(0, n, EVAL_PURPOSE)
+    energies = kernel.energies(c, germs)
+    estimate = estimate_energy(problem, problem.mesh, problem.basis, c, n, 4)
+    np.testing.assert_allclose(estimate.mean, energies.mean(), rtol=1e-14, atol=0)
+    np.testing.assert_allclose(
+        estimate.standard_error, energies.std(ddof=1) / np.sqrt(n), rtol=1e-14, atol=0
+    )
+
+
+def test_estimate_energy_memory_is_bounded():
+    """Table3 size (M=100, N+1=10) on 2e4 germs: GERM_CHUNK-row temporaries only."""
+    problem = builtin_semilinear_homogeneous_field(12.0, 100, 3)
+    c = zero_coefficients(problem.mesh, problem.basis)
+    tracemalloc.start()
+    try:
+        estimate_energy(problem, problem.mesh, problem.basis, c, 20_000, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
+
+
+def test_empirical_cdf_rejects_no_samples():
+    problem = builtin_linear_nonhomogeneous(0.2, 1, 10.0, 6, 2)
+    c = zero_coefficients(problem.mesh, problem.basis)
+    with pytest.raises(ValueError):
+        empirical_cdf(problem, problem.mesh, problem.basis, c, [0.5], [np.zeros(3)], 0, 0)

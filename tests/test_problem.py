@@ -10,11 +10,11 @@ from pcsgd import (
     builtin_semilinear_nonhomogeneous_field,
 )
 from pcsgd.problem import (
-    INVERSE_KAPPA_CHUNK,
     SINE_REACTION,
     _inverse_kappa_integral,
     _simpson_grid,
 )
+from pcsgd.random_field import GERM_CHUNK
 
 
 def test_reaction_contracts():
@@ -65,7 +65,7 @@ def test_inverse_kappa_integral_chunks_match_one_array_formula():
     at two threads), hence the few-ulp tolerance.
     """
     field = builtin_linear_nonhomogeneous(0.2, 2, 10.0, 8, 2).field
-    germs = np.random.default_rng(5).standard_normal((2 * INVERSE_KAPPA_CHUNK + 37, 4))
+    germs = np.random.default_rng(5).standard_normal((2 * GERM_CHUNK + 37, 4))
     x, w = _simpson_grid(-5.0, 2.0)
     np.testing.assert_allclose(
         _inverse_kappa_integral(field, -5.0, 2.0, germs),

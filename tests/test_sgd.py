@@ -11,9 +11,11 @@ from pcsgd import (
     builtin_linear_nonhomogeneous,
     builtin_semilinear_homogeneous_field,
     builtin_semilinear_nonhomogeneous_field,
+    kernel_for,
     precondition_solve,
     run,
 )
+from pcsgd.random_field import GERM_CHUNK, GermSampler
 
 
 def small_config(**overrides):
@@ -153,6 +155,30 @@ def test_trajectory_recording():
     assert set(trajectory.snapshots) == {0, 5, 10, 15, 20, 23}
     np.testing.assert_array_equal(trajectory.snapshots[23], c)
     assert trajectory.monitor_samples == 500
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        builtin_linear_nonhomogeneous(0.3, 1, 10.0, 7, 2),
+        builtin_semilinear_homogeneous_field(12.0, 9, 2),
+    ],
+    ids=["linear-lifting", "semilinear-source"],
+)
+def test_monitor_chunks_match_one_kernel_call(problem):
+    """GERM_CHUNK-row monitor calls give the mean and SE of one call on all its germs."""
+    n = 2 * GERM_CHUNK + 37
+    config = small_config(n_iterations=4, record_stride=2, monitor_samples=n)
+    trajectory, _ = run(problem, problem.mesh, problem.basis, config)
+    germs = GermSampler(config.seed, problem.germ_dim).sample_batch(0, n, "monitor")
+    for k, iteration in enumerate(trajectory.iterations):
+        energies = kernel_for(problem).energies(trajectory.snapshots[iteration], germs)
+        np.testing.assert_allclose(
+            trajectory.energy_mean[k], energies.mean(), rtol=1e-14, atol=0
+        )
+        np.testing.assert_allclose(
+            trajectory.energy_se[k], energies.std(ddof=1) / np.sqrt(n), rtol=1e-14, atol=0
+        )
 
 
 def test_fallback_count_sums_fallbacks_between_records():
