@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .fem1d import Mesh1D, quadrature_points
 from .pc_basis import MomentTable, PcBasisSet, eval_all, moment_table
@@ -95,7 +94,8 @@ class Kernel:
     def _loads(self, values: np.ndarray) -> np.ndarray:
         """Nodal loads (n, M+2): integrals of point values (n, P) against each hat."""
         ends = self._per_element(values, self._load_w)
-        loads = np.pad(ends[..., 0], ((0, 0), (0, 1)))
+        loads = np.zeros((len(ends), self.mesh.n_interior + 2))
+        loads[:, :-1] = ends[..., 0]
         loads[:, 1:] += ends[..., 1]
         return loads
 
@@ -122,7 +122,7 @@ class Kernel:
 
     def _at_points(self, nodal: np.ndarray) -> np.ndarray:
         """u at the quadrature points, (n, P): each element's two end values times its hats."""
-        ends = sliding_window_view(nodal, 2, axis=1).reshape(-1, 2)  # (n * (M+1), 2)
+        ends = np.stack((nodal[:, :-1], nodal[:, 1:]), axis=2).reshape(-1, 2)  # (n * (M+1), 2)
         return (ends @ self._shape).reshape(nodal.shape[0], -1)
 
     def _stiffness_rows(self, flux: np.ndarray) -> np.ndarray:
@@ -237,7 +237,7 @@ class Kernel:
         bands[:, 1, :-1] = -conductance[:, 1:-1]
         nl = self.problem.nonlinearity
         if stage == "full" and nl is not None:
-            nodal, _ = self.solution_values(c, psi)
+            nodal = psi @ self.padded_coefficients(c)
             dfu = nl.derivative(self.x, self._at_points(nodal))
             mass = self._per_element(psi2.T @ dfu, self._mass_w)  # (N+1, M+1, 3)
             bands[:, 0] += mass[:, :-1, 2] + mass[:, 1:, 0]

@@ -95,12 +95,12 @@ def eval_all(basis: PcBasisSet, y) -> np.ndarray:
         raise ValueError(
             f"germ has dimension {y.shape[1]}, basis expects {basis.germ_dim}"
         )
-    uni = hermite_table(basis.degree_bound, y)  # (n, K, p+1)
-    out = np.ones((y.shape[0], basis.size))
-    for j, alpha in enumerate(basis.indices):
-        for k, a_k in enumerate(alpha):
-            if a_k:
-                out[:, j] *= uni[:, k, a_k]
+    uni = hermite_table(basis.degree_bound, y.T).transpose(0, 2, 1).copy()  # (K, p+1, n)
+    degrees = np.array(basis.indices).T  # (K, size)
+    rows = uni[0, degrees[0]]  # (size, n), gathered as whole rows
+    for table, a in zip(uni[1:], degrees[1:]):
+        rows *= table[a]
+    out = rows.T.copy()  # C order: psi's products downstream round by its memory layout
     return out[0] if single else out
 
 

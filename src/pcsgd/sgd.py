@@ -119,7 +119,7 @@ def precondition_solve(
     failed = ~np.isfinite(blocks).all(axis=(1, 2))
     bands = np.where(failed[:, None, None], 0.0, blocks)
     diagonal = bands[:, 0] + ridge * np.abs(bands[:, 0].sum(axis=1, keepdims=True)) / m
-    sub = np.pad(bands[:, 1, :-1], ((0, 0), (0, 1)))  # no coupling to the next block
+    sub = np.where(np.arange(m) < m - 1, bands[:, 1], 0.0)  # no coupling to the next block
     while True:
         diagonal[failed], sub[failed] = 1.0, 0.0
         # dptsv wants len(e) >= 1

@@ -51,7 +51,7 @@ def test_benchmark_hook_points_exist():
 
 
 # A short traced solve whose monitor germs span three GERM_CHUNK slices;
-# prints the monitor germ count and the number of records.
+# prints the monitor germ count, the number of records and the psi germ count.
 MONITOR_COUNT = """
 import sys
 sys.path[:0] = sys.argv[1:]
@@ -69,12 +69,23 @@ config = pcsgd.SgdConfig(
     monitor_samples=2 * GERM_CHUNK + 37,
 )
 trajectory, _ = pcsgd.run(problem, problem.mesh, problem.basis, config)
-print(tracer.counts["sgd.monitor_germs"], config.monitor_samples, len(trajectory.iterations))
+print(
+    tracer.counts["sgd.monitor_germs"],
+    config.monitor_samples,
+    len(trajectory.iterations),
+    tracer.counts["pc_basis.psi_germs"],
+    config.n_iterations * (config.batch_gradient + config.batch_hessian),
+)
 """
 
 
 def test_benchmark_monitor_germ_count_survives_chunking():
-    """`sgd.monitor_germs` counts every monitor germ at every record."""
+    """`sgd.monitor_germs` counts every monitor germ at every record.
+
+    psi is evaluated once per germ: once for the fixed monitor germs, once
+    per gradient and Hessian germ, so `pc_basis.psi_s` compares across
+    commits.
+    """
     result = subprocess.run(
         [sys.executable, "-c", MONITOR_COUNT, PERFBENCH, os.path.join(ROOT, "src")],
         capture_output=True,
@@ -82,9 +93,10 @@ def test_benchmark_monitor_germ_count_survives_chunking():
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    counted, monitor_samples, records = map(int, result.stdout.split())
+    counted, monitor_samples, records, psi_germs, batch_germs = map(int, result.stdout.split())
     assert records == 4
     assert counted == monitor_samples * records
+    assert psi_germs == monitor_samples + batch_germs
 
 
 # The SgdConfig of a round, built as worker.py builds it.

@@ -12,7 +12,9 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 # A shortened table3 solve (M=100, p=3, full Hessian, the preset's seed 21),
 # then a short solve-size linear solve with boundary data and an order-1
-# control variate, whose batch means are BLAS products with psi.
+# control variate, whose batch means are BLAS products with psi, then a
+# shortened fig-staged-hessian staged solve: the trig field's point values
+# and the full-stage Hessian after the switch at iteration 100.
 SOLVE = """
 import hashlib
 import pcsgd
@@ -31,6 +33,14 @@ config = pcsgd.SgdConfig(
     n_iterations=50, batch_gradient=128, batch_hessian=64,
     schedule=pcsgd.LearningRateSchedule(5.0, 2.0), hessian_mode="linear-only",
     cv_mode="order1", cv_pilot_size=1000, seed=3, record_stride=25, monitor_samples=2000,
+)
+trajectory, c = pcsgd.run(problem, problem.mesh, problem.basis, config)
+digest.update(c.tobytes() + trajectory.energy_mean.tobytes())
+problem = pcsgd.builtin_semilinear_nonhomogeneous_field(0.3, 2, 12.0, 50, 3)
+config = pcsgd.SgdConfig(
+    n_iterations=150, batch_gradient=256, batch_hessian=64,
+    schedule=pcsgd.LearningRateSchedule(5.0, 2.0), hessian_mode="staged", n_switch=100,
+    init="gaussian", init_scale=0.1, seed=0, record_stride=50, monitor_samples=2000,
 )
 trajectory, c = pcsgd.run(problem, problem.mesh, problem.basis, config)
 digest.update(c.tobytes() + trajectory.energy_mean.tobytes())
