@@ -80,8 +80,9 @@ class Kernel:
         self._mass_w = w[:, None] * np.stack([n0 * n0, n0 * n1, n1 * n1], axis=1)
         self.moments: MomentTable = moment_table(basis)
         self.dim = mesh.n_interior * basis.size
-        # element conductances of the mean-point surrogates for the control variates
-        self._cond0 = self._per_element(problem.field.value_at_mean(self.x)[None], w)[0]
+        # element conductances of the mean-point surrogates for the control
+        # variates; kappa is 1 at the germ mean
+        self._cond0 = self._per_element(np.ones((1, self.x.size)), w)[0]
         self._condk = self._per_element(problem.field.gradient_at_mean(self.x), w)
 
     # -- germ tables --------------------------------------------------------

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -102,7 +101,7 @@ def pointwise_l2_error(
 
     def squared_error(germs):
         return (
-            problem.exact_solution(x, germs)
+            problem.exact_solution(np.array([x]), germs)[:, 0]
             - solution_at_point(problem, mesh, basis, c, x, germs)
         ) ** 2
 
@@ -149,14 +148,15 @@ def empirical_cdf(
         raise ValueError("need one threshold grid per evaluation point")
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    solution = partial(solution_at_point, problem, mesh, basis, c)
-    if use_exact_solution:
-        if problem.exact_solution is None:
-            raise ValueError(f"problem {problem.name!r} has no exact solution")
-        solution = problem.exact_solution
-    values = _over_eval_germs(
-        problem, n_samples, seed, lambda germs: np.stack([solution(x, germs) for x in points], 1)
-    )
+    if use_exact_solution and problem.exact_solution is None:
+        raise ValueError(f"problem {problem.name!r} has no exact solution")
+
+    def solution(germs):
+        if use_exact_solution:
+            return problem.exact_solution(np.asarray(points, dtype=float), germs)
+        return np.stack([solution_at_point(problem, mesh, basis, c, x, germs) for x in points], 1)
+
+    values = _over_eval_germs(problem, n_samples, seed, solution)
     grids = tuple(np.asarray(t, dtype=float) for t in thresholds)
     return CdfEstimate(
         points=tuple(float(x) for x in points),
@@ -201,10 +201,8 @@ def exact_energy_mc(
     x, w = _simpson_grid(-half, half)
 
     def energies(germs):
-        u = np.stack([problem.exact_solution(xi, germs) for xi in x], axis=1)
-        du = np.stack(
-            [problem.exact_solution_derivative(xi, germs) for xi in x], axis=1
-        )
+        u = problem.exact_solution(x, germs)
+        du = problem.exact_solution_derivative(x, germs)
         kap = problem.field.values(x, germs)
         density = 0.5 * kap * du**2
         if problem.nonlinearity is not None:

@@ -302,7 +302,8 @@ def load_coefficients(path: str, n_interior: int) -> np.ndarray:
             i_str, j_str, hex_str = line.split()
             entries[(int(i_str), int(j_str))] = float.fromhex(hex_str)
     n_basis = len(entries) // n_interior
-    if entries.keys() != {(i, j) for i in range(1, n_interior + 1) for j in range(n_basis)}:
+    grid = {(i, j) for i in range(1, n_interior + 1) for j in range(n_basis)}
+    if n_basis < 1 or entries.keys() != grid:
         raise ValueError(f"{path} is not a coefficient dump for n_interior={n_interior}")
     c = np.zeros(len(entries))
     for (i, j), value in entries.items():

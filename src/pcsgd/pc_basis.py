@@ -82,26 +82,16 @@ def hermite_table(max_degree: int, y: np.ndarray) -> np.ndarray:
 
 
 def eval_all(basis: PcBasisSet, y) -> np.ndarray:
-    """Evaluate every basis polynomial at germ(s) y.
-
-    y of shape (germ_dim,) gives a (size,) vector; shape (n, germ_dim) gives
-    an (n, size) matrix.
-    """
+    """Every basis polynomial at germs y (n, germ_dim) -> (n, size)."""
     y = np.asarray(y, dtype=float)
-    single = y.ndim == 1
-    if single:
-        y = y[None, :]
-    if y.shape[1] != basis.germ_dim:
-        raise ValueError(
-            f"germ has dimension {y.shape[1]}, basis expects {basis.germ_dim}"
-        )
+    if y.ndim != 2 or y.shape[1] != basis.germ_dim:
+        raise ValueError(f"germs have shape {y.shape}, basis expects (n, {basis.germ_dim})")
     uni = hermite_table(basis.degree_bound, y.T).transpose(0, 2, 1).copy()  # (K, p+1, n)
     degrees = np.array(basis.indices).T  # (K, size)
     rows = uni[0, degrees[0]]  # (size, n), gathered as whole rows
     for table, a in zip(uni[1:], degrees[1:]):
         rows *= table[a]
-    out = rows.T.copy()  # C order: psi's products downstream round by its memory layout
-    return out[0] if single else out
+    return rows.T.copy()  # C order: psi's products downstream round by its memory layout
 
 
 def _norm(alpha: Sequence[int]) -> float:

@@ -17,8 +17,8 @@ from .fem1d import Mesh1D
 from .pc_basis import PcBasisSet, generate_basis
 from .random_field import (
     GERM_CHUNK,
-    DiffusionField,
     HomogeneousLogNormalField,
+    LogNormalField,
     TrigLogNormalField,
 )
 
@@ -30,13 +30,11 @@ class Nonlinearity:
     `antiderivative` satisfies d/du antiderivative = value.
     """
 
-    name: str
     value: Callable[[np.ndarray, np.ndarray], np.ndarray]
     antiderivative: Callable[[np.ndarray, np.ndarray], np.ndarray]
     derivative: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 SINE_REACTION = Nonlinearity(
-    name="sine",
     value=lambda x, u: np.sin(u),
     antiderivative=lambda x, u: -np.cos(u),
     derivative=lambda x, u: np.cos(u),
@@ -47,22 +45,22 @@ SINE_REACTION = Nonlinearity(
 class ProblemInstance:
     """A semilinear elliptic problem bound to its discretization.
 
-    `source` maps (quadrature points (P,), germs (n, K)) to per-germ source
-    values (n, P); it enters the energy as source * u and the gradient as
-    its projection onto the basis.  `nonlinearity` is None for a linear
-    problem.  `exact_solution` maps (x scalar, germs) to per-germ solution
-    values.
+    Every callable of x maps (points (P,), germs (n, K)) to per-germ values
+    (n, P), as `field.values` does.  `source` enters the energy as
+    source * u and the gradient as its projection onto the basis.
+    `nonlinearity` is None for a linear problem.  `exact_solution` and
+    `exact_solution_derivative` give u and u' where they are known.
     """
 
     name: str
-    field: DiffusionField
+    field: LogNormalField
     nonlinearity: Nonlinearity | None
     mesh: Mesh1D
     basis: PcBasisSet
     boundary: tuple[float, float] = (0.0, 0.0)
     source: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    exact_solution: Callable[[float, np.ndarray], np.ndarray] | None = None
-    exact_solution_derivative: Callable[[float, np.ndarray], np.ndarray] | None = None
+    exact_solution: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    exact_solution_derivative: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     exact_energy: float | None = None
     _cache: dict = dc_field(default_factory=dict, repr=False)
 
@@ -86,8 +84,12 @@ def _simpson_grid(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+def _zero_solution(x: np.ndarray, germs: np.ndarray) -> np.ndarray:
+    return np.zeros((np.atleast_2d(germs).shape[0], np.size(x)))
+
+
 def _inverse_kappa_integral(
-    field: DiffusionField, a: float, b: float, germs: np.ndarray
+    field: LogNormalField, a: float, b: float, germs: np.ndarray
 ) -> np.ndarray:
     """Per-germ integral of 1/kappa over [a, b] by composite Simpson."""
     germs = np.atleast_2d(germs)
@@ -112,10 +114,8 @@ def builtin_linear_homogeneous(
         nonlinearity=None,
         mesh=Mesh1D(length, n_interior),
         basis=generate_basis(field.germ_dim, degree_bound),
-        exact_solution=lambda x, germs: np.zeros(np.atleast_2d(germs).shape[0]),
-        exact_solution_derivative=lambda x, germs: np.zeros(
-            np.atleast_2d(germs).shape[0]
-        ),
+        exact_solution=_zero_solution,
+        exact_solution_derivative=_zero_solution,
         exact_energy=0.0,
     )
 
@@ -131,15 +131,15 @@ def builtin_linear_nonhomogeneous(
     field = TrigLogNormalField(beta, n_pairs, length)
     half = length / 2.0
 
-    def exact(x: float, germs: np.ndarray) -> np.ndarray:
-        num = _inverse_kappa_integral(field, -half, float(x), germs)
+    def exact(x: np.ndarray, germs: np.ndarray) -> np.ndarray:
         den = _inverse_kappa_integral(field, -half, half, germs)
-        return num / den
+        # one Simpson sum per point, so a point's value does not depend on the others
+        num = [_inverse_kappa_integral(field, -half, b, germs) for b in x]
+        return np.stack(num, axis=1) / den[:, None]
 
-    def exact_derivative(x: float, germs: np.ndarray) -> np.ndarray:
+    def exact_derivative(x: np.ndarray, germs: np.ndarray) -> np.ndarray:
         den = _inverse_kappa_integral(field, -half, half, germs)
-        inv_kappa = 1.0 / field.values(np.atleast_1d(float(x)), germs)[:, 0]
-        return inv_kappa / den
+        return 1.0 / field.values(x, germs) / den[:, None]
 
     return ProblemInstance(
         name="linear_nonhomogeneous",
@@ -171,11 +171,11 @@ def builtin_semilinear_homogeneous_field(
         sx = np.sin(np.pi * np.asarray(x, dtype=float))[None, :]
         return -np.pi**2 * sx - np.sin(sx / kap)
 
-    def exact(x: float, germs: np.ndarray) -> np.ndarray:
-        return np.sin(np.pi * float(x)) / field.scalar_values(germs)
+    def exact(x: np.ndarray, germs: np.ndarray) -> np.ndarray:
+        return np.sin(np.pi * x) / field.scalar_values(germs)[:, None]
 
-    def exact_derivative(x: float, germs: np.ndarray) -> np.ndarray:
-        return np.pi * np.cos(np.pi * float(x)) / field.scalar_values(germs)
+    def exact_derivative(x: np.ndarray, germs: np.ndarray) -> np.ndarray:
+        return np.pi * np.cos(np.pi * x) / field.scalar_values(germs)[:, None]
 
     return ProblemInstance(
         name="semilinear_homogeneous_field",
@@ -204,9 +204,7 @@ def builtin_semilinear_nonhomogeneous_field(
         nonlinearity=SINE_REACTION,
         mesh=Mesh1D(length, n_interior),
         basis=generate_basis(field.germ_dim, degree_bound),
-        exact_solution=lambda x, germs: np.zeros(np.atleast_2d(germs).shape[0]),
-        exact_solution_derivative=lambda x, germs: np.zeros(
-            np.atleast_2d(germs).shape[0]
-        ),
+        exact_solution=_zero_solution,
+        exact_solution_derivative=_zero_solution,
         exact_energy=-length,
     )

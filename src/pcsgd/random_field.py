@@ -41,28 +41,37 @@ class GermSampler:
         return self._rng(iteration, purpose).standard_normal((size, self.dim))
 
 
-class DiffusionField:
-    """Positive random diffusivity parameterized by a standard-normal germ."""
+class LogNormalField:
+    """kappa(x, Y) = exp(amplitude * Y @ rows(x)), a log-normal diffusivity.
 
+    The exponent is linear in the standard-normal germ Y, so kappa is 1 at
+    the germ mean.  A subclass supplies `__init__` (setting `amplitude` and
+    `germ_dim`) and `rows`.
+    """
+
+    amplitude: float
     germ_dim: int
+
+    def rows(self, x: np.ndarray) -> np.ndarray:
+        """Exponent rows r(x) at points x (n_pts,), shape (germ_dim, n_pts)."""
+        raise NotImplementedError
 
     def values(self, x: np.ndarray, germs: np.ndarray) -> np.ndarray:
         """Field at points x (n_pts,) for germs (n, germ_dim) -> (n, n_pts)."""
-        raise NotImplementedError
+        germs = np.atleast_2d(np.asarray(germs, dtype=float))
+        return np.exp(self.amplitude * (germs @ self.rows(x)))
 
     def scalar_values(self, germs: np.ndarray) -> np.ndarray | None:
         """Per-germ value (n,) of a field constant in x; None for a field varying in x."""
-
-    def value_at_mean(self, x: np.ndarray) -> np.ndarray:
-        """Field with the germ frozen at its mean (the zero vector)."""
-        raise NotImplementedError
+        return None
 
     def gradient_at_mean(self, x: np.ndarray) -> np.ndarray:
         """Germ-gradient of the field at the germ mean, shape (germ_dim, n_pts)."""
-        raise NotImplementedError
+        # d/dy_k exp(a * y @ r) at y = 0 is a * r_k
+        return self.amplitude * self.rows(x)
 
 
-class TrigLogNormalField(DiffusionField):
+class TrigLogNormalField(LogNormalField):
     """kappa = exp(beta * V) with V a finite random Fourier series.
 
     V(x, Y) = (1/sqrt(n_pairs)) * sum_k A_k cos(2 pi k x / period)
@@ -79,53 +88,27 @@ class TrigLogNormalField(DiffusionField):
         self.period = period
         self.germ_dim = 2 * n_pairs
 
-    def harmonics(self, x: np.ndarray) -> np.ndarray:
-        """Scaled cos/sin rows, shape (germ_dim, n_pts); V = germ @ harmonics."""
+    def rows(self, x):
+        """Scaled cos/sin rows; V = germ @ rows."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         k = np.arange(1, self.n_pairs + 1)[:, None]
         angles = 2.0 * np.pi * k * x[None, :] / self.period
         scale = 1.0 / np.sqrt(self.n_pairs)
         return np.concatenate([np.cos(angles), np.sin(angles)]) * scale
 
-    def values(self, x, germs):
-        germs = np.atleast_2d(np.asarray(germs, dtype=float))
-        return np.exp(self.amplitude * (germs @ self.harmonics(x)))
 
-    def value_at_mean(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return np.ones_like(x)
-
-    def gradient_at_mean(self, x):
-        # d/dy_k exp(beta * y @ H) at y = 0 is beta * H_k
-        return self.amplitude * self.harmonics(x)
-
-
-class HomogeneousLogNormalField(DiffusionField):
+class HomogeneousLogNormalField(LogNormalField):
     """Spatially constant kappa = exp(coefficient * (Y_1 + Y_2))."""
 
-    def __init__(self, coefficient: float = 0.2, germ_dim: int = 2):
-        if germ_dim < 2:
-            raise ValueError("field uses the first two germ components")
-        self.coefficient = coefficient
-        self.germ_dim = germ_dim
+    germ_dim = 2
 
-    def scalar_values(self, germs: np.ndarray) -> np.ndarray:
+    def __init__(self, coefficient: float = 0.2):
+        self.amplitude = coefficient
+
+    def rows(self, x):
+        return np.ones((2, np.size(x)))
+
+    def scalar_values(self, germs):
+        """Column 0 of `values`, without the (n, n_pts) array."""
         germs = np.atleast_2d(np.asarray(germs, dtype=float))
-        return np.exp(self.coefficient * (germs[:, 0] + germs[:, 1]))
-
-    def values(self, x, germs):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return np.broadcast_to(
-            self.scalar_values(germs)[:, None], (np.atleast_2d(germs).shape[0], x.size)
-        ).copy()
-
-    def value_at_mean(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return np.ones_like(x)
-
-    def gradient_at_mean(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        grad = np.zeros((self.germ_dim, x.size))
-        grad[0] = self.coefficient
-        grad[1] = self.coefficient
-        return grad
+        return np.exp(self.amplitude * (germs[:, 0] + germs[:, 1]))

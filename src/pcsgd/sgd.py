@@ -79,6 +79,8 @@ class SgdConfig:
             raise ValueError("record_stride must be >= 1")
         if self.monitor_samples < 2:
             raise ValueError("monitor_samples must be >= 2")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass(eq=False)

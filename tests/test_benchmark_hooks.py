@@ -51,7 +51,8 @@ def test_benchmark_hook_points_exist():
 
 
 # A short traced solve whose monitor germs span three GERM_CHUNK slices;
-# prints the monitor germ count, the number of records and the psi germ count.
+# prints the monitor germ count, the number of records, the psi germ count,
+# and the number of `random_field.kappa` spans and of those opened inside one.
 MONITOR_COUNT = """
 import sys
 sys.path[:0] = sys.argv[1:]
@@ -59,6 +60,7 @@ import pcsgd
 import spans
 from pcsgd.random_field import GERM_CHUNK
 tracer = spans.install(pcsgd)
+KAPPA = "random_field.kappa"
 problem = pcsgd.builtin_linear_nonhomogeneous(0.2, 1, 10.0, 6, 2)
 config = pcsgd.SgdConfig(
     n_iterations=3,
@@ -75,6 +77,11 @@ print(
     len(trajectory.iterations),
     tracer.counts["pc_basis.psi_germs"],
     config.n_iterations * (config.batch_gradient + config.batch_hessian),
+    sum(name == KAPPA for name, _, _, _ in tracer.spans),
+    sum(
+        name == KAPPA and parent >= 0 and tracer.spans[parent][0] == KAPPA
+        for name, parent, _, _ in tracer.spans
+    ),
 )
 """
 
@@ -84,7 +91,8 @@ def test_benchmark_monitor_germ_count_survives_chunking():
 
     psi is evaluated once per germ: once for the fixed monitor germs, once
     per gradient and Hessian germ, so `pc_basis.psi_s` compares across
-    commits.
+    commits.  The trig field's `values`, inherited from `LogNormalField`,
+    is one `random_field.kappa` span per call, never wrapped twice.
     """
     result = subprocess.run(
         [sys.executable, "-c", MONITOR_COUNT, PERFBENCH, os.path.join(ROOT, "src")],
@@ -93,10 +101,14 @@ def test_benchmark_monitor_germ_count_survives_chunking():
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    counted, monitor_samples, records, psi_germs, batch_germs = map(int, result.stdout.split())
+    counted, monitor_samples, records, psi_germs, batch_germs, kappa, nested = map(
+        int, result.stdout.split()
+    )
     assert records == 4
     assert counted == monitor_samples * records
     assert psi_germs == monitor_samples + batch_germs
+    assert kappa >= 1
+    assert nested == 0
 
 
 # The SgdConfig of a round, built as worker.py builds it.

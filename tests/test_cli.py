@@ -153,6 +153,13 @@ def test_load_coefficients_rejects_a_dump_with_a_missing_line(tmp_path):
         load_coefficients(str(path), 3)
 
 
+def test_load_coefficients_rejects_an_empty_dump(tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_text("")
+    with pytest.raises(ValueError):
+        load_coefficients(str(path), 3)
+
+
 def _tiny_solve_config(out):
     config = default_config("solve")
     return dataclasses.replace(
@@ -272,6 +279,8 @@ def test_cli_rejects_bad_override(capsys):
         ["solve", "--override", "cv_mode=order1", "--override", "cv_pilot_size=1"],
         ["experiment", "table3", "--override", "n_mc=1"],
         ["experiment", "table3", "--override", "points=7.0"],
+        ["solve", "--seed", "-1"],
+        ["experiment", "table1", "--seed", "-1"],
     ],
 )
 def test_cli_rejects_invalid_config_value(argv, tmp_path, capsys):

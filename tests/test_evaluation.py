@@ -106,12 +106,7 @@ def test_reference_solve_converges_at_second_order():
         problem = builtin_linear_nonhomogeneous(0.3, 1, 10.0, m, 1)
         germ = np.array([0.8, -0.5])
         nodal = reference_solve_linear(problem, problem.mesh, germ)
-        exact = np.array(
-            [
-                problem.exact_solution(x, np.atleast_2d(germ))[0]
-                for x in problem.mesh.nodes
-            ]
-        )
+        exact = problem.exact_solution(problem.mesh.nodes, np.atleast_2d(germ))[0]
         errors.append(np.max(np.abs(nodal - exact)))
     assert errors[0] / errors[1] == pytest.approx(4.0, rel=0.3)
     assert errors[1] / errors[2] == pytest.approx(4.0, rel=0.3)

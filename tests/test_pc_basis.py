@@ -129,3 +129,11 @@ def test_empirical_orthonormality():
 def test_oversized_basis_rejected():
     with pytest.raises(OverflowError):
         generate_basis(30, 12)
+
+
+def test_eval_all_rejects_a_single_germ_vector():
+    basis = generate_basis(2, 2)
+    with pytest.raises(ValueError):
+        eval_all(basis, np.zeros(2))
+    with pytest.raises(ValueError):
+        eval_all(basis, np.zeros((3, 3)))

@@ -49,11 +49,11 @@ def test_linear_nonhomogeneous_exact_solution_boundary_values():
     problem = builtin_linear_nonhomogeneous(0.2, 2, 10.0, 8, 2)
     rng = np.random.default_rng(0)
     germs = rng.standard_normal((5, 4))
-    np.testing.assert_allclose(problem.exact_solution(-5.0, germs), 0.0, atol=1e-12)
-    np.testing.assert_allclose(problem.exact_solution(5.0, germs), 1.0, rtol=1e-12)
+    ends = problem.exact_solution(np.array([-5.0, 5.0]), germs)
+    np.testing.assert_allclose(ends[:, 0], 0.0, atol=1e-12)
+    np.testing.assert_allclose(ends[:, 1], 1.0, rtol=1e-12)
     # monotone increasing in x for every germ (positive diffusivity)
-    left = problem.exact_solution(-1.0, germs)
-    right = problem.exact_solution(2.0, germs)
+    left, right = problem.exact_solution(np.array([-1.0, 2.0]), germs).T
     assert np.all(right > left)
 
 
@@ -81,7 +81,7 @@ def test_linear_nonhomogeneous_exact_solution_memory_is_bounded():
     germs = np.random.default_rng(6).standard_normal((10_000, 4))
     tracemalloc.start()
     try:
-        problem.exact_solution(2.0, germs)
+        problem.exact_solution(np.array([2.0]), germs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -93,15 +93,9 @@ def test_linear_nonhomogeneous_flux_is_constant():
     problem = builtin_linear_nonhomogeneous(0.3, 1, 10.0, 8, 2)
     rng = np.random.default_rng(1)
     germs = rng.standard_normal((4, 2))
-    xs = [-3.7, -0.2, 1.9, 4.4]
-    fluxes = np.stack(
-        [
-            problem.field.values(np.array([x]), germs)[:, 0]
-            * problem.exact_solution_derivative(x, germs)
-            for x in xs
-        ]
-    )
-    np.testing.assert_allclose(fluxes, fluxes[0][None, :] * np.ones((4, 1)), rtol=1e-6)
+    xs = np.array([-3.7, -0.2, 1.9, 4.4])
+    fluxes = problem.field.values(xs, germs) * problem.exact_solution_derivative(xs, germs)
+    np.testing.assert_allclose(fluxes, fluxes[:, :1] * np.ones((1, 4)), rtol=1e-6)
 
 
 def test_semilinear_homogeneous_exact_solution_at_half():
@@ -109,7 +103,7 @@ def test_semilinear_homogeneous_exact_solution_at_half():
     rng = np.random.default_rng(2)
     germs = rng.standard_normal((6, 2))
     kappa = problem.field.scalar_values(germs)
-    np.testing.assert_allclose(problem.exact_solution(0.5, germs), 1.0 / kappa)
+    np.testing.assert_allclose(problem.exact_solution(np.array([0.5]), germs)[:, 0], 1.0 / kappa)
 
 
 def test_semilinear_homogeneous_strong_residual():
@@ -119,7 +113,7 @@ def test_semilinear_homogeneous_strong_residual():
     germs = rng.standard_normal((5, 2))
     kappa = problem.field.scalar_values(germs)
     for x in (-4.3, -0.5, 0.1, 2.8):
-        u = problem.exact_solution(x, germs)
+        u = problem.exact_solution(np.array([x]), germs)[:, 0]
         u_xx = -np.pi**2 * np.sin(np.pi * x) / kappa
         residual = (
             -kappa * u_xx
@@ -149,11 +143,42 @@ def test_exact_derivative_matches_finite_difference():
     rng = np.random.default_rng(4)
     germs = rng.standard_normal((4, 2))
     eps = 1e-5
-    for x in (-2.0, 0.7, 3.1):
-        fd = (
-            problem.exact_solution(x + eps, germs)
-            - problem.exact_solution(x - eps, germs)
-        ) / (2 * eps)
-        np.testing.assert_allclose(
-            problem.exact_solution_derivative(x, germs), fd, rtol=1e-5
-        )
+    x = np.array([-2.0, 0.7, 3.1])
+    fd = (
+        problem.exact_solution(x + eps, germs)
+        - problem.exact_solution(x - eps, germs)
+    ) / (2 * eps)
+    np.testing.assert_allclose(
+        problem.exact_solution_derivative(x, germs), fd, rtol=1e-5
+    )
+
+
+BUILTINS = {
+    "linear_homogeneous": lambda: builtin_linear_homogeneous(0.2, 2, 10.0, 8, 2),
+    "linear_nonhomogeneous": lambda: builtin_linear_nonhomogeneous(0.2, 2, 10.0, 8, 2),
+    "semilinear_homogeneous_field": lambda: builtin_semilinear_homogeneous_field(12.0, 20, 2),
+    "semilinear_nonhomogeneous_field": lambda: builtin_semilinear_nonhomogeneous_field(
+        0.3, 2, 12.0, 10, 2
+    ),
+}
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+@pytest.mark.parametrize("oracle", ["exact_solution", "exact_solution_derivative"])
+def test_exact_oracle_columns_are_one_point_calls(name, oracle):
+    """Over the exact-energy grid an oracle gives (n, P), each column a one-point call."""
+    problem = BUILTINS[name]()
+    solution = getattr(problem, oracle)
+    half = problem.mesh.length / 2.0
+    x, _ = _simpson_grid(-half, half)
+    germs = np.random.default_rng(7).standard_normal((8, problem.germ_dim))
+    values = solution(x, germs)
+    assert values.shape == (8, x.size)
+    columns = np.stack([solution(x[i : i + 1], germs)[:, 0] for i in range(x.size)], axis=1)
+    if (name, oracle) == ("linear_nonhomogeneous", "exact_solution_derivative"):
+        # u' = 1 / (kappa * total) takes kappa from one `germs @ rows(x)` product
+        # over all points; BLAS may round a column of it otherwise than a
+        # one-column product (2.8e-17 apart at 1024 germs)
+        np.testing.assert_allclose(values, columns, rtol=1e-15, atol=0.0)
+    else:
+        np.testing.assert_array_equal(values, columns)

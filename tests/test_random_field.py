@@ -79,25 +79,30 @@ def test_field_variance_normalization():
         assert logs.var() == pytest.approx(1.0, abs=0.02)
 
 
+FIELDS = {
+    "trig": lambda: TrigLogNormalField(0.3, 2, 10.0),
+    "homogeneous": lambda: HomogeneousLogNormalField(),
+}
+
+
 def test_gradient_at_mean_matches_finite_difference():
-    field = TrigLogNormalField(0.3, 2, 10.0)
     x = np.linspace(-4.0, 4.0, 9)
-    grad = field.gradient_at_mean(x)
     eps = 1e-6
-    for k in range(4):
-        germ = np.zeros((1, 4))
-        germ[0, k] = eps
-        fd = (field.values(x, germ)[0] - field.values(x, -germ)[0]) / (2 * eps)
-        np.testing.assert_allclose(grad[k], fd, atol=1e-8)
+    for field in (make() for make in FIELDS.values()):
+        grad = field.gradient_at_mean(x)
+        assert grad.shape == (field.germ_dim, x.size)
+        for k in range(field.germ_dim):
+            germ = np.zeros((1, field.germ_dim))
+            germ[0, k] = eps
+            fd = (field.values(x, germ)[0] - field.values(x, -germ)[0]) / (2 * eps)
+            np.testing.assert_allclose(grad[k], fd, atol=1e-8)
 
 
-def test_value_at_mean_is_zero_germ_value():
-    field = TrigLogNormalField(0.3, 2, 10.0)
+@pytest.mark.parametrize("name", FIELDS)
+def test_field_is_one_at_the_zero_germ(name):
+    field = FIELDS[name]()
     x = np.linspace(-4.0, 4.0, 9)
-    np.testing.assert_allclose(field.value_at_mean(x), 1.0)
-    np.testing.assert_allclose(
-        field.values(x, np.zeros((1, 4)))[0], field.value_at_mean(x)
-    )
+    np.testing.assert_array_equal(field.values(x, np.zeros((1, field.germ_dim))), 1.0)
 
 
 def test_homogeneous_field_is_constant_in_space():
@@ -109,12 +114,6 @@ def test_homogeneous_field_is_constant_in_space():
     np.testing.assert_allclose(values[0], np.exp(0.2 * (0.5 - 1.0)))
     np.testing.assert_allclose(values[1], 1.0)
     np.testing.assert_allclose(field.scalar_values(germs), values[:, 0])
-
-
-def test_homogeneous_field_gradient_at_mean():
-    field = HomogeneousLogNormalField()
-    x = np.array([0.0, 1.0])
-    np.testing.assert_allclose(field.gradient_at_mean(x), 0.2)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(0, 100))

@@ -60,6 +60,8 @@ def test_config_validation():
         small_config(monitor_samples=1)
     with pytest.raises(ValueError):  # so does the pilot's covariance
         small_config(cv_mode="order1", cv_pilot_size=1)
+    with pytest.raises(ValueError):  # numpy's SeedSequence takes no negative entropy
+        small_config(seed=-1)
 
 
 def random_spd_bands(rng, n_blocks, m):
