@@ -116,6 +116,12 @@ def test_homogeneous_field_is_constant_in_space():
     np.testing.assert_allclose(field.scalar_values(germs), values[:, 0])
 
 
+def test_homogeneous_field_gradient_at_mean():
+    field = HomogeneousLogNormalField()
+    x = np.array([0.0, 1.0])
+    np.testing.assert_allclose(field.gradient_at_mean(x), 0.2)
+
+
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(0, 100))
 @settings(max_examples=20, deadline=None)
 def test_sampling_reproducible_for_any_seed(seed, iteration):
