@@ -66,17 +66,17 @@ def resolve_config(args: argparse.Namespace):
     if args.config:
         with open(args.config) as fh:
             config = config_from_ini(fh.read(), base=config)
-        if config.experiment != experiment:
-            raise ValueError(
-                f"config file names experiment {config.experiment!r}, "
-                f"command line asked for {experiment!r}"
-            )
     for spec in args.override:
         config = apply_override(config, spec)
     if args.seed is not None:
         config = apply_override(config, f"seed={args.seed}")
     if args.out is not None:
         config = apply_override(config, f"out={args.out}")
+    if config.experiment != experiment:  # the config file or an override renamed it
+        raise ValueError(
+            f"config names experiment {config.experiment!r}, "
+            f"command line asked for {experiment!r}"
+        )
     # Both raise ValueError on an invalid value; checked once, on the final
     # config, so that the order of the overrides cannot matter.
     make_problem(config)

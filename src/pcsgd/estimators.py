@@ -102,14 +102,13 @@ class Kernel:
 
     def conductances(self, germs: np.ndarray) -> np.ndarray:
         """Per-germ integrals of kappa over each element, (n, M+1)."""
-        germs, field = np.atleast_2d(germs), self.problem.field
+        field = self.problem.field
         scalar = field.scalar_values(germs)
         if scalar is not None:  # constant in x: kappa times each element's width
             return np.multiply.outer(scalar, np.full(self.mesh.n_interior + 1, self.mesh.h))
         return self._per_element(field.values(self.x, germs), self._element_w)
 
     def germ_tables(self, germs: np.ndarray) -> GermTables:
-        germs = np.atleast_2d(germs)
         source = self.problem.source
         loads = None if source is None else self._loads(source(self.x, germs))
         return GermTables(eval_all(self.basis, germs), self.conductances(germs), loads)
@@ -160,7 +159,6 @@ class Kernel:
 
     def gradient_parts(self, c, germs, tables: GermTables | None = None, order: str = "none"):
         """Per-germ spatial rows of the gradient, with the CV surrogate's for a CV `order`."""
-        germs = np.atleast_2d(germs)
         psi, conductance, loads = tables or self.germ_tables(germs)
         nodal, du = self.solution_values(c, psi)
         linear = self._stiffness_rows(conductance * du)
@@ -229,7 +227,6 @@ class Kernel:
         """
         if stage not in ("linear-only", "full"):
             raise ValueError(f"unknown Hessian stage {stage!r}")
-        germs = np.atleast_2d(germs)
         psi = eval_all(self.basis, germs)
         psi2 = psi**2 / germs.shape[0]
         conductance = psi2.T @ self.conductances(germs) / self.mesh.h**2  # (N+1, M+1)

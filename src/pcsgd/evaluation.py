@@ -18,7 +18,7 @@ from .estimators import kernel_for
 from .fem1d import Mesh1D, element_hats
 from .pc_basis import PcBasisSet, eval_all
 from .problem import ProblemInstance, _simpson_grid
-from .random_field import GERM_CHUNK, GermSampler
+from .random_field import GermSampler, mean_and_se, over_chunks
 from .sgd import Trajectory
 
 EVAL_PURPOSE = "eval"
@@ -40,22 +40,17 @@ class CdfEstimate:
 
 
 def _over_eval_germs(problem: ProblemInstance, n_samples: int, seed: int, values):
-    """`values(germs)` over n_samples evaluation germs, GERM_CHUNK germs per call."""
+    """`values(germs)` over n_samples evaluation germs, in chunks."""
     germs = GermSampler(seed, problem.germ_dim).sample_batch(0, n_samples, EVAL_PURPOSE)
-    chunks = (germs[k : k + GERM_CHUNK] for k in range(0, n_samples, GERM_CHUNK))
-    return np.concatenate([values(chunk) for chunk in chunks])
+    return over_chunks(values, germs)
 
 
 def _mc_estimate(problem: ProblemInstance, n_samples: int, seed: int, values):
     """Mean and standard error of `values(germs)` over n_samples evaluation germs."""
     if n_samples < 2:
         raise ValueError("need at least two samples for a standard error")
-    samples = _over_eval_germs(problem, n_samples, seed, values)
-    return EnergyEstimate(
-        mean=float(samples.mean()),
-        standard_error=float(samples.std(ddof=1) / np.sqrt(n_samples)),
-        sample_count=n_samples,
-    )
+    mean, se = mean_and_se(_over_eval_germs(problem, n_samples, seed, values))
+    return EnergyEstimate(mean=mean, standard_error=se, sample_count=n_samples)
 
 
 def estimate_energy(
@@ -82,7 +77,7 @@ def solution_at_point(
     """Expansion values u_c(x, Y) (lifting included) for a germ batch."""
     element, hats = element_hats(mesh, x)
     padded = kernel_for(problem, mesh, basis).padded_coefficients(c)
-    psi = eval_all(basis, np.atleast_2d(germs))
+    psi = eval_all(basis, germs)
     return psi @ (padded[:, element : element + 2] @ hats)
 
 

@@ -35,7 +35,7 @@ from .problem import (
     builtin_semilinear_homogeneous_field,
     builtin_semilinear_nonhomogeneous_field,
 )
-from .random_field import GERM_CHUNK, GermSampler
+from .random_field import GermSampler, over_chunks
 from .sgd import LearningRateSchedule, SgdConfig, SgdDivergenceError, Trajectory, run
 
 PROBLEMS = {
@@ -333,16 +333,16 @@ def run_table1(config: ExperimentConfig) -> list[str]:
             state = estimate_cv_lambda(
                 problem, problem.mesh, problem.basis, c, mode, config.cv_pilot_size, sampler
             )
-            # c_1_0 multiplies phi_1 psi_0 = phi_1: its samples are the rows' first column
-            chunks = [
-                kernel.gradient_parts(c, germs[k : k + GERM_CHUNK], order=mode)
-                for k in range(0, config.n_mc, GERM_CHUNK)
-            ]
-            component = np.concatenate([chunk.total[:, 0] for chunk in chunks])
-            if mode != "none":
-                aux = np.concatenate([chunk.surrogate[:, 0] for chunk in chunks])
-                component = component + state.lam[0] * (aux - kernel.cv_known_mean(c, mode)[0])
-            std = component.std(ddof=1)
+            known = None if mode == "none" else kernel.cv_known_mean(c, mode)[0]
+
+            def first_component(chunk):
+                # c_1_0 multiplies phi_1 psi_0 = phi_1: its samples are the rows' first column
+                rows = kernel.gradient_parts(c, chunk, order=mode)
+                if known is None:
+                    return rows.total[:, 0]
+                return rows.total[:, 0] + state.lam[0] * (rows.surrogate[:, 0] - known)
+
+            std = over_chunks(first_component, germs).std(ddof=1)
             stds[(beta, mode)] = std
             rows.append(
                 (beta, mode, "c_1_0", std, std / np.sqrt(2.0 * (config.n_mc - 1)))
@@ -391,14 +391,14 @@ def run_table2(config: ExperimentConfig) -> list[str]:
     for numerator in TABLE2_RATES:
         plain = finals[(numerator, "none")]
         cv = finals[(numerator, "order1")]
-        if np.isfinite(plain) and cv > plain:
+        if np.isfinite(plain) and not cv <= plain:  # a diverged CV run (nan) fails
             raise ExperimentFailure(f"CV run worse than plain at rate {numerator}/(n+2)")
     if flags[(100.0, "none")]:
         raise ExperimentFailure("rate 100/(n+2) without CV unexpectedly converged")
     cv_finals = [finals[(numerator, "order1")] for numerator in TABLE2_RATES]
-    if any(b >= a for a, b in zip(cv_finals, cv_finals[1:])):
+    if any(not b < a for a, b in zip(cv_finals, cv_finals[1:])):
         raise ExperimentFailure("CV final energies not decreasing in the rate")
-    if cv_finals[2] > 1e-10:
+    if not cv_finals[2] <= 1e-10:
         raise ExperimentFailure("CV run at 5/(n+2) missed the 1e-10 target")
     return [path]
 

@@ -16,10 +16,10 @@ import numpy as np
 from .fem1d import Mesh1D
 from .pc_basis import PcBasisSet, generate_basis
 from .random_field import (
-    GERM_CHUNK,
     HomogeneousLogNormalField,
     LogNormalField,
     TrigLogNormalField,
+    over_chunks,
 )
 
 
@@ -85,22 +85,17 @@ def _simpson_grid(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _zero_solution(x: np.ndarray, germs: np.ndarray) -> np.ndarray:
-    return np.zeros((np.atleast_2d(germs).shape[0], np.size(x)))
+    return np.zeros((len(germs), np.size(x)))
 
 
 def _inverse_kappa_integral(
     field: LogNormalField, a: float, b: float, germs: np.ndarray
 ) -> np.ndarray:
     """Per-germ integral of 1/kappa over [a, b] by composite Simpson."""
-    germs = np.atleast_2d(germs)
     if b <= a:
-        return np.zeros(germs.shape[0])
+        return np.zeros(len(germs))
     x, w = _simpson_grid(a, b)
-    out = np.empty(germs.shape[0])
-    for start in range(0, germs.shape[0], GERM_CHUNK):
-        rows = slice(start, start + GERM_CHUNK)
-        out[rows] = (1.0 / field.values(x, germs[rows])) @ w
-    return out
+    return over_chunks(lambda g: (1.0 / field.values(x, g)) @ w, germs)
 
 
 def builtin_linear_homogeneous(

@@ -1,10 +1,10 @@
-"""Germ sampling and the log-normal diffusivity fields.
+"""Germ sampling, the chunked Monte Carlo pass and the log-normal diffusivity fields.
 
 Sampling is counter-based: a germ batch is fully determined by
 (seed, iteration, purpose), and row `index` of a batch does not depend on
 the batch size.  Distinct purposes ("gradient", "hessian", "monitor", ...)
 therefore give non-colliding, independently reproducible streams without
-any shared mutable state.
+any shared mutable state.  A germ batch is an (n, germ_dim) array.
 """
 
 from __future__ import annotations
@@ -17,6 +17,22 @@ import numpy as np
 # Germs per call in every Monte Carlo pass over more germs than a mini-batch;
 # it bounds the (germs, points) temporaries, about 6 MiB each at 801 points.
 GERM_CHUNK = 1024
+
+
+def over_chunks(values, *arrays) -> np.ndarray:
+    """`values` on GERM_CHUNK-row slices of `arrays`, results concatenated by row.
+
+    A None among `arrays` reaches `values` as None.
+    """
+    return np.concatenate([
+        values(*[a if a is None else a[k : k + GERM_CHUNK] for a in arrays])
+        for k in range(0, len(arrays[0]), GERM_CHUNK)
+    ])
+
+
+def mean_and_se(samples: np.ndarray) -> tuple[float, float]:
+    """Sample mean and its standard error std(ddof=1) / sqrt(n)."""
+    return float(samples.mean()), float(samples.std(ddof=1) / np.sqrt(samples.size))
 
 
 def _purpose_code(purpose: str) -> int:
@@ -58,7 +74,6 @@ class LogNormalField:
 
     def values(self, x: np.ndarray, germs: np.ndarray) -> np.ndarray:
         """Field at points x (n_pts,) for germs (n, germ_dim) -> (n, n_pts)."""
-        germs = np.atleast_2d(np.asarray(germs, dtype=float))
         return np.exp(self.amplitude * (germs @ self.rows(x)))
 
     def scalar_values(self, germs: np.ndarray) -> np.ndarray | None:
@@ -110,5 +125,4 @@ class HomogeneousLogNormalField(LogNormalField):
 
     def scalar_values(self, germs):
         """Column 0 of `values`, without the (n, n_pts) array."""
-        germs = np.atleast_2d(np.asarray(germs, dtype=float))
         return np.exp(self.amplitude * (germs[:, 0] + germs[:, 1]))

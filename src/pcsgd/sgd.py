@@ -18,7 +18,7 @@ from .estimators import CV_MODES, GermTables, Kernel, estimate_cv_lambda, kernel
 from .fem1d import Mesh1D
 from .pc_basis import PcBasisSet
 from .problem import ProblemInstance
-from .random_field import GERM_CHUNK, GermSampler
+from .random_field import GermSampler, mean_and_se, over_chunks
 
 HESSIAN_MODES = ("none", "linear-only", "staged", "full")
 
@@ -71,6 +71,8 @@ class SgdConfig:
             raise ValueError("cv_pilot_size must be >= 2")
         if self.hessian_mode not in HESSIAN_MODES:
             raise ValueError(f"unknown hessian_mode {self.hessian_mode!r}")
+        if self.n_switch < 0:
+            raise ValueError("n_switch must be non-negative")
         if self.hessian_mode == "staged" and self.n_switch > max(self.n_iterations, 1):
             raise ValueError("n_switch must not exceed the iteration count")
         if self.init not in ("zero", "gaussian"):
@@ -167,42 +169,27 @@ def run(
 
     monitor_germs = sampler.sample_batch(0, config.monitor_samples, "monitor")
     tables = kernel.germ_tables(monitor_germs)  # fixed germs: evaluated once, used in chunks
-    monitor_chunks = [
-        (monitor_germs[s], GermTables(*(t if t is None else t[s] for t in tables)))
-        for s in (slice(k, k + GERM_CHUNK) for k in range(0, config.monitor_samples, GERM_CHUNK))
-    ]
 
     cv_state = estimate_cv_lambda(
         problem, mesh, basis, c, config.cv_mode, config.cv_pilot_size, sampler
     )
 
-    records: dict[str, list] = {k: [] for k in ("n", "eta", "jm", "jse", "gn", "fb")}
+    records: list[tuple] = []  # one row per record, in Trajectory's field order
     snapshots: dict[int, np.ndarray] = {}
 
     def record(n: int, eta: float, grad_norm: float, fallbacks: int):
-        energies = np.concatenate([kernel.energies(c, *chunk) for chunk in monitor_chunks])
-        records["n"].append(n)
-        records["eta"].append(eta)
-        records["jm"].append(float(energies.mean()))
-        records["jse"].append(float(energies.std(ddof=1) / np.sqrt(energies.size)))
-        records["gn"].append(grad_norm)
-        records["fb"].append(fallbacks)
+        energies = over_chunks(
+            lambda g, *t: kernel.energies(c, g, GermTables(*t)), monitor_germs, *tables
+        )
+        records.append((n, eta, *mean_and_se(energies), grad_norm, fallbacks))
         snapshots[n] = c.copy()
 
     record(0, 0.0, np.nan, 0)
     fallbacks_since_record = 0
 
     def build_trajectory() -> Trajectory:
-        return Trajectory(
-            iterations=np.array(records["n"]),
-            rates=np.array(records["eta"]),
-            energy_mean=np.array(records["jm"]),
-            energy_se=np.array(records["jse"]),
-            gradient_norm=np.array(records["gn"]),
-            fallback_count=np.array(records["fb"]),
-            monitor_samples=config.monitor_samples,
-            snapshots=snapshots,
-        )
+        columns = (np.array(column) for column in zip(*records))
+        return Trajectory(*columns, monitor_samples=config.monitor_samples, snapshots=snapshots)
 
     for n in range(1, config.n_iterations + 1):
         eta = config.schedule.rate(n)

@@ -19,6 +19,7 @@ from pcsgd import (
     run_experiment,
     save_coefficients,
 )
+from pcsgd import experiments
 from pcsgd.cli import build_parser, main, resolve_config
 from pcsgd.experiments import EXPERIMENT_IDS
 
@@ -281,6 +282,9 @@ def test_cli_rejects_bad_override(capsys):
         ["experiment", "table3", "--override", "points=7.0"],
         ["solve", "--seed", "-1"],
         ["experiment", "table1", "--seed", "-1"],
+        ["solve", "--override", "n_switch=-3"],
+        ["solve", "--override", "experiment=table2"],
+        ["experiment", "table3", "--override", "experiment=table1"],
     ],
 )
 def test_cli_rejects_invalid_config_value(argv, tmp_path, capsys):
@@ -313,6 +317,20 @@ def test_gap_studies_need_a_known_minimum(experiment, tmp_path):
     with pytest.raises(ExperimentFailure, match="no known minimum"):
         run_experiment(config)
     assert not any(tmp_path.iterdir())
+
+
+def test_table2_fails_when_its_cv_runs_diverge(monkeypatch, tmp_path):
+    """A diverged CV arm has a nan final energy, which the CV checks must reject."""
+    solve = experiments._solve
+
+    def cv_arms_diverge(problem, config):
+        trajectory, c = solve(problem, config)
+        return trajectory, None if config.cv_mode == "order1" else c
+
+    monkeypatch.setattr(experiments, "_solve", cv_arms_diverge)
+    config = dataclasses.replace(default_config("table2"), out=str(tmp_path))
+    with pytest.raises(ExperimentFailure, match="CV"):
+        run_experiment(config)
 
 
 def test_cli_reports_divergence_as_fail(tmp_path, capsys):

@@ -8,6 +8,7 @@ from pcsgd import (
     HomogeneousLogNormalField,
     TrigLogNormalField,
 )
+from pcsgd.random_field import GERM_CHUNK, mean_and_se, over_chunks
 
 
 def test_batch_prefix_stability():
@@ -120,6 +121,39 @@ def test_homogeneous_field_gradient_at_mean():
     field = HomogeneousLogNormalField()
     x = np.array([0.0, 1.0])
     np.testing.assert_allclose(field.gradient_at_mean(x), 0.2)
+
+
+@pytest.mark.parametrize("n", [1, GERM_CHUNK, GERM_CHUNK + 1, 2 * GERM_CHUNK + 37])
+def test_over_chunks_matches_one_call(n):
+    """Row-wise results, scalar and vector per row, equal one call on all rows."""
+    rng = np.random.default_rng(n)
+    a, b = rng.standard_normal((n, 3)), rng.standard_normal((n, 2, 4))
+
+    def row_wise(a, b):
+        return np.exp(a) @ np.arange(1.0, 4.0) + b.sum(axis=(1, 2)) * a[:, 0]
+
+    np.testing.assert_array_equal(over_chunks(row_wise, a, b), row_wise(a, b))
+    np.testing.assert_array_equal(over_chunks(lambda a: 2.0 * a, a), 2.0 * a)
+
+
+def test_over_chunks_passes_none_through():
+    germs = np.ones((GERM_CHUNK + 5, 2))
+    seen = []
+
+    def values(germs, loads):
+        seen.append((len(germs), loads))
+        return germs[:, 0]
+
+    assert over_chunks(values, germs, None).shape == (GERM_CHUNK + 5,)
+    assert seen == [(GERM_CHUNK, None), (5, None)]
+
+
+def test_mean_and_se_matches_numpy():
+    samples = np.random.default_rng(4).standard_normal(1000) * 3.0 + 1.0
+    mean, se = mean_and_se(samples)
+    assert isinstance(mean, float) and isinstance(se, float)
+    assert mean == samples.mean()
+    assert se == samples.std(ddof=1) / np.sqrt(samples.size)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(0, 100))

@@ -1,6 +1,6 @@
-"""A solve must not depend on the BLAS thread count.
+"""A solve and its evaluation must not depend on the BLAS thread count.
 
-Each solve runs in a child process, because OpenBLAS reads its thread
+Each digest is computed in a child process, because OpenBLAS reads its thread
 count from the environment once, when it is loaded.
 """
 
@@ -14,36 +14,46 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 # then a short solve-size linear solve with boundary data and an order-1
 # control variate, whose batch means are BLAS products with psi, then a
 # shortened fig-staged-hessian staged solve: the trig field's point values
-# and the full-stage Hessian after the switch at iteration 100.
+# and the full-stage Hessian after the switch at iteration 100.  After each
+# solve, an energy estimate and a two-point CDF over 5,000 evaluation germs
+# (five GERM_CHUNK passes).
 SOLVE = """
 import hashlib
+import numpy as np
 import pcsgd
 
 digest = hashlib.sha256()
-problem = pcsgd.builtin_semilinear_homogeneous_field(12.0, 100, 3)
-config = pcsgd.SgdConfig(
+grid = np.linspace(-0.5, 1.5, 9)
+
+
+def add(problem, **config):
+    config = pcsgd.SgdConfig(**{"record_stride": 50, "monitor_samples": 2000, **config})
+    trajectory, c = pcsgd.run(problem, problem.mesh, problem.basis, config)
+    digest.update(c.tobytes() + trajectory.energy_mean.tobytes())
+    args = (problem, problem.mesh, problem.basis, c)
+    energy = pcsgd.estimate_energy(*args, 5000, 7)
+    cdf = pcsgd.empirical_cdf(*args, [-2.0, 0.5], [grid, grid], 5000, 7)
+    digest.update(np.array([energy.mean, energy.standard_error]).tobytes())
+    digest.update(cdf.probabilities.tobytes())
+
+
+add(
+    pcsgd.builtin_semilinear_homogeneous_field(12.0, 100, 3),
     n_iterations=150, batch_gradient=100, batch_hessian=100,
-    schedule=pcsgd.LearningRateSchedule(10.0, 0.0), hessian_mode="full",
-    seed=21, record_stride=50, monitor_samples=2000,
+    schedule=pcsgd.LearningRateSchedule(10.0, 0.0), hessian_mode="full", seed=21,
 )
-trajectory, c = pcsgd.run(problem, problem.mesh, problem.basis, config)
-digest.update(c.tobytes() + trajectory.energy_mean.tobytes())
-problem = pcsgd.builtin_linear_nonhomogeneous(0.1, 2, 10.0, 50, 3)
-config = pcsgd.SgdConfig(
+add(
+    pcsgd.builtin_linear_nonhomogeneous(0.1, 2, 10.0, 50, 3),
     n_iterations=50, batch_gradient=128, batch_hessian=64,
     schedule=pcsgd.LearningRateSchedule(5.0, 2.0), hessian_mode="linear-only",
-    cv_mode="order1", cv_pilot_size=1000, seed=3, record_stride=25, monitor_samples=2000,
+    cv_mode="order1", cv_pilot_size=1000, seed=3, record_stride=25,
 )
-trajectory, c = pcsgd.run(problem, problem.mesh, problem.basis, config)
-digest.update(c.tobytes() + trajectory.energy_mean.tobytes())
-problem = pcsgd.builtin_semilinear_nonhomogeneous_field(0.3, 2, 12.0, 50, 3)
-config = pcsgd.SgdConfig(
+add(
+    pcsgd.builtin_semilinear_nonhomogeneous_field(0.3, 2, 12.0, 50, 3),
     n_iterations=150, batch_gradient=256, batch_hessian=64,
     schedule=pcsgd.LearningRateSchedule(5.0, 2.0), hessian_mode="staged", n_switch=100,
-    init="gaussian", init_scale=0.1, seed=0, record_stride=50, monitor_samples=2000,
+    init="gaussian", init_scale=0.1, seed=0,
 )
-trajectory, c = pcsgd.run(problem, problem.mesh, problem.basis, config)
-digest.update(c.tobytes() + trajectory.energy_mean.tobytes())
 print(digest.hexdigest())
 """
 

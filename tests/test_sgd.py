@@ -52,6 +52,8 @@ def test_config_validation():
         small_config(hessian_mode="mystery")
     with pytest.raises(ValueError):
         small_config(hessian_mode="staged", n_switch=100, n_iterations=50)
+    with pytest.raises(ValueError):  # it would run the full Hessian from iteration 1
+        small_config(hessian_mode="staged", n_switch=-3)
     with pytest.raises(ValueError):
         small_config(init="constant")
     with pytest.raises(ValueError):
