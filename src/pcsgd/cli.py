@@ -24,10 +24,9 @@ from .experiments import (
     EXPERIMENT_IDS,
     ExperimentFailure,
     apply_override,
+    check_config,
     config_from_ini,
     default_config,
-    make_problem,
-    make_sgd_config,
     run_experiment,
 )
 
@@ -77,10 +76,9 @@ def resolve_config(args: argparse.Namespace):
             f"config names experiment {config.experiment!r}, "
             f"command line asked for {experiment!r}"
         )
-    # Both raise ValueError on an invalid value; checked once, on the final
-    # config, so that the order of the overrides cannot matter.
-    make_problem(config)
-    make_sgd_config(config)
+    # checked once, on the final config, so that the order of the overrides
+    # cannot matter
+    check_config(config)
     return config
 
 

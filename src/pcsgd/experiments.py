@@ -36,7 +36,14 @@ from .problem import (
     builtin_semilinear_nonhomogeneous_field,
 )
 from .random_field import GermSampler, over_chunks
-from .sgd import LearningRateSchedule, SgdConfig, SgdDivergenceError, Trajectory, run
+from .sgd import (
+    LearningRateSchedule,
+    SgdConfig,
+    SgdDivergenceError,
+    Trajectory,
+    monitor_points,
+    run,
+)
 
 PROBLEMS = {
     "linear_homogeneous": builtin_linear_homogeneous,
@@ -218,6 +225,13 @@ def make_sgd_config(config: ExperimentConfig) -> SgdConfig:
         schedule=LearningRateSchedule(config.rate_numerator, config.rate_offset),
         **{key: getattr(config, key) for key in _SGD_KEYS},
     )
+
+
+def check_config(config: ExperimentConfig) -> None:
+    """Raise ValueError on a problem, SGD or monitor setting that a solve of the run rejects."""
+    solves = [config, _cdf_linear_config(config)] if config.experiment == "fig-cdf" else [config]
+    for solve in solves:
+        monitor_points(make_problem(solve).basis, make_sgd_config(solve).monitor_samples)
 
 
 def _solve(
@@ -433,14 +447,15 @@ def run_table3(config: ExperimentConfig) -> list[str]:
     )
     energies = [row[1] for row in rows]
     errors = [row[3] for row in rows]
-    if any(b >= a for a, b in zip(energies, energies[1:])):
+    # each check is written so that a nan fails it
+    if any(not b < a for a, b in zip(energies, energies[1:])):
         raise ExperimentFailure("final energies not decreasing in p")
     for p in (0, 1):
-        if errors[p] < 5.0 * errors[p + 1]:
+        if not errors[p] >= 5.0 * errors[p + 1]:
             raise ExperimentFailure(f"l2 error drop below 5x from p={p} to {p + 1}")
-    if errors[-1] > 5e-4:
+    if not errors[-1] <= 5e-4:
         raise ExperimentFailure("l2 error at the highest order exceeds 5e-4")
-    if abs(energies[-1] - oracle.mean) > 0.01 * abs(oracle.mean):
+    if not abs(energies[-1] - oracle.mean) <= 0.01 * abs(oracle.mean):
         raise ExperimentFailure(
             f"final energy {energies[-1]:.4f} more than 1% from oracle {oracle.mean:.4f}"
         )
@@ -501,6 +516,23 @@ def _cdf_pair(problem, c, points, grids, n_samples, seed) -> list[np.ndarray]:
     ]
 
 
+def _cdf_linear_config(config: ExperimentConfig) -> ExperimentConfig:
+    """fig-cdf's second solve: the linear problem with boundary data."""
+    return replace(
+        config,
+        problem="linear_nonhomogeneous",
+        beta=0.1,
+        length=10.0,
+        m=50,
+        n_iterations=500,
+        batch_gradient=128,
+        batch_hessian=64,
+        hessian_mode="linear-only",
+        init="zero",
+        points=2.0,  # its marginal CDF's point, inside this shorter domain
+    )
+
+
 def run_fig_cdf(config: ExperimentConfig) -> list[str]:
     """Distribution accuracy of converged solutions.
 
@@ -527,19 +559,7 @@ def run_fig_cdf(config: ExperimentConfig) -> list[str]:
     )
 
     # linear with boundary data, joint CDF at (-4, 2)
-    lin_config = replace(
-        config,
-        problem="linear_nonhomogeneous",
-        beta=0.1,
-        length=10.0,
-        m=50,
-        n_iterations=500,
-        batch_gradient=128,
-        batch_hessian=64,
-        hessian_mode="linear-only",
-        init="zero",
-        points=2.0,  # its marginal CDF's point, inside this shorter domain
-    )
+    lin_config = _cdf_linear_config(config)
     lin_problem = make_problem(lin_config)
     _, lin_c = _solve(lin_problem, lin_config)
     if lin_c is None:
@@ -602,11 +622,12 @@ def run_fig_staged_hessian(config: ExperimentConfig) -> list[str]:
             "full_converged": gaps["full"] <= 1e-3,
         },
     )
-    if gaps["staged"] > 1e-3:
+    # a nan gap fails both checks; a diverged full arm's infinite gap passes
+    if not gaps["staged"] <= 1e-3:
         raise ExperimentFailure(
             f"staged run missed the 1e-3 energy gap (gap {gaps['staged']:.2e})"
         )
-    if gaps["full"] <= 1e-3:
+    if not gaps["full"] > 1e-3:
         raise ExperimentFailure("full-from-start run unexpectedly converged")
     return [path]
 

@@ -4,17 +4,21 @@ The stochastic subspace is spanned by products of univariate probabilists'
 Hermite polynomials indexed by multi-indices of bounded total degree.  The
 basis is un-normalized: the second moment of a basis function with
 multi-index ``a`` is ``prod(a_k!)``.  All moments used by the control
-variates are computed analytically from the three-term recurrence; Gauss
-quadrature is only ever used as an independent oracle in the tests.
+variates are computed analytically from the three-term recurrence.
+`gauss_hermite` is the tensor Gauss-Hermite rule over the germ: the SGD
+energy monitor takes its expected energy with it, and the tests check it
+and the analytic moments against each other.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
+from numpy.polynomial.hermite_e import hermegauss
 
 # Basis sets beyond this count are refused outright: the coefficient vector
 # would not fit in memory anyway.
@@ -92,6 +96,18 @@ def eval_all(basis: PcBasisSet, y) -> np.ndarray:
     for table, a in zip(uni[1:], degrees[1:]):
         rows *= table[a]
     return rows.T.copy()  # C order: psi's products downstream round by its memory layout
+
+
+def gauss_hermite(n: int, germ_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor rule for E[g(Y)], Y ~ N(0, I): nodes (n^K, K) and weights (n^K,).
+
+    n probabilists' Gauss-Hermite points per germ component, exact for
+    polynomials of degree 2n - 1 in each component; the weights sum to 1.
+    """
+    points, weights = hermegauss(n)
+    weights = weights / np.sqrt(2.0 * np.pi)
+    nodes = np.array(list(itertools.product(points, repeat=germ_dim)))
+    return nodes, np.prod(list(itertools.product(weights, repeat=germ_dim)), axis=1)
 
 
 def _norm(alpha: Sequence[int]) -> float:

@@ -2,13 +2,14 @@
 
 Sampling is counter-based: a germ batch is fully determined by
 (seed, iteration, purpose), and row `index` of a batch does not depend on
-the batch size.  Distinct purposes ("gradient", "hessian", "monitor", ...)
+the batch size.  Distinct purposes ("gradient", "hessian", "pilot", ...)
 therefore give non-colliding, independently reproducible streams without
 any shared mutable state.  A germ batch is an (n, germ_dim) array.
 """
 
 from __future__ import annotations
 
+import ctypes
 import zlib
 from dataclasses import dataclass
 
@@ -17,6 +18,25 @@ import numpy as np
 # Germs per call in every Monte Carlo pass over more germs than a mini-batch;
 # it bounds the (germs, points) temporaries, about 6 MiB each at 801 points.
 GERM_CHUNK = 1024
+
+
+def _pin_malloc_thresholds():
+    """Fix glibc's mmap and trim thresholds above a chunk's temporaries.
+
+    glibc raises them from 128 KiB only once some larger block is freed;
+    until then every GERM_CHUNK pass maps, faults in and unmaps its
+    temporaries afresh.  A no-op where libc has no mallopt.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
+_pin_malloc_thresholds()
 
 
 def over_chunks(values, *arrays) -> np.ndarray:

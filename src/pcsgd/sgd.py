@@ -16,9 +16,9 @@ from scipy.linalg.lapack import dptsv
 
 from .estimators import CV_MODES, GermTables, Kernel, estimate_cv_lambda, kernel_for
 from .fem1d import Mesh1D
-from .pc_basis import PcBasisSet
+from .pc_basis import PcBasisSet, gauss_hermite
 from .problem import ProblemInstance
-from .random_field import GermSampler, mean_and_se, over_chunks
+from .random_field import GermSampler, over_chunks
 
 HESSIAN_MODES = ("none", "linear-only", "staged", "full")
 
@@ -79,8 +79,8 @@ class SgdConfig:
             raise ValueError(f"unknown init rule {self.init!r}")
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
-        if self.monitor_samples < 2:
-            raise ValueError("monitor_samples must be >= 2")
+        if self.monitor_samples < 3:  # the smallest rule has 3 points per axis
+            raise ValueError("monitor_samples must be >= 3")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
@@ -90,10 +90,10 @@ class Trajectory:
     iterations: np.ndarray
     rates: np.ndarray
     energy_mean: np.ndarray
-    energy_se: np.ndarray
+    energy_se: np.ndarray  # |Q_n - Q_(n-2)|, the monitor rule's error estimate
     gradient_norm: np.ndarray
     fallback_count: np.ndarray  # block fallbacks since the previous record
-    monitor_samples: int
+    monitor_samples: int  # nodes of the monitor rule
     snapshots: dict = field(default_factory=dict)
 
 
@@ -134,6 +134,14 @@ def precondition_solve(
         failed[(info - 1) // m] = True
 
 
+def monitor_points(basis: PcBasisSet, budget: int) -> int:
+    """Points per axis of the monitor's rule: p + 3, fewer if its n^K nodes exceed `budget`."""
+    k = basis.germ_dim
+    if budget < 3**k:  # 3 points, so that the (n - 2)-point partner rule has one
+        raise ValueError(f"monitor_samples={budget} is below 3^{k}, the smallest monitor rule")
+    return next(n for n in range(basis.degree_bound + 3, 2, -1) if n**k <= budget)
+
+
 def _initial_coefficients(kernel: Kernel, config: SgdConfig) -> np.ndarray:
     if config.init == "zero":
         return np.zeros(kernel.dim)
@@ -167,8 +175,14 @@ def run(
     sampler = GermSampler(config.seed, problem.germ_dim)
     c = _initial_coefficients(kernel, config)
 
-    monitor_germs = sampler.sample_batch(0, config.monitor_samples, "monitor")
-    tables = kernel.germ_tables(monitor_germs)  # fixed germs: evaluated once, used in chunks
+    # The monitor records E[J(c; Y)] on a fixed Gauss-Hermite rule, and the
+    # distance to its partner with n - 2 points per axis as the error estimate.
+    n_points = monitor_points(basis, config.monitor_samples)
+    (nodes, weights), (partner_nodes, partner_weights) = (
+        gauss_hermite(n, problem.germ_dim) for n in (n_points, n_points - 2)
+    )
+    monitor_germs = np.concatenate([nodes, partner_nodes])
+    tables = kernel.germ_tables(monitor_germs)  # fixed nodes: evaluated once, used in chunks
 
     cv_state = estimate_cv_lambda(
         problem, mesh, basis, c, config.cv_mode, config.cv_pilot_size, sampler
@@ -181,7 +195,9 @@ def run(
         energies = over_chunks(
             lambda g, *t: kernel.energies(c, g, GermTables(*t)), monitor_germs, *tables
         )
-        records.append((n, eta, *mean_and_se(energies), grad_norm, fallbacks))
+        energy = weights @ energies[: len(weights)]
+        partner = partner_weights @ energies[len(weights) :]
+        records.append((n, eta, energy, abs(energy - partner), grad_norm, fallbacks))
         snapshots[n] = c.copy()
 
     record(0, 0.0, np.nan, 0)
@@ -189,7 +205,7 @@ def run(
 
     def build_trajectory() -> Trajectory:
         columns = (np.array(column) for column in zip(*records))
-        return Trajectory(*columns, monitor_samples=config.monitor_samples, snapshots=snapshots)
+        return Trajectory(*columns, monitor_samples=len(weights), snapshots=snapshots)
 
     for n in range(1, config.n_iterations + 1):
         eta = config.schedule.rate(n)

@@ -50,15 +50,15 @@ def test_benchmark_hook_points_exist():
     assert result.returncode == 0, result.stderr
 
 
-# A short traced solve whose monitor germs span three GERM_CHUNK slices;
-# prints the monitor germ count, the number of records, the psi germ count,
+# A short traced solve (K = 2, p = 2, so a 5^2-node monitor rule and its
+# 3^2-node partner); prints the monitor germ count, the rule's node count, the
+# number of records, the psi germ count, the gradient and Hessian germ count,
 # and the number of `random_field.kappa` spans and of those opened inside one.
 MONITOR_COUNT = """
 import sys
 sys.path[:0] = sys.argv[1:]
 import pcsgd
 import spans
-from pcsgd.random_field import GERM_CHUNK
 tracer = spans.install(pcsgd)
 KAPPA = "random_field.kappa"
 problem = pcsgd.builtin_linear_nonhomogeneous(0.2, 1, 10.0, 6, 2)
@@ -68,12 +68,12 @@ config = pcsgd.SgdConfig(
     batch_hessian=8,
     schedule=pcsgd.LearningRateSchedule(1.0, 2.0),
     hessian_mode="linear-only",
-    monitor_samples=2 * GERM_CHUNK + 37,
+    monitor_samples=2085,
 )
 trajectory, _ = pcsgd.run(problem, problem.mesh, problem.basis, config)
 print(
     tracer.counts["sgd.monitor_germs"],
-    config.monitor_samples,
+    trajectory.monitor_samples,
     len(trajectory.iterations),
     tracer.counts["pc_basis.psi_germs"],
     config.n_iterations * (config.batch_gradient + config.batch_hessian),
@@ -86,10 +86,10 @@ print(
 """
 
 
-def test_benchmark_monitor_germ_count_survives_chunking():
-    """`sgd.monitor_germs` counts every monitor germ at every record.
+def test_benchmark_monitor_germ_count():
+    """`sgd.monitor_germs` counts the nodes of both monitor rules at every record.
 
-    psi is evaluated once per germ: once for the fixed monitor germs, once
+    psi is evaluated once per germ: once for the fixed monitor nodes, once
     per gradient and Hessian germ, so `pc_basis.psi_s` compares across
     commits.  The trig field's `values`, inherited from `LogNormalField`,
     is one `random_field.kappa` span per call, never wrapped twice.
@@ -101,12 +101,13 @@ def test_benchmark_monitor_germ_count_survives_chunking():
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    counted, monitor_samples, records, psi_germs, batch_germs, kappa, nested = map(
+    counted, rule_nodes, records, psi_germs, batch_germs, kappa, nested = map(
         int, result.stdout.split()
     )
     assert records == 4
-    assert counted == monitor_samples * records
-    assert psi_germs == monitor_samples + batch_germs
+    assert rule_nodes == 5**2
+    assert counted == (5**2 + 3**2) * records == 136
+    assert psi_germs == 5**2 + 3**2 + batch_germs
     assert kappa >= 1
     assert nested == 0
 

@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcsgd import (
+    EnergyEstimate,
     ExperimentConfig,
     ExperimentFailure,
+    Trajectory,
     apply_override,
     config_from_ini,
     config_hash,
@@ -331,6 +333,78 @@ def test_table2_fails_when_its_cv_runs_diverge(monkeypatch, tmp_path):
     config = dataclasses.replace(default_config("table2"), out=str(tmp_path))
     with pytest.raises(ExperimentFailure, match="CV"):
         run_experiment(config)
+
+
+def fake_table3_estimates(monkeypatch, nan_energy: bool, nan_error: bool):
+    """Passing table3 estimates (oracle -45), with a nan where asked, and no solves."""
+    energies = [-40.0, -44.0, -44.9, -45.0]
+    errors = [1e-1, 1e-2, 1e-3, 1e-4]
+
+    def estimate(values, nan):
+        def fake(problem, mesh, basis, *args):
+            value = np.nan if nan else values[basis.degree_bound]
+            return EnergyEstimate(mean=value, standard_error=0.01, sample_count=2)
+
+        return fake
+
+    monkeypatch.setattr(
+        experiments, "_solve", lambda problem, config: (None, np.zeros(problem.mesh.n_interior))
+    )
+    monkeypatch.setattr(experiments, "estimate_energy", estimate(energies, nan_energy))
+    monkeypatch.setattr(experiments, "pointwise_l2_error", estimate(errors, nan_error))
+    monkeypatch.setattr(
+        experiments,
+        "exact_energy_mc",
+        lambda *args: EnergyEstimate(mean=-45.0, standard_error=0.01, sample_count=2),
+    )
+
+
+@pytest.mark.parametrize(
+    "nan_energy, nan_error", [(False, False), (True, False), (False, True), (True, True)]
+)
+def test_table3_checks_fail_on_nan(nan_energy, nan_error, monkeypatch, tmp_path):
+    """nan energies or errors fail table3's checks; the same finite values pass."""
+    fake_table3_estimates(monkeypatch, nan_energy, nan_error)
+    config = dataclasses.replace(default_config("table3"), out=str(tmp_path))
+    if nan_energy or nan_error:
+        with pytest.raises(ExperimentFailure):
+            run_experiment(config)
+    else:
+        run_experiment(config)
+
+
+@pytest.mark.parametrize("nan_arm", ["staged", "full"])
+def test_fig_staged_hessian_checks_fail_on_nan(nan_arm, monkeypatch, tmp_path):
+    """A nan final gap fails the staged arm's check and the full arm's alike."""
+    config = dataclasses.replace(default_config("fig-staged-hessian"), out=str(tmp_path))
+    minimum = make_problem(config).exact_energy
+    passing = {"staged": minimum + 1e-4, "full": minimum + 1.0}
+
+    def solve(problem, config):
+        mode = config.hessian_mode
+        final = np.nan if mode == nan_arm else passing[mode]
+        trajectory = Trajectory(
+            *(np.array([value]) for value in (500, 0.01, final, 0.0, 0.0, 0)),
+            monitor_samples=1,
+        )
+        return trajectory, np.zeros(problem.mesh.n_interior)
+
+    monkeypatch.setattr(experiments, "_solve", solve)
+    with pytest.raises(ExperimentFailure, match=nan_arm):
+        run_experiment(config)
+
+
+def test_cli_rejects_a_monitor_budget_below_the_smallest_rule(tmp_path, capsys):
+    """monitor_samples below 3^K cannot hold a 3-point rule and its 1-point partner."""
+    for argv, k in (
+        (["solve", "--override", "monitor_samples=80"], 4),
+        (["experiment", "table3", "--override", "monitor_samples=8"], 2),
+        # fig-cdf's second solve is linear, on K = 2 n_v = 4 germ components
+        (["experiment", "fig-cdf", "--override", "monitor_samples=80"], 4),
+    ):
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert f"error: monitor_samples={3**k - 1} is below 3^{k}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_cli_reports_divergence_as_fail(tmp_path, capsys):

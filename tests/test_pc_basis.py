@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pcsgd import eval_all, generate_basis, moment_table
-from pcsgd.pc_basis import hermite_table
+from pcsgd.pc_basis import gauss_hermite, hermite_table
 
 
 def binom(n, k):
@@ -80,6 +80,32 @@ def test_linear_weighted_moments_against_quadrature():
 
     numeric = gauss_hermite_expectation(triple, 2)
     np.testing.assert_allclose(moment_table(basis).linear_moments, numeric, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("n, germ_dim", [(1, 3), (3, 1), (4, 2), (6, 4)])
+def test_gauss_hermite_weights_sum_to_one(n, germ_dim):
+    nodes, weights = gauss_hermite(n, germ_dim)
+    assert nodes.shape == (n**germ_dim, germ_dim)
+    assert weights.shape == (n**germ_dim,)
+    assert weights.sum() == pytest.approx(1.0, rel=0, abs=1e-14)
+
+
+@pytest.mark.parametrize("germ_dim, degree", [(1, 4), (2, 3), (3, 2)])
+def test_gauss_hermite_reproduces_the_moment_tables(germ_dim, degree):
+    """n = p + 1 points are exact up to degree 2n - 1 = 2p + 1 in each component,
+    the degree of Y_k psi_a psi_b."""
+    basis = generate_basis(germ_dim, degree)
+    table = moment_table(basis)
+    nodes, weights = gauss_hermite(degree + 1, germ_dim)
+    psi = eval_all(basis, nodes)
+    pair = np.einsum("n,na,nb->ab", weights, psi, psi)
+    linear = np.einsum("n,nk,na,nb->kab", weights, nodes, psi, psi)
+    np.testing.assert_allclose(pair, table.pair_moments, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(linear, table.linear_moments, rtol=0, atol=1e-12)
+    # one point fewer per axis misses the highest pair moment
+    nodes, weights = gauss_hermite(degree, germ_dim)
+    top = eval_all(basis, nodes)[:, -1]
+    assert abs(weights @ top**2 - table.pair_moments[-1, -1]) > 1e-3
 
 
 def test_orthogonality_off_diagonal():

@@ -1,3 +1,8 @@
+import os
+import platform
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -163,3 +168,35 @@ def test_sampling_reproducible_for_any_seed(seed, iteration):
     b = GermSampler(seed, 2).sample_batch(iteration, 5, "eval")
     np.testing.assert_array_equal(a, b)
     assert np.all(np.isfinite(a))
+
+
+# Two 20,000-germ energy passes at the table3 size (M=100, p=3); prints the
+# minor page faults of the second.
+REPEATED_PASS = """
+import resource
+import numpy as np
+import pcsgd
+
+problem = pcsgd.builtin_semilinear_homogeneous_field(12.0, 100, 3)
+c = np.zeros(problem.mesh.n_interior * problem.basis.size)
+faults = []
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    pcsgd.estimate_energy(problem, problem.mesh, problem.basis, c, 20_000, 5)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(faults[1])
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the malloc pin is glibc's")
+def test_repeated_monte_carlo_pass_takes_no_page_faults():
+    """With glibc's malloc thresholds pinned, a second GERM_CHUNK pass reuses the
+    first one's pages; unpinned, it faults ~30,000 of them in again."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    result = subprocess.run(
+        [sys.executable, "-c", REPEATED_PASS], capture_output=True, text=True, env=env,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout) < 2000

@@ -11,11 +11,14 @@ from pcsgd import (
     builtin_linear_nonhomogeneous,
     builtin_semilinear_homogeneous_field,
     builtin_semilinear_nonhomogeneous_field,
+    estimate_energy,
+    generate_basis,
     kernel_for,
     precondition_solve,
     run,
 )
-from pcsgd.random_field import GERM_CHUNK, GermSampler
+from pcsgd.pc_basis import gauss_hermite
+from pcsgd.sgd import monitor_points
 
 
 def small_config(**overrides):
@@ -58,8 +61,8 @@ def test_config_validation():
         small_config(init="constant")
     with pytest.raises(ValueError):
         small_config(record_stride=0)
-    with pytest.raises(ValueError):  # the monitor's standard error needs two germs
-        small_config(monitor_samples=1)
+    with pytest.raises(ValueError):  # the smallest monitor rule has 3 points per axis
+        small_config(monitor_samples=2)
     with pytest.raises(ValueError):  # so does the pilot's covariance
         small_config(cv_mode="order1", cv_pilot_size=1)
     with pytest.raises(ValueError):  # numpy's SeedSequence takes no negative entropy
@@ -158,7 +161,7 @@ def test_trajectory_recording():
     assert trajectory.rates[0] == 0.0
     assert set(trajectory.snapshots) == {0, 5, 10, 15, 20, 23}
     np.testing.assert_array_equal(trajectory.snapshots[23], c)
-    assert trajectory.monitor_samples == 500
+    assert trajectory.monitor_samples == 4**2  # p + 3 points on each of K = 2 axes
 
 
 @pytest.mark.parametrize(
@@ -169,20 +172,42 @@ def test_trajectory_recording():
     ],
     ids=["linear-lifting", "semilinear-source"],
 )
-def test_monitor_chunks_match_one_kernel_call(problem):
-    """GERM_CHUNK-row monitor calls give the mean and SE of one call on all its germs."""
-    n = 2 * GERM_CHUNK + 37
-    config = small_config(n_iterations=4, record_stride=2, monitor_samples=n)
+def test_monitor_records_the_gauss_hermite_rule(problem):
+    """Each record is w @ energies on the 5^2-node rule, its SE the distance to the 3^2 rule."""
+    config = small_config(n_iterations=4, record_stride=2)
     trajectory, _ = run(problem, problem.mesh, problem.basis, config)
-    germs = GermSampler(config.seed, problem.germ_dim).sample_batch(0, n, "monitor")
+    assert trajectory.monitor_samples == 25
+    kernel = kernel_for(problem)
+    rule, partner = gauss_hermite(5, 2), gauss_hermite(3, 2)
     for k, iteration in enumerate(trajectory.iterations):
-        energies = kernel_for(problem).energies(trajectory.snapshots[iteration], germs)
+        c = trajectory.snapshots[iteration]
+        q, q_partner = (w @ kernel.energies(c, nodes) for nodes, w in (rule, partner))
+        np.testing.assert_allclose(trajectory.energy_mean[k], q, rtol=1e-14, atol=0)
         np.testing.assert_allclose(
-            trajectory.energy_mean[k], energies.mean(), rtol=1e-14, atol=0
+            trajectory.energy_se[k], abs(q - q_partner), rtol=1e-10, atol=1e-15
         )
-        np.testing.assert_allclose(
-            trajectory.energy_se[k], energies.std(ddof=1) / np.sqrt(n), rtol=1e-14, atol=0
-        )
+    estimate = estimate_energy(problem, problem.mesh, problem.basis, c, 100_000, 3)
+    assert abs(trajectory.energy_mean[-1] - estimate.mean) <= 4 * estimate.standard_error
+
+
+@pytest.mark.parametrize(
+    "germ_dim, degree, budget, nodes",
+    [(4, 3, 10_000, 6**4), (4, 3, 2000, 6**4), (4, 3, 100, 3**4), (2, 3, 10_000, 6**2)],
+)
+def test_monitor_rule_fits_the_node_budget(germ_dim, degree, budget, nodes):
+    """p + 3 points per axis, fewer when n^K exceeds monitor_samples."""
+    assert monitor_points(generate_basis(germ_dim, degree), budget) ** germ_dim == nodes
+
+
+def test_monitor_budget_below_the_smallest_rule_is_rejected():
+    """K = 4 needs 3^4 = 81 nodes for a 3-point rule beside its 1-point partner."""
+    problem = builtin_linear_nonhomogeneous(0.1, 2, 10.0, 6, 1)
+    with pytest.raises(ValueError, match="3\\^4"):
+        run(problem, problem.mesh, problem.basis, small_config(monitor_samples=80))
+    trajectory, _ = run(
+        problem, problem.mesh, problem.basis, small_config(n_iterations=2, monitor_samples=81)
+    )
+    assert trajectory.monitor_samples == 81
 
 
 def test_fallback_count_sums_fallbacks_between_records():
