@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fem1d import Mesh1D, quadrature_points
-from .pc_basis import MomentTable, PcBasisSet, eval_all, moment_table
+from .pc_basis import PcBasisSet, eval_all, moment_table
 from .problem import ProblemInstance
 
 DEFAULT_QUADRATURE_ORDER = 4
@@ -55,6 +55,13 @@ class GermTables(NamedTuple):
     loads: np.ndarray | None  # the source's nodal loads (n, M+2), if it has one
 
 
+class RuleMoments(NamedTuple):
+    """A fixed rule's tables for `Kernel.expected_energy`."""
+    stiffness: np.ndarray  # G_e = sum_s w_s cond_se psi_s psi_s', (M+1, N+1, N+1)
+    source: np.ndarray | None  # sum_s w_s psi_s loads_s', (N+1, M+2), if there is a source
+    reaction: tuple | None  # the weights and psi (n, N+1), if there is a reaction
+
+
 class GradientRows(NamedTuple):
     """Per-germ spatial rows (n, M); a part's sample s is psi[s] times its row."""
     linear: np.ndarray  # integrals of kappa u' phi_i'
@@ -78,7 +85,13 @@ class Kernel:
         self._shape = np.stack([n0, n1])  # (2, q)
         self._load_w = w[:, None] * self._shape.T
         self._mass_w = w[:, None] * np.stack([n0 * n0, n0 * n1, n1 * n1], axis=1)
-        self.moments: MomentTable = moment_table(basis)
+        # E[Y_k psi_a psi_b] is nonzero only at the b of alpha -/+ e_k: their k, b and
+        # moment, (2K, N+1), over k, lower b first, as einsum sums over (k, b)
+        moments = moment_table(basis)
+        self._norms = np.diag(moments.pair_moments)[:, None]
+        lin = moments.linear_moments
+        sides = np.stack([np.tril(lin, -1), np.triu(lin, 1)], 1).reshape(-1, *lin.shape[1:])
+        self._neighbours = np.arange(len(sides))[:, None] // 2, sides.argmax(2), sides.max(2)
         self.dim = mesh.n_interior * basis.size
         # element conductances of the mean-point surrogates for the control
         # variates; kappa is 1 at the germ mean
@@ -142,9 +155,13 @@ class Kernel:
 
     # -- energies and gradients ---------------------------------------------
 
-    def energies(self, c: np.ndarray, germs: np.ndarray, tables: GermTables | None = None):
-        """Per-germ energy integral (n,); `tables` may hold `germ_tables(germs)`."""
-        psi, conductance, loads = tables or self.germ_tables(germs)
+    def _reaction_energies(self, nodal: np.ndarray) -> np.ndarray:
+        """Per-germ integrals of the reaction's antiderivative F(u), (n,)."""
+        return self.problem.nonlinearity.antiderivative(self.x, self._at_points(nodal)) @ self.w
+
+    def energies(self, c: np.ndarray, germs: np.ndarray) -> np.ndarray:
+        """Per-germ energy integral (n,)."""
+        psi, conductance, loads = self.germ_tables(germs)
         padded = self.padded_coefficients(c)
         du = psi @ (np.diff(padded, axis=1) / self.mesh.h)  # nodal values only if needed
         energy = 0.5 * np.einsum("ne,ne->n", conductance, du * du)
@@ -152,10 +169,47 @@ class Kernel:
         if nl is not None or loads is not None:
             nodal = psi @ padded
         if nl is not None:
-            energy += nl.antiderivative(self.x, self._at_points(nodal)) @ self.w
+            energy += self._reaction_energies(nodal)
         if loads is not None:
             energy += np.einsum("ni,ni->n", loads, nodal)
         return energy
+
+    def rule_moments(self, nodes: np.ndarray, weights: np.ndarray) -> RuleMoments:
+        """Tables of `expected_energy` for the rule (nodes, weights).
+
+        np.einsum sums G_e (its a <= b half) and the source over 256 nodes per
+        call, not BLAS, whose rounding can depend on its thread count.
+        """
+        psi, conductance, loads = self.germ_tables(nodes)
+        a, b = np.triu_indices(self.basis.size)
+        half = np.zeros((conductance.shape[1], len(a)))
+        source = None if loads is None else np.zeros((self.basis.size, loads.shape[1]))
+        for k in range(0, len(nodes), 256):
+            chunk = slice(k, k + 256)
+            wpsi = weights[chunk, None] * psi[chunk]
+            half += np.einsum("se,sp->ep", conductance[chunk], wpsi[:, a] * psi[chunk, b])
+            if source is not None:
+                source += np.einsum("sa,si->ai", wpsi, loads[chunk])
+        stiffness = np.empty((len(half), self.basis.size, self.basis.size))
+        stiffness[:, a, b] = stiffness[:, b, a] = half
+        reaction = None if self.problem.nonlinearity is None else (weights, psi)
+        return RuleMoments(stiffness, source, reaction)
+
+    def expected_energy(self, c: np.ndarray, moments: RuleMoments) -> float:
+        """A rule's `weights @ energies(c, nodes)`, from its `rule_moments`.
+
+        The sum of d_e' G_e d_e / 2 over the elements, d = diff(padded) / h,
+        plus source : padded and the reaction's node energies.
+        """
+        padded = self.padded_coefficients(c)
+        du = (np.diff(padded, axis=1) / self.mesh.h).T  # (M+1, N+1)
+        energy = 0.5 * (np.einsum("eab,eb->ea", moments.stiffness, du) * du).sum()
+        if moments.source is not None:
+            energy += (moments.source * padded).sum()
+        if moments.reaction is not None:
+            weights, psi = moments.reaction
+            energy += weights @ self._reaction_energies(psi @ padded)
+        return float(energy)
 
     def gradient_parts(self, c, germs, tables: GermTables | None = None, order: str = "none"):
         """Per-germ spatial rows of the gradient, with the CV surrogate's for a CV `order`."""
@@ -192,10 +246,11 @@ class Kernel:
         if order not in ("order0", "order1"):
             raise ValueError(f"unknown control-variate order {order!r}")
         slopes = np.diff(self.padded_coefficients(c), axis=1) / self.mesh.h
-        mean = self.moments.pair_moments @ self._stiffness_rows(self._cond0 * slopes)
+        mean = self._norms * self._stiffness_rows(self._cond0 * slopes)
         if order == "order1":
             rows = self._stiffness_rows(self._condk[:, None, :] * slopes)  # (K, N+1, M)
-            mean += np.einsum("kab,kbi->ai", self.moments.linear_moments, rows)
+            k, b, moment = self._neighbours
+            mean += (moment[..., None] * rows[k, b]).sum(axis=0)  # (2K, N+1, M) summed
         return mean.reshape(self.dim)
 
     def cv_gradient_batch(self, c: np.ndarray, germs: np.ndarray, state: ControlVariateState):

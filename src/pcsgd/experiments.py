@@ -306,7 +306,7 @@ def save_coefficients(path: str, c: np.ndarray, n_interior: int) -> str:
 
 
 def load_coefficients(path: str, n_interior: int) -> np.ndarray:
-    """Inverse of `save_coefficients`; ValueError unless the dump fills the (i, j) grid."""
+    """Inverse of `save_coefficients`; ValueError unless the dump fills the (i, j) grid once."""
     entries = {}
     with open(path) as fh:
         for line in fh:
@@ -314,7 +314,10 @@ def load_coefficients(path: str, n_interior: int) -> np.ndarray:
             if not line:
                 continue
             i_str, j_str, hex_str = line.split()
-            entries[(int(i_str), int(j_str))] = float.fromhex(hex_str)
+            key = (int(i_str), int(j_str))
+            if key in entries:
+                raise ValueError(f"{path} repeats the entry (i, j) = {key}")
+            entries[key] = float.fromhex(hex_str)
     n_basis = len(entries) // n_interior
     grid = {(i, j) for i in range(1, n_interior + 1) for j in range(n_basis)}
     if n_basis < 1 or entries.keys() != grid:

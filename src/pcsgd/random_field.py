@@ -87,14 +87,18 @@ class LogNormalField:
 
     amplitude: float
     germ_dim: int
+    _grid: tuple = (None, None)  # the last grid `values` saw, as bytes, and its rows
 
     def rows(self, x: np.ndarray) -> np.ndarray:
         """Exponent rows r(x) at points x (n_pts,), shape (germ_dim, n_pts)."""
         raise NotImplementedError
 
     def values(self, x: np.ndarray, germs: np.ndarray) -> np.ndarray:
-        """Field at points x (n_pts,) for germs (n, germ_dim) -> (n, n_pts)."""
-        return np.exp(self.amplitude * (germs @ self.rows(x)))
+        """Field at points x (n_pts,) for germs (n, germ_dim) -> (n, n_pts); rows once per grid."""
+        key = np.asarray(x, dtype=float).tobytes()
+        if self._grid[0] != key:
+            self._grid = key, self.rows(x)
+        return np.exp(self.amplitude * (germs @ self._grid[1]))
 
     def scalar_values(self, germs: np.ndarray) -> np.ndarray | None:
         """Per-germ value (n,) of a field constant in x; None for a field varying in x."""

@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dptsv
 
-from .estimators import CV_MODES, GermTables, Kernel, estimate_cv_lambda, kernel_for
+from .estimators import CV_MODES, Kernel, estimate_cv_lambda, kernel_for
 from .fem1d import Mesh1D
 from .pc_basis import PcBasisSet, gauss_hermite
 from .problem import ProblemInstance
-from .random_field import GermSampler, over_chunks
+from .random_field import GermSampler
 
 HESSIAN_MODES = ("none", "linear-only", "staged", "full")
 
@@ -176,13 +176,12 @@ def run(
     c = _initial_coefficients(kernel, config)
 
     # The monitor records E[J(c; Y)] on a fixed Gauss-Hermite rule, and the
-    # distance to its partner with n - 2 points per axis as the error estimate.
+    # distance to its partner with n - 2 points per axis as the error estimate,
+    # each from moment tables built once.
     n_points = monitor_points(basis, config.monitor_samples)
-    (nodes, weights), (partner_nodes, partner_weights) = (
-        gauss_hermite(n, problem.germ_dim) for n in (n_points, n_points - 2)
-    )
-    monitor_germs = np.concatenate([nodes, partner_nodes])
-    tables = kernel.germ_tables(monitor_germs)  # fixed nodes: evaluated once, used in chunks
+    rules = [
+        kernel.rule_moments(*gauss_hermite(n, problem.germ_dim)) for n in (n_points, n_points - 2)
+    ]
 
     cv_state = estimate_cv_lambda(
         problem, mesh, basis, c, config.cv_mode, config.cv_pilot_size, sampler
@@ -192,11 +191,7 @@ def run(
     snapshots: dict[int, np.ndarray] = {}
 
     def record(n: int, eta: float, grad_norm: float, fallbacks: int):
-        energies = over_chunks(
-            lambda g, *t: kernel.energies(c, g, GermTables(*t)), monitor_germs, *tables
-        )
-        energy = weights @ energies[: len(weights)]
-        partner = partner_weights @ energies[len(weights) :]
+        energy, partner = (kernel.expected_energy(c, rule) for rule in rules)
         records.append((n, eta, energy, abs(energy - partner), grad_norm, fallbacks))
         snapshots[n] = c.copy()
 
@@ -205,7 +200,8 @@ def run(
 
     def build_trajectory() -> Trajectory:
         columns = (np.array(column) for column in zip(*records))
-        return Trajectory(*columns, monitor_samples=len(weights), snapshots=snapshots)
+        nodes = n_points**problem.germ_dim
+        return Trajectory(*columns, monitor_samples=nodes, snapshots=snapshots)
 
     for n in range(1, config.n_iterations + 1):
         eta = config.schedule.rate(n)

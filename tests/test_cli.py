@@ -156,6 +156,16 @@ def test_load_coefficients_rejects_a_dump_with_a_missing_line(tmp_path):
         load_coefficients(str(path), 3)
 
 
+def test_load_coefficients_rejects_a_repeated_entry(tmp_path):
+    """A second line for (i, j) = (1, 0) must not overwrite the first."""
+    path = tmp_path / "c.txt"
+    save_coefficients(str(path), np.arange(6.0), 3)
+    with open(path, "a") as fh:
+        fh.write(f"1 0 {(99.0).hex()}\n")
+    with pytest.raises(ValueError, match="repeats"):
+        load_coefficients(str(path), 3)
+
+
 def test_load_coefficients_rejects_an_empty_dump(tmp_path):
     path = tmp_path / "c.txt"
     path.write_text("")

@@ -24,7 +24,7 @@ from pcsgd.fem1d import (
     lifting_tables,
     quadrature_points,
 )
-from pcsgd.pc_basis import eval_all
+from pcsgd.pc_basis import eval_all, moment_table
 
 
 def dense_from_bands(bands):
@@ -223,6 +223,24 @@ def test_cv_known_mean_matches_monte_carlo():
         se = z.std(axis=0, ddof=1) / np.sqrt(germs.shape[0])
         t = np.abs(z.mean(axis=0) - analytic) / np.maximum(se, 1e-14)
         assert np.max(t) < 6.0
+
+
+@pytest.mark.parametrize("n_pairs, degree", [(1, 3), (2, 3), (1, 5)])
+def test_cv_known_mean_equals_the_dense_moment_contraction(n_pairs, degree):
+    """The gather over alpha -/+ e_k gives the dense einsum's bits, for both orders."""
+    problem = builtin_linear_nonhomogeneous(0.3, n_pairs, 10.0, 8, degree)
+    kernel = kernel_for(problem)
+    moments = moment_table(problem.basis)
+    rng = np.random.default_rng(degree + 10 * n_pairs)
+    for _ in range(5):
+        problem.boundary = tuple(rng.standard_normal(2))
+        c = rng.standard_normal(kernel.dim) * 10.0 ** rng.uniform(-3, 3)
+        slopes = np.diff(kernel.padded_coefficients(c), axis=1) / kernel.mesh.h
+        order0 = moments.pair_moments @ kernel._stiffness_rows(kernel._cond0 * slopes)
+        rows = kernel._stiffness_rows(kernel._condk[:, None, :] * slopes)
+        order1 = order0 + np.einsum("kab,kbi->ai", moments.linear_moments, rows)
+        assert np.array_equal(kernel.cv_known_mean(c, "order0"), order0.ravel())
+        assert np.array_equal(kernel.cv_known_mean(c, "order1"), order1.ravel())
 
 
 def test_cv_estimator_reduces_variance_and_keeps_mean():

@@ -67,6 +67,23 @@ def test_trig_field_values_match_direct_formula():
     np.testing.assert_allclose(field.values(x, germs), expected, rtol=1e-12)
 
 
+def test_trig_field_rows_follow_the_grid():
+    """Rows are built once per grid; a new grid, or one changed in place, gets its own."""
+    field = TrigLogNormalField(0.25, 2, 10.0)
+    germs = np.random.default_rng(4).standard_normal((5, 4))
+    x = np.linspace(-5.0, 5.0, 11)
+
+    def fresh(points):
+        return np.exp(0.25 * (germs @ TrigLogNormalField(0.25, 2, 10.0).rows(points)))
+
+    first = field.values(x, germs)
+    np.testing.assert_array_equal(first, fresh(x))
+    np.testing.assert_array_equal(field.values(x[:7], germs), fresh(x[:7]))
+    x += 0.5
+    np.testing.assert_array_equal(field.values(x, germs), fresh(x))
+    np.testing.assert_array_equal(field.values(x - 0.5, germs), first)
+
+
 def test_trig_field_germ_layout_is_cosines_then_sines():
     field = TrigLogNormalField(1.0, 2, 10.0)
     x = np.array([2.5])  # cos(2 pi x / l) = 0, sin = 1 for k=1

@@ -165,27 +165,34 @@ def test_trajectory_recording():
 
 
 @pytest.mark.parametrize(
-    "problem",
+    "problem, init",
     [
-        builtin_linear_nonhomogeneous(0.3, 1, 10.0, 7, 2),
-        builtin_semilinear_homogeneous_field(12.0, 9, 2),
+        (builtin_linear_nonhomogeneous(0.3, 1, 10.0, 7, 2), "zero"),
+        (builtin_semilinear_homogeneous_field(12.0, 9, 2), "zero"),
+        # u = 0 is a critical point of this one, so it starts elsewhere
+        (builtin_semilinear_nonhomogeneous_field(0.3, 1, 12.0, 9, 2), "gaussian"),
     ],
-    ids=["linear-lifting", "semilinear-source"],
+    ids=["linear-lifting", "semilinear-source", "semilinear-trig"],
 )
-def test_monitor_records_the_gauss_hermite_rule(problem):
-    """Each record is w @ energies on the 5^2-node rule, its SE the distance to the 3^2 rule."""
-    config = small_config(n_iterations=4, record_stride=2)
-    trajectory, _ = run(problem, problem.mesh, problem.basis, config)
+def test_monitor_records_the_gauss_hermite_rule(problem, init):
+    """Each record is w @ energies on the 5^2-node rule, its SE the distance to the 3^2 rule.
+
+    The monitor takes them from moment tables; the last iterate scaled by
+    1e3 checks those tables far from the minimizer too.
+    """
+    config = small_config(n_iterations=4, record_stride=2, init=init, init_scale=0.5)
+    trajectory, c = run(problem, problem.mesh, problem.basis, config)
     assert trajectory.monitor_samples == 25
     kernel = kernel_for(problem)
-    rule, partner = gauss_hermite(5, 2), gauss_hermite(3, 2)
-    for k, iteration in enumerate(trajectory.iterations):
-        c = trajectory.snapshots[iteration]
-        q, q_partner = (w @ kernel.energies(c, nodes) for nodes, w in (rule, partner))
-        np.testing.assert_allclose(trajectory.energy_mean[k], q, rtol=1e-14, atol=0)
-        np.testing.assert_allclose(
-            trajectory.energy_se[k], abs(q - q_partner), rtol=1e-10, atol=1e-15
-        )
+    rules = gauss_hermite(5, 2), gauss_hermite(3, 2)
+    moments = [kernel.rule_moments(*rule) for rule in rules]
+    records = [(trajectory.energy_mean[k], trajectory.energy_se[k], trajectory.snapshots[n])
+               for k, n in enumerate(trajectory.iterations)]
+    energy, partner = (kernel.expected_energy(1e3 * c, m) for m in moments)
+    for monitored, se, iterate in records + [(energy, abs(energy - partner), 1e3 * c)]:
+        q, q_partner = (w @ kernel.energies(iterate, nodes) for nodes, w in rules)
+        np.testing.assert_allclose(monitored, q, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(se, abs(q - q_partner), rtol=1e-10, atol=1e-15)
     estimate = estimate_energy(problem, problem.mesh, problem.basis, c, 100_000, 3)
     assert abs(trajectory.energy_mean[-1] - estimate.mean) <= 4 * estimate.standard_error
 
