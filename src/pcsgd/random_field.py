@@ -39,15 +39,11 @@ def _pin_malloc_thresholds():
 _pin_malloc_thresholds()
 
 
-def over_chunks(values, *arrays) -> np.ndarray:
-    """`values` on GERM_CHUNK-row slices of `arrays`, results concatenated by row.
-
-    A None among `arrays` reaches `values` as None.
-    """
-    return np.concatenate([
-        values(*[a if a is None else a[k : k + GERM_CHUNK] for a in arrays])
-        for k in range(0, len(arrays[0]), GERM_CHUNK)
-    ])
+def over_chunks(values, germs: np.ndarray) -> np.ndarray:
+    """`values` on GERM_CHUNK-row slices of `germs`, results concatenated by row."""
+    return np.concatenate(
+        [values(germs[k : k + GERM_CHUNK]) for k in range(0, len(germs), GERM_CHUNK)]
+    )
 
 
 def mean_and_se(samples: np.ndarray) -> tuple[float, float]:

@@ -18,10 +18,43 @@ from pcsgd.random_field import GERM_CHUNK
 
 
 def test_reaction_contracts():
-    u = np.linspace(-4.0, 4.0, 33)
-    np.testing.assert_allclose(SINE_REACTION.value(0.0, u), np.sin(u))
-    np.testing.assert_allclose(SINE_REACTION.antiderivative(0.0, u), -np.cos(u))
-    np.testing.assert_allclose(SINE_REACTION.derivative(0.0, u), np.cos(u))
+    """The half-angle forms track numpy's sin and cos from 1e-6 to the float64 limit."""
+    rng = np.random.default_rng(0)
+    scales = [1e-6, 0.3, 1.0, 3.0, 100.0, 1e81, 1.7e308]
+    u = np.concatenate([rng.uniform(-1.0, 1.0, 4000) * s for s in scales])
+    u = np.concatenate([u, np.linspace(-4.0, 4.0, 33), [0.0, -0.0, np.inf, -np.inf, np.nan]])
+    before = u.copy()
+    with np.errstate(invalid="ignore"):
+        value = SINE_REACTION.value(0.0, u)
+        antiderivative = SINE_REACTION.antiderivative(0.0, u)
+        derivative = SINE_REACTION.derivative(0.0, u)
+        sin, cos = np.sin(u), np.cos(u)
+    np.testing.assert_array_equal(u, before)
+    for computed in (value, antiderivative, derivative):
+        np.testing.assert_array_equal(np.isnan(computed), np.isnan(sin))
+    finite = np.isfinite(u)
+    assert np.all(np.abs(value - sin)[finite] <= 4 * np.spacing(np.abs(sin[finite])))
+    assert np.all(np.abs(derivative - cos)[finite] <= 4.5e-16)
+    assert np.all(np.abs(antiderivative + cos)[finite] <= 4.5e-16)
+    zero = u == 0.0
+    assert np.signbit(u[zero]).any() and not np.signbit(u[zero]).all()
+    np.testing.assert_array_equal(np.signbit(value[zero]), np.signbit(u[zero]))
+    np.testing.assert_array_equal(derivative[zero], 1.0)
+
+
+@pytest.mark.parametrize("name, arrays", [("value", 2), ("antiderivative", 1), ("derivative", 1)])
+def test_reaction_memory_is_bounded(name, arrays):
+    """At most `arrays` temporaries of the input's size, plus small slack."""
+    u = np.random.default_rng(7).standard_normal((1024, 404))
+    reaction = getattr(SINE_REACTION, name)
+    reaction(0.0, u)  # numpy's first call of a loop may allocate
+    tracemalloc.start()
+    try:
+        reaction(0.0, u)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < arrays * u.nbytes + 2**16
 
 
 def test_antiderivative_consistency():
@@ -121,6 +154,20 @@ def test_semilinear_homogeneous_strong_residual():
             + np.sin(u)
         )
         np.testing.assert_allclose(residual, 0.0, atol=1e-12)
+
+
+def test_semilinear_homogeneous_source_matches_numpy_sine():
+    """The source's half-angle sine agrees with np.sin and leaves its inputs unchanged."""
+    problem = builtin_semilinear_homogeneous_field(12.0, 20, 2)
+    germs = np.random.default_rng(8).standard_normal((300, 2)) * 3.0
+    x = np.linspace(-6.0, 6.0, 401)
+    x_before, germs_before = x.copy(), germs.copy()
+    sx = np.sin(np.pi * x)[None, :]
+    expected = -np.pi**2 * sx - np.sin(sx / problem.field.scalar_values(germs)[:, None])
+    # a few ulp of the sine, plus one rounding of a sum up to pi^2 in size
+    np.testing.assert_allclose(problem.source(x, germs), expected, rtol=0, atol=4e-15)
+    np.testing.assert_array_equal(x, x_before)
+    np.testing.assert_array_equal(germs, germs_before)
 
 
 def test_semilinear_homogeneous_rejects_odd_length():

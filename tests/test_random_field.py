@@ -148,26 +148,13 @@ def test_homogeneous_field_gradient_at_mean():
 @pytest.mark.parametrize("n", [1, GERM_CHUNK, GERM_CHUNK + 1, 2 * GERM_CHUNK + 37])
 def test_over_chunks_matches_one_call(n):
     """Row-wise results, scalar and vector per row, equal one call on all rows."""
-    rng = np.random.default_rng(n)
-    a, b = rng.standard_normal((n, 3)), rng.standard_normal((n, 2, 4))
+    a = np.random.default_rng(n).standard_normal((n, 3))
 
-    def row_wise(a, b):
-        return np.exp(a) @ np.arange(1.0, 4.0) + b.sum(axis=(1, 2)) * a[:, 0]
+    def row_wise(a):
+        return np.exp(a) @ np.arange(1.0, 4.0) + a[:, 1] * a[:, 0]
 
-    np.testing.assert_array_equal(over_chunks(row_wise, a, b), row_wise(a, b))
+    np.testing.assert_array_equal(over_chunks(row_wise, a), row_wise(a))
     np.testing.assert_array_equal(over_chunks(lambda a: 2.0 * a, a), 2.0 * a)
-
-
-def test_over_chunks_passes_none_through():
-    germs = np.ones((GERM_CHUNK + 5, 2))
-    seen = []
-
-    def values(germs, loads):
-        seen.append((len(germs), loads))
-        return germs[:, 0]
-
-    assert over_chunks(values, germs, None).shape == (GERM_CHUNK + 5,)
-    assert seen == [(GERM_CHUNK, None), (5, None)]
 
 
 def test_mean_and_se_matches_numpy():
