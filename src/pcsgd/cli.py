@@ -86,7 +86,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = resolve_config(args)
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError, OverflowError) as err:  # an over-large basis overflows
         print(f"error: {err}", file=sys.stderr)
         return 2
     try:

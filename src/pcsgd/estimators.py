@@ -303,25 +303,12 @@ def kernel_for(
     mesh: Mesh1D | None = None,
     basis: PcBasisSet | None = None,
 ) -> Kernel:
-    """Kernel for the triple, cached on the problem instance."""
-    mesh = mesh if mesh is not None else problem.mesh
-    basis = basis if basis is not None else problem.basis
-    key = (id(mesh), id(basis))
-    kernel = problem._cache.get(key)
-    if kernel is None:
-        kernel = Kernel(problem, mesh, basis)
-        problem._cache[key] = kernel
-    return kernel
+    """A new Kernel for the triple; the mesh and basis default to the problem's."""
+    return Kernel(problem, mesh or problem.mesh, basis or problem.basis)
 
 
 def estimate_cv_lambda(
-    problem: ProblemInstance,
-    mesh: Mesh1D,
-    basis: PcBasisSet,
-    c: np.ndarray,
-    mode: str,
-    pilot_size: int,
-    sampler,
+    kernel: Kernel, c: np.ndarray, mode: str, pilot_size: int, sampler
 ) -> ControlVariateState:
     """Fit per-component multipliers from a pilot batch at coefficients c.
 
@@ -335,11 +322,11 @@ def estimate_cv_lambda(
         raise ValueError(f"unknown control-variate mode {mode!r}")
     if pilot_size < 2:
         raise ValueError("pilot batch needs at least two samples")
-    kernel = kernel_for(problem, mesh, basis)
     germs = sampler.sample_batch(0, pilot_size, "pilot")
     tables = kernel.germ_tables(germs)
     rows = kernel.gradient_parts(c, germs, tables, mode)
-    sums = np.empty((2, basis.size, mesh.n_interior))  # centered Z·Z and X·Z sums per psi_j
+    # centered Z·Z and X·Z sums per psi_j
+    sums = np.empty((2, kernel.basis.size, kernel.mesh.n_interior))
     for j, psi_j in enumerate(tables.psi.T[:, :, None]):
         x_j, z_j = psi_j * rows.linear, psi_j * rows.surrogate  # X, Z on psi_j's block
         xc, zc = x_j - x_j.mean(axis=0), z_j - z_j.mean(axis=0)

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
-from .estimators import kernel_for
+from .estimators import Kernel, kernel_for
 from .fem1d import Mesh1D, element_hats
 from .pc_basis import PcBasisSet, eval_all
 from .problem import ProblemInstance, _simpson_grid
@@ -66,18 +66,11 @@ def estimate_energy(
     return _mc_estimate(problem, n_samples, seed, lambda germs: kernel.energies(c, germs))
 
 
-def solution_at_point(
-    problem: ProblemInstance,
-    mesh: Mesh1D,
-    basis: PcBasisSet,
-    c: np.ndarray,
-    x: float,
-    germs: np.ndarray,
-) -> np.ndarray:
+def solution_at_point(kernel: Kernel, c: np.ndarray, x: float, germs: np.ndarray) -> np.ndarray:
     """Expansion values u_c(x, Y) (lifting included) for a germ batch."""
-    element, hats = element_hats(mesh, x)
-    padded = kernel_for(problem, mesh, basis).padded_coefficients(c)
-    psi = eval_all(basis, germs)
+    element, hats = element_hats(kernel.mesh, x)
+    padded = kernel.padded_coefficients(c)
+    psi = eval_all(kernel.basis, germs)
     return psi @ (padded[:, element : element + 2] @ hats)
 
 
@@ -93,11 +86,12 @@ def pointwise_l2_error(
     """MC estimate of E[(u*(x, Y) - u_c(x, Y))^2]."""
     if problem.exact_solution is None:
         raise ValueError(f"problem {problem.name!r} has no exact solution")
+    kernel = kernel_for(problem, mesh, basis)
 
     def squared_error(germs):
         return (
             problem.exact_solution(np.array([x]), germs)[:, 0]
-            - solution_at_point(problem, mesh, basis, c, x, germs)
+            - solution_at_point(kernel, c, x, germs)
         ) ** 2
 
     return _mc_estimate(problem, n_samples, seed, squared_error)
@@ -146,10 +140,12 @@ def empirical_cdf(
     if use_exact_solution and problem.exact_solution is None:
         raise ValueError(f"problem {problem.name!r} has no exact solution")
 
+    kernel = None if use_exact_solution else kernel_for(problem, mesh, basis)
+
     def solution(germs):
-        if use_exact_solution:
+        if kernel is None:
             return problem.exact_solution(np.asarray(points, dtype=float), germs)
-        return np.stack([solution_at_point(problem, mesh, basis, c, x, germs) for x in points], 1)
+        return np.stack([solution_at_point(kernel, c, x, germs) for x in points], 1)
 
     values = _over_eval_germs(problem, n_samples, seed, solution)
     grids = tuple(np.asarray(t, dtype=float) for t in thresholds)

@@ -107,6 +107,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown problem {self.problem!r}")
         if self.n_mc < 2:
             raise ValueError("n_mc must be >= 2")
+        for key, kind in _FIELD_TYPES.items():
+            if kind == "float" and not np.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite, got {getattr(self, key)!r}")
 
 
 # INI sections by their first key: a section holds the fields from there up to
@@ -347,9 +350,7 @@ def run_table1(config: ExperimentConfig) -> list[str]:
         sampler = GermSampler(config.seed, problem.germ_dim)
         germs = sampler.sample_batch(0, config.n_mc, "gradient")
         for mode in CV_MODES:
-            state = estimate_cv_lambda(
-                problem, problem.mesh, problem.basis, c, mode, config.cv_pilot_size, sampler
-            )
+            state = estimate_cv_lambda(kernel, c, mode, config.cv_pilot_size, sampler)
             known = None if mode == "none" else kernel.cv_known_mean(c, mode)[0]
 
             def first_component(chunk):

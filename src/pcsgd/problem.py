@@ -8,7 +8,7 @@ attached where known so the evaluation module can measure errors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -90,7 +90,6 @@ class ProblemInstance:
     exact_solution: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     exact_solution_derivative: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     exact_energy: float | None = None
-    _cache: dict = dc_field(default_factory=dict, repr=False)
 
     @property
     def germ_dim(self) -> int:

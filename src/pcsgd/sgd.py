@@ -183,9 +183,7 @@ def run(
         kernel.rule_moments(*gauss_hermite(n, problem.germ_dim)) for n in (n_points, n_points - 2)
     ]
 
-    cv_state = estimate_cv_lambda(
-        problem, mesh, basis, c, config.cv_mode, config.cv_pilot_size, sampler
-    )
+    cv_state = estimate_cv_lambda(kernel, c, config.cv_mode, config.cv_pilot_size, sampler)
 
     records: list[tuple] = []  # one row per record, in Trajectory's field order
     snapshots: dict[int, np.ndarray] = {}

@@ -145,9 +145,7 @@ def test_criterion_6_estimator_unbiasedness():
         if mode == "none":
             batch = plain
         else:
-            state = estimate_cv_lambda(
-                problem, problem.mesh, problem.basis, c, mode, 2000, sampler
-            )
+            state = estimate_cv_lambda(kernel, c, mode, 2000, sampler)
             batch = kernel.cv_gradient_batch(c, germs, state)
         mean = batch.mean(axis=0)
         # the CRN finite difference reproduces the plain sample mean, so the

@@ -297,6 +297,14 @@ def test_cli_rejects_bad_override(capsys):
         ["solve", "--override", "n_switch=-3"],
         ["solve", "--override", "experiment=table2"],
         ["experiment", "table3", "--override", "experiment=table1"],
+        ["solve", "--override", "beta=nan"],
+        ["solve", "--override", "rate_numerator=nan"],
+        ["solve", "--override", "rate_offset=nan"],
+        ["solve", "--override", "length=inf"],
+        ["solve", "--override", "init_scale=nan"],
+        ["solve", "--override", "points=nan"],
+        ["experiment", "table3", "--override", "points=nan"],
+        ["solve", "--override", "p=1000"],
     ],
 )
 def test_cli_rejects_invalid_config_value(argv, tmp_path, capsys):

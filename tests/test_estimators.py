@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -7,11 +8,13 @@ from pcsgd import (
     ControlVariateState,
     GermSampler,
     Kernel,
+    ProblemInstance,
     builtin_linear_homogeneous,
     builtin_linear_nonhomogeneous,
     builtin_semilinear_homogeneous_field,
     builtin_semilinear_nonhomogeneous_field,
     estimate_cv_lambda,
+    estimate_energy,
     kernel_for,
     zero_coefficients,
 )
@@ -249,9 +252,7 @@ def test_cv_estimator_reduces_variance_and_keeps_mean():
     rng = np.random.default_rng(11)
     c = rng.standard_normal(kernel.dim)
     sampler = GermSampler(4, 2)
-    state = estimate_cv_lambda(
-        problem, problem.mesh, problem.basis, c, "order1", 2000, sampler
-    )
+    state = estimate_cv_lambda(kernel, c, "order1", 2000, sampler)
     germs = sampler.sample_batch(1, 100_000, "gradient")
     plain = kernel.gradient_batch(c, germs)
     reduced = kernel.cv_gradient_batch(c, germs, state)
@@ -270,9 +271,7 @@ def test_lambda_zero_when_auxiliary_degenerate():
     """With zero coefficients and zero boundary the linear part vanishes."""
     problem = builtin_semilinear_nonhomogeneous_field(0.2, 1, 4.0, 4, 1)
     c = zero_coefficients(problem.mesh, problem.basis)
-    state = estimate_cv_lambda(
-        problem, problem.mesh, problem.basis, c, "order1", 100, GermSampler(0, 2)
-    )
+    state = estimate_cv_lambda(kernel_for(problem), c, "order1", 100, GermSampler(0, 2))
     np.testing.assert_array_equal(state.lam, 0.0)
 
 
@@ -293,7 +292,7 @@ def test_gradient_mean_equals_mean_of_cv_batches(problem, mode):
     rng = np.random.default_rng(14)
     c = 0.5 * rng.standard_normal(kernel.dim)
     sampler = GermSampler(6, problem.germ_dim)
-    state = estimate_cv_lambda(problem, problem.mesh, problem.basis, c, mode, 200, sampler)
+    state = estimate_cv_lambda(kernel, c, mode, 200, sampler)
     germs = sampler.sample_batch(1, 64, "gradient")
     expected = kernel.cv_gradient_batch(c, germs, state).mean(axis=0)
     mean = kernel.gradient_mean(c, germs, state)
@@ -307,7 +306,7 @@ def test_cv_lambda_matches_per_sample_products(problem, mode):
     kernel = kernel_for(problem)
     c = 0.5 * np.random.default_rng(16).standard_normal(kernel.dim)
     sampler = GermSampler(7, problem.germ_dim)
-    state = estimate_cv_lambda(problem, problem.mesh, problem.basis, c, mode, 300, sampler)
+    state = estimate_cv_lambda(kernel, c, mode, 300, sampler)
     germs = sampler.sample_batch(0, 300, "pilot")
     x = kernel._tensor(eval_all(problem.basis, germs), kernel.gradient_parts(c, germs).linear)
     z = kernel.cv_auxiliary_batch(c, germs, mode)
@@ -323,9 +322,7 @@ def test_cv_lambda_memory_is_bounded():
     c = zero_coefficients(problem.mesh, problem.basis)
     tracemalloc.start()
     try:
-        estimate_cv_lambda(
-            problem, problem.mesh, problem.basis, c, "order1", 1000, GermSampler(0, 4)
-        )
+        estimate_cv_lambda(kernel_for(problem), c, "order1", 1000, GermSampler(0, 4))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -372,7 +369,27 @@ def test_energies_match_nodal_difference_formula(problem):
     np.testing.assert_allclose(kernel.energies(c, germs), expected, rtol=1e-12)
 
 
-def test_kernel_cached_per_problem():
+def test_kernel_for_builds_a_new_kernel():
     problem = builtin_linear_nonhomogeneous(0.2, 1, 10.0, 5, 1)
-    assert kernel_for(problem) is kernel_for(problem)
     assert isinstance(kernel_for(problem), Kernel)
+    assert kernel_for(problem) is not kernel_for(problem)
+
+
+@pytest.mark.parametrize(
+    "problem, change",
+    [
+        (builtin_semilinear_nonhomogeneous_field(0.3, 2, 12.0, 20, 2), {"nonlinearity": None}),
+        (builtin_semilinear_homogeneous_field(12.0, 100, 3), {"source": None}),
+    ],
+    ids=["no-reaction", "no-source"],
+)
+def test_replaced_problem_evaluates_its_own_fields(problem, change):
+    """dataclasses.replace gives a problem whose energy is that of a freshly built one."""
+    mesh, basis = problem.mesh, problem.basis
+    c = 0.1 * np.random.default_rng(18).standard_normal(mesh.n_interior * basis.size)
+    estimate_energy(problem, mesh, basis, c, 64, 0)  # the parent's kernel exists first
+    replaced = dataclasses.replace(problem, **change)
+    names = ("name", "field", "nonlinearity", "mesh", "basis", "boundary", "source")
+    fresh = ProblemInstance(**{name: getattr(replaced, name) for name in names})
+    expected = estimate_energy(fresh, mesh, basis, c, 64, 0)
+    assert estimate_energy(replaced, mesh, basis, c, 64, 0).mean == expected.mean

@@ -56,9 +56,7 @@ def test_solution_at_point_includes_lifting():
     germs = np.zeros((2, 2))
     # with zero coefficients only the lifting remains
     near_right = problem.mesh.nodes[-1]
-    values = solution_at_point(
-        problem, problem.mesh, problem.basis, c, near_right - 0.25 * problem.mesh.h, germs
-    )
+    values = solution_at_point(kernel_for(problem), c, near_right - 0.25 * problem.mesh.h, germs)
     np.testing.assert_allclose(values, 0.75)
 
 
@@ -76,7 +74,7 @@ def test_solution_at_point_matches_manual_expansion():
     psi = eval_all(problem.basis, germs)
     manual = psi @ (coefficient_matrix(c, 4) @ phi)
     np.testing.assert_allclose(
-        solution_at_point(problem, problem.mesh, problem.basis, c, x, germs),
+        solution_at_point(kernel_for(problem), c, x, germs),
         manual,
         atol=1e-13,
     )
