@@ -39,17 +39,17 @@ class CdfEstimate:
     sample_count: int
 
 
-def _over_eval_germs(problem: ProblemInstance, n_samples: int, seed: int, values):
-    """`values(germs)` over n_samples evaluation germs, in chunks."""
+def _over_eval_germs(problem: ProblemInstance, n_samples: int, seed: int, values, parallel=False):
+    """`values(germs)` over n_samples evaluation germs, in chunks (see `over_chunks`)."""
     germs = GermSampler(seed, problem.germ_dim).sample_batch(0, n_samples, EVAL_PURPOSE)
-    return over_chunks(values, germs)
+    return over_chunks(values, germs, parallel)
 
 
-def _mc_estimate(problem: ProblemInstance, n_samples: int, seed: int, values):
+def _mc_estimate(problem: ProblemInstance, n_samples: int, seed: int, values, parallel=False):
     """Mean and standard error of `values(germs)` over n_samples evaluation germs."""
     if n_samples < 2:
         raise ValueError("need at least two samples for a standard error")
-    mean, se = mean_and_se(_over_eval_germs(problem, n_samples, seed, values))
+    mean, se = mean_and_se(_over_eval_germs(problem, n_samples, seed, values, parallel))
     return EnergyEstimate(mean=mean, standard_error=se, sample_count=n_samples)
 
 
@@ -61,9 +61,10 @@ def estimate_energy(
     n_samples: int,
     seed: int,
 ) -> EnergyEstimate:
-    """MC estimate of the energy at coefficients c."""
+    """MC estimate of the energy at coefficients c; with a reaction, on every core."""
     kernel = kernel_for(problem, mesh, basis)
-    return _mc_estimate(problem, n_samples, seed, lambda germs: kernel.energies(c, germs))
+    pooled = problem.nonlinearity is not None  # a linear pass gained nothing on threads
+    return _mc_estimate(problem, n_samples, seed, lambda g: kernel.energies(c, g), pooled)
 
 
 def solution_at_point(kernel: Kernel, c: np.ndarray, x: float, germs: np.ndarray) -> np.ndarray:
@@ -184,7 +185,7 @@ def exact_energy_mc(
     """MC energy of the attached exact solution on an independent Simpson grid.
 
     Deliberately avoids the FEM quadrature tables so it can serve as an
-    oracle for the expansion-based energy estimates.
+    oracle for the expansion-based energy estimates.  Chunks run on every core.
     """
     if problem.exact_solution is None or problem.exact_solution_derivative is None:
         raise ValueError(f"problem {problem.name!r} has no exact solution data")
@@ -202,7 +203,7 @@ def exact_energy_mc(
             density = density + problem.source(x, germs) * u
         return density @ w
 
-    return _mc_estimate(problem, n_samples, seed, energies)
+    return _mc_estimate(problem, n_samples, seed, energies, parallel=True)
 
 
 def fit_convergence_rate(

@@ -12,6 +12,7 @@ and the analytic moments against each other.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -50,6 +51,11 @@ class PcBasisSet:
     @property
     def size(self) -> int:
         return len(self.indices)
+
+    @functools.cached_property
+    def degrees(self) -> np.ndarray:
+        """The multi-indices as a (germ_dim, size) array, built once per basis."""
+        return np.array(self.indices).T
 
 
 def generate_basis(germ_dim: int, degree_bound: int) -> PcBasisSet:
@@ -91,7 +97,7 @@ def eval_all(basis: PcBasisSet, y) -> np.ndarray:
     if y.ndim != 2 or y.shape[1] != basis.germ_dim:
         raise ValueError(f"germs have shape {y.shape}, basis expects (n, {basis.germ_dim})")
     uni = hermite_table(basis.degree_bound, y.T).transpose(0, 2, 1).copy()  # (K, p+1, n)
-    degrees = np.array(basis.indices).T  # (K, size)
+    degrees = basis.degrees  # (K, size)
     rows = uni[0, degrees[0]]  # (size, n), gathered as whole rows
     for table, a in zip(uni[1:], degrees[1:]):
         rows *= table[a]

@@ -78,6 +78,8 @@ class ProblemInstance:
     source * u and the gradient as its projection onto the basis.
     `nonlinearity` is None for a linear problem.  `exact_solution` and
     `exact_solution_derivative` give u and u' where they are known.
+    The energy passes call `field`, `source`, `nonlinearity` and the exact
+    solution from several threads at once, so these must be thread-safe.
     """
 
     name: str

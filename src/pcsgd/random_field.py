@@ -10,14 +10,17 @@ any shared mutable state.  A germ batch is an (n, germ_dim) array.
 from __future__ import annotations
 
 import ctypes
+import os
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 # Germs per call in every Monte Carlo pass over more germs than a mini-batch;
-# it bounds the (germs, points) temporaries, about 6 MiB each at 801 points.
-GERM_CHUNK = 1024
+# it bounds the (germs, points) temporaries, about 3 MiB each at 801 points.
+# Fixed, not derived from the core count, so results are the same on any host.
+GERM_CHUNK = 512
 
 
 def _pin_malloc_thresholds():
@@ -25,7 +28,8 @@ def _pin_malloc_thresholds():
 
     glibc raises them from 128 KiB only once some larger block is freed;
     until then every GERM_CHUNK pass maps, faults in and unmaps its
-    temporaries afresh.  A no-op where libc has no mallopt.
+    temporaries afresh.  One arena serves all threads, as each arena keeps
+    its own peak.  A no-op where libc has no mallopt.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -34,16 +38,25 @@ def _pin_malloc_thresholds():
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
     mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+    mallopt(-8, 1)  # M_ARENA_MAX
 
 
 _pin_malloc_thresholds()
 
 
-def over_chunks(values, germs: np.ndarray) -> np.ndarray:
-    """`values` on GERM_CHUNK-row slices of `germs`, results concatenated by row."""
-    return np.concatenate(
-        [values(germs[k : k + GERM_CHUNK]) for k in range(0, len(germs), GERM_CHUNK)]
-    )
+def over_chunks(values, germs: np.ndarray, parallel: bool = False) -> np.ndarray:
+    """`values` on GERM_CHUNK-row slices of `germs`, results concatenated by row.
+
+    With `parallel`, the slices run on a pool of one thread per usable core,
+    built for this call; `values` must then be safe to call from threads.
+    """
+    chunks = [germs[k : k + GERM_CHUNK] for k in range(0, len(germs), GERM_CHUNK)]
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(cores or 1, len(chunks)) if parallel else 1
+    if workers < 2:
+        return np.concatenate([values(chunk) for chunk in chunks])
+    with ThreadPoolExecutor(workers) as pool:
+        return np.concatenate(list(pool.map(values, chunks)))
 
 
 def mean_and_se(samples: np.ndarray) -> tuple[float, float]:
@@ -78,7 +91,8 @@ class LogNormalField:
 
     The exponent is linear in the standard-normal germ Y, so kappa is 1 at
     the germ mean.  A subclass supplies `__init__` (setting `amplitude` and
-    `germ_dim`) and `rows`.
+    `germ_dim`) and `rows`.  The energy passes call `values`, and so `rows`,
+    from several threads at once; a subclass must be safe to call that way.
     """
 
     amplitude: float
@@ -92,9 +106,10 @@ class LogNormalField:
     def values(self, x: np.ndarray, germs: np.ndarray) -> np.ndarray:
         """Field at points x (n_pts,) for germs (n, germ_dim) -> (n, n_pts); rows once per grid."""
         key = np.asarray(x, dtype=float).tobytes()
-        if self._grid[0] != key:
-            self._grid = key, self.rows(x)
-        return np.exp(self.amplitude * (germs @ self._grid[1]))
+        grid = self._grid  # read once: another thread may store its own grid meanwhile
+        if grid[0] != key:
+            grid = self._grid = key, self.rows(x)
+        return np.exp(self.amplitude * (germs @ grid[1]))
 
     def scalar_values(self, germs: np.ndarray) -> np.ndarray | None:
         """Per-germ value (n,) of a field constant in x; None for a field varying in x."""

@@ -2,6 +2,8 @@ import os
 import platform
 import subprocess
 import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -145,9 +147,15 @@ def test_homogeneous_field_gradient_at_mean():
     np.testing.assert_allclose(field.gradient_at_mean(x), 0.2)
 
 
-@pytest.mark.parametrize("n", [1, GERM_CHUNK, GERM_CHUNK + 1, 2 * GERM_CHUNK + 37])
+@pytest.mark.parametrize(
+    "n",
+    [1, GERM_CHUNK, GERM_CHUNK + 1, 2 * GERM_CHUNK, 2 * GERM_CHUNK + 1, 2 * GERM_CHUNK + 37,
+     4 * GERM_CHUNK + 37],
+)
 def test_over_chunks_matches_one_call(n):
-    """Row-wise results, scalar and vector per row, equal one call on all rows."""
+    """Row-wise results, scalar and vector per row, equal one call on all rows,
+    and the pooled form equals the serial one bit for bit, also with more
+    chunks than a 2-core pool has workers."""
     a = np.random.default_rng(n).standard_normal((n, 3))
 
     def row_wise(a):
@@ -155,6 +163,49 @@ def test_over_chunks_matches_one_call(n):
 
     np.testing.assert_array_equal(over_chunks(row_wise, a), row_wise(a))
     np.testing.assert_array_equal(over_chunks(lambda a: 2.0 * a, a), 2.0 * a)
+    for values in (row_wise, lambda a: 2.0 * a):
+        np.testing.assert_array_equal(
+            over_chunks(values, a, parallel=True), over_chunks(values, a)
+        )
+
+
+class _YieldingField(TrigLogNormalField):
+    """Gives up the GIL at every read of the grid memo.
+
+    Under CPython's GIL no thread switch falls between two plain reads of the
+    memo in `values`; a free-threaded build or a slower read can switch there.
+    """
+
+    @property
+    def _grid(self):
+        time.sleep(0)
+        return self.__dict__.get("memo", (None, None))
+
+    @_grid.setter
+    def _grid(self, value):
+        self.__dict__["memo"] = value
+
+
+def test_field_values_are_thread_safe_across_grids():
+    """Threads alternating two grids on one field get the serial results."""
+    field = _YieldingField(0.5, 2, 10.0)
+    germs = np.random.default_rng(6).standard_normal((3, 4))
+    grids = [np.linspace(-5.0, 5.0, 9), np.linspace(-5.0, 0.0, 9)]
+    expected = [TrigLogNormalField(0.5, 2, 10.0).values(x, germs) for x in grids]
+
+    def alternate(first):
+        return all(
+            np.array_equal(field.values(grids[k % 2], germs), expected[k % 2])
+            for k in range(first, first + 1000)
+        )
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            assert all(pool.map(alternate, range(4), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_mean_and_se_matches_numpy():

@@ -1,12 +1,16 @@
-"""A solve and its evaluation must not depend on the BLAS thread count.
+"""A solve and its evaluation must depend on neither the BLAS thread count
+nor the number of cores the energy passes' thread pool may use.
 
 Each digest is computed in a child process, because OpenBLAS reads its thread
 count from the environment once, when it is loaded.
 """
 
+import functools
 import os
 import subprocess
 import sys
+
+import pytest
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -16,7 +20,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 # shortened fig-staged-hessian staged solve: the trig field's point values
 # and the full-stage Hessian after the switch at iteration 100.  After each
 # solve, an energy estimate and a two-point CDF over 5,000 evaluation germs
-# (five GERM_CHUNK passes).
+# (ten GERM_CHUNK chunks).
 SOLVE = """
 import hashlib
 import numpy as np
@@ -58,12 +62,14 @@ print(digest.hexdigest())
 """
 
 
-def solve_digest(threads: int) -> str:
+@functools.cache
+def solve_digest(threads: int, one_core: bool = False) -> str:
     env = dict(os.environ)
     env["OMP_NUM_THREADS"] = env["OPENBLAS_NUM_THREADS"] = str(threads)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    pin = "import os\nos.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
     result = subprocess.run(
-        [sys.executable, "-c", SOLVE],
+        [sys.executable, "-c", (pin if one_core else "") + SOLVE],
         capture_output=True,
         text=True,
         env=env,
@@ -75,3 +81,12 @@ def solve_digest(threads: int) -> str:
 
 def test_solve_is_bit_identical_across_blas_thread_counts():
     assert solve_digest(1) == solve_digest(2)
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs two usable cores",
+)
+def test_solve_is_bit_identical_on_one_core():
+    """The energy passes' 5,000 germs run on a pool of one thread per usable core."""
+    assert solve_digest(1, one_core=True) == solve_digest(1)
