@@ -63,7 +63,8 @@ class RuleMoments(NamedTuple):
 
 
 class GradientRows(NamedTuple):
-    """Per-germ spatial rows (n, M); a part's sample s is psi[s] times its row."""
+    """Per-germ psi and spatial rows (n, M); a part's sample s is psi[s] times its row."""
+    psi: np.ndarray  # (n, N+1)
     linear: np.ndarray  # integrals of kappa u' phi_i'
     total: np.ndarray  # linear plus the reaction and source loads
     surrogate: np.ndarray | None  # linear with kappa's mean-point surrogate, for a CV order
@@ -211,9 +212,9 @@ class Kernel:
             energy += weights @ self._reaction_energies(psi @ padded)
         return float(energy)
 
-    def gradient_parts(self, c, germs, tables: GermTables | None = None, order: str = "none"):
-        """Per-germ spatial rows of the gradient, with the CV surrogate's for a CV `order`."""
-        psi, conductance, loads = tables or self.germ_tables(germs)
+    def gradient_parts(self, c, germs, order: str = "none") -> GradientRows:
+        """Per-germ psi and gradient rows, with the CV surrogate's for a CV `order`."""
+        psi, conductance, loads = self.germ_tables(germs)
         nodal, du = self.solution_values(c, psi)
         linear = self._stiffness_rows(conductance * du)
         nl = self.problem.nonlinearity
@@ -222,24 +223,24 @@ class Kernel:
             loads = reaction if loads is None else reaction + loads
         total = linear if loads is None else linear + loads[:, 1:-1]
         if order == "none":
-            return GradientRows(linear, total, None)
+            return GradientRows(psi, linear, total, None)
         if order not in CV_MODES:
             raise ValueError(f"unknown control-variate order {order!r}")
         surrogate = self._cond0 + (germs @ self._condk if order == "order1" else 0.0)
-        return GradientRows(linear, total, self._stiffness_rows(surrogate * du))
+        return GradientRows(psi, linear, total, self._stiffness_rows(surrogate * du))
 
     def gradient_batch(self, c: np.ndarray, germs: np.ndarray) -> np.ndarray:
-        tables = self.germ_tables(germs)
-        return self._tensor(tables.psi, self.gradient_parts(c, germs, tables).total)
+        rows = self.gradient_parts(c, germs)
+        return self._tensor(rows.psi, rows.total)
 
     # -- control variates -------------------------------------------------
 
-    def cv_auxiliary_batch(self, c, germs, order: str, tables: GermTables | None = None):
+    def cv_auxiliary_batch(self, c, germs, order: str):
         """Linear-part gradient with kappa replaced by its mean-point surrogate, (n, dim)."""
         if order not in ("order0", "order1"):
             raise ValueError(f"unknown control-variate order {order!r}")
-        tables = tables or self.germ_tables(germs)
-        return self._tensor(tables.psi, self.gradient_parts(c, germs, tables, order).surrogate)
+        rows = self.gradient_parts(c, germs, order)
+        return self._tensor(rows.psi, rows.surrogate)
 
     def cv_known_mean(self, c: np.ndarray, order: str) -> np.ndarray:
         """Analytic expectation of the auxiliary estimator at coefficients c."""
@@ -257,19 +258,17 @@ class Kernel:
         """Per-sample gradients (n, dim) of the estimator with control variate `state`."""
         if state.mode == "none":
             return self.gradient_batch(c, germs)
-        tables = self.germ_tables(germs)
-        rows = self.gradient_parts(c, germs, tables, state.mode)
-        aux = self._tensor(tables.psi, rows.surrogate) - self.cv_known_mean(c, state.mode)
-        return self._tensor(tables.psi, rows.total) + state.lam * aux
+        rows = self.gradient_parts(c, germs, state.mode)
+        aux = self._tensor(rows.psi, rows.surrogate) - self.cv_known_mean(c, state.mode)
+        return self._tensor(rows.psi, rows.total) + state.lam * aux
 
     def gradient_mean(self, c: np.ndarray, germs: np.ndarray, state: ControlVariateState):
         """Batch mean (dim,) of `cv_gradient_batch`: each part's rows projected onto psi once."""
-        tables = self.germ_tables(germs)
-        rows = self.gradient_parts(c, germs, tables, state.mode)
-        mean = (tables.psi.T @ rows.total).reshape(self.dim) / len(tables.psi)
+        psi, _, total, surrogate = self.gradient_parts(c, germs, state.mode)
+        mean = (psi.T @ total).reshape(self.dim) / len(psi)
         if state.mode == "none":
             return mean
-        aux = (tables.psi.T @ rows.surrogate).reshape(self.dim) / len(tables.psi)
+        aux = (psi.T @ surrogate).reshape(self.dim) / len(psi)
         return mean + state.lam * (aux - self.cv_known_mean(c, state.mode))
 
     # -- Hessian blocks ---------------------------------------------------
@@ -323,11 +322,10 @@ def estimate_cv_lambda(
     if pilot_size < 2:
         raise ValueError("pilot batch needs at least two samples")
     germs = sampler.sample_batch(0, pilot_size, "pilot")
-    tables = kernel.germ_tables(germs)
-    rows = kernel.gradient_parts(c, germs, tables, mode)
+    rows = kernel.gradient_parts(c, germs, mode)
     # centered Z·Z and X·Z sums per psi_j
     sums = np.empty((2, kernel.basis.size, kernel.mesh.n_interior))
-    for j, psi_j in enumerate(tables.psi.T[:, :, None]):
+    for j, psi_j in enumerate(rows.psi.T[:, :, None]):
         x_j, z_j = psi_j * rows.linear, psi_j * rows.surrogate  # X, Z on psi_j's block
         xc, zc = x_j - x_j.mean(axis=0), z_j - z_j.mean(axis=0)
         sums[:, j] = (zc * zc).sum(axis=0), (xc * zc).sum(axis=0)

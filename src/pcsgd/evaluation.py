@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from .estimators import Kernel, kernel_for
-from .fem1d import Mesh1D, element_hats
+from .fem1d import Mesh1D, _check_domain, element_hats
 from .pc_basis import PcBasisSet, eval_all
 from .problem import ProblemInstance, _simpson_grid
 from .random_field import GermSampler, mean_and_se, over_chunks
@@ -140,6 +140,7 @@ def empirical_cdf(
         raise ValueError("need at least one sample")
     if use_exact_solution and problem.exact_solution is None:
         raise ValueError(f"problem {problem.name!r} has no exact solution")
+    _check_domain(mesh, np.asarray(points, dtype=float))  # the exact path would extrapolate
 
     kernel = None if use_exact_solution else kernel_for(problem, mesh, basis)
 

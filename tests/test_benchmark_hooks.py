@@ -112,6 +112,50 @@ def test_benchmark_monitor_germ_count():
     assert nested == 0
 
 
+# A short traced full-Hessian solve with no control variate; prints the number of
+# `pc_basis.psi` spans opened directly under `sgd.run` and under
+# `estimators.gradient_parts`.
+PSI_PARENTS = """
+import sys
+sys.path[:0] = sys.argv[1:]
+import pcsgd
+import spans
+tracer = spans.install(pcsgd)
+problem = pcsgd.builtin_semilinear_homogeneous_field(12.0, 20, 2)
+config = pcsgd.SgdConfig(
+    n_iterations=3,
+    batch_gradient=8,
+    batch_hessian=8,
+    schedule=pcsgd.LearningRateSchedule(1.0, 2.0),
+    hessian_mode="full",
+)
+pcsgd.run(problem, problem.mesh, problem.basis, config)
+for parent_name in (spans.RUN, "estimators.gradient_parts"):
+    print(sum(
+        name == "pc_basis.psi" and parent >= 0 and tracer.spans[parent][0] == parent_name
+        for name, parent, _, _ in tracer.spans
+    ))
+"""
+
+
+def test_gradient_batch_tables_are_traced_under_gradient_parts():
+    """A gradient batch's psi (and so its tables) counts as `estimators.gradient_parts`.
+
+    Directly under `sgd.run` sit only the monitor rule's psi and its
+    partner's, built by `Kernel.rule_moments`, which `spans.py` does not wrap.
+    """
+    result = subprocess.run(
+        [sys.executable, "-c", PSI_PARENTS, PERFBENCH, os.path.join(ROOT, "src")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    under_run, under_gradient_parts = map(int, result.stdout.split())
+    assert under_run == 2
+    assert under_gradient_parts == 3
+
+
 # The SgdConfig of a round, built as worker.py builds it.
 SGD_CONFIG = """
 import sys

@@ -391,6 +391,25 @@ def test_table3_checks_fail_on_nan(nan_energy, nan_error, monkeypatch, tmp_path)
         run_experiment(config)
 
 
+@pytest.mark.parametrize("p", [0, 1])
+def test_table3_below_order_2_checks_only_the_error_drops_that_ran(p, tmp_path, capsys):
+    """At p=1 only the 0 -> 1 drop is checked and at p=0 none; a failed check is a FAIL line."""
+    argv = ["experiment", "table3", "--out", str(tmp_path)]
+    for override in (f"p={p}", "n_iterations=5", "n_mc=200"):
+        argv += ["--override", override]
+    code = main(argv)
+    assert code in (0, 1)
+    if code == 1:
+        assert capsys.readouterr().err.startswith("FAIL: ")
+
+
+def test_table2_without_iterations_fails_its_cv_ordering(tmp_path, capsys):
+    """With no iterations every arm ends at its start, so the CV finals are all equal."""
+    argv = ["experiment", "table2", "--override", "n_iterations=0", "--out", str(tmp_path)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("FAIL: CV final energies not decreasing")
+
+
 @pytest.mark.parametrize("nan_arm", ["staged", "full"])
 def test_fig_staged_hessian_checks_fail_on_nan(nan_arm, monkeypatch, tmp_path):
     """A nan final gap fails the staged arm's check and the full arm's alike."""

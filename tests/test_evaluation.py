@@ -246,3 +246,15 @@ def test_empirical_cdf_rejects_no_samples():
     c = zero_coefficients(problem.mesh, problem.basis)
     with pytest.raises(ValueError):
         empirical_cdf(problem, problem.mesh, problem.basis, c, [0.5], [np.zeros(3)], 0, 0)
+
+
+def test_empirical_cdf_rejects_a_point_outside_the_mesh_on_both_paths():
+    """The exact solution would extrapolate past the mesh; both paths raise the same error."""
+    problem = builtin_linear_nonhomogeneous(0.1, 2, 10.0, 50, 3)  # on [-5, 5]
+    c = zero_coefficients(problem.mesh, problem.basis)
+    for use_exact_solution in (False, True):
+        with pytest.raises(ValueError, match="evaluation point outside the mesh domain"):
+            empirical_cdf(
+                problem, problem.mesh, problem.basis, c, [7.0], [np.zeros(3)], 100, 0,
+                use_exact_solution=use_exact_solution,
+            )
