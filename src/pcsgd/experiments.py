@@ -238,18 +238,19 @@ def check_config(config: ExperimentConfig) -> None:
 
 
 def _solve(
-    problem: ProblemInstance, config: ExperimentConfig
+    problem: ProblemInstance, config: ExperimentConfig, on_record=None
 ) -> tuple[Trajectory, np.ndarray | None]:
     """One SGD run: its trajectory and final c, or None for c if it diverged.
 
     A diverged run's trajectory ends at the last record before the
-    non-finite update.  Overflow warnings are silenced: divergent trials
-    overflow by design while their energies are being monitored.
+    non-finite update.  `on_record(n, c)` is passed to `run`.  Overflow
+    warnings are silenced: divergent trials overflow by design while their
+    energies are being monitored.
     """
     sgd_config = make_sgd_config(config)
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            return run(problem, problem.mesh, problem.basis, sgd_config)
+            return run(problem, problem.mesh, problem.basis, sgd_config, on_record)
         except SgdDivergenceError as err:
             return err.trajectory, None
 
@@ -497,12 +498,12 @@ def run_fig_convergence(config: ExperimentConfig) -> list[str]:
     semi_config = replace(
         semi_config, seed=config.seed, out=config.out, record_stride=10
     )
-    trajectory, _ = _solve(make_problem(semi_config), semi_config)
     tracked = flat_index(1, 2, semi_config.m)
-    semi_rows = [
-        (n, j, trajectory.snapshots[n][tracked])
-        for n, j in zip(trajectory.iterations, trajectory.energy_mean)
-    ]
+    tracked_values = []
+    trajectory, _ = _solve(
+        make_problem(semi_config), semi_config, lambda n, c: tracked_values.append(c[tracked])
+    )
+    semi_rows = list(zip(trajectory.iterations, trajectory.energy_mean, tracked_values))
     semi_path = write_csv(
         "fig-convergence-semilinear.csv", ["n", "energy", "c_1_2"], semi_rows, semi_config
     )

@@ -9,7 +9,9 @@ the coefficients and is therefore very noisy while the iterates are.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 from scipy.linalg.lapack import dptsv
@@ -35,10 +37,10 @@ class LearningRateSchedule:
     offset: float = 0.0
 
     def __post_init__(self):
-        if self.numerator <= 0:
-            raise ValueError("rate numerator must be positive")
-        if self.offset + 1 <= 0:
-            raise ValueError("offset must keep the first rate finite")
+        if not (isfinite(self.numerator) and self.numerator > 0):
+            raise ValueError("rate numerator must be finite and positive")
+        if not (isfinite(self.offset) and self.offset + 1 > 0):
+            raise ValueError("offset must be finite and keep the first rate finite")
 
     def rate(self, n: int) -> float:
         return self.numerator / (self.offset + n)
@@ -77,6 +79,8 @@ class SgdConfig:
             raise ValueError("n_switch must not exceed the iteration count")
         if self.init not in ("zero", "gaussian"):
             raise ValueError(f"unknown init rule {self.init!r}")
+        if not isfinite(self.init_scale):
+            raise ValueError("init_scale must be finite")
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
         if self.monitor_samples < 3:  # the smallest rule has 3 points per axis
@@ -94,7 +98,6 @@ class Trajectory:
     gradient_norm: np.ndarray
     fallback_count: np.ndarray  # block fallbacks since the previous record
     monitor_samples: int  # nodes of the monitor rule
-    snapshots: dict = field(default_factory=dict)
 
 
 class SgdDivergenceError(RuntimeError):
@@ -164,12 +167,20 @@ def run(
     mesh: Mesh1D,
     basis: PcBasisSet,
     config: SgdConfig,
+    on_record: Callable[[int, np.ndarray], None] | None = None,
 ) -> tuple[Trajectory, np.ndarray]:
     """Execute the preconditioned mini-batch SGD iteration.
 
     Returns the recorded trajectory and the final coefficient vector.  On a
     non-finite update the partial trajectory is attached to the raised
     SgdDivergenceError as `.trajectory`.
+
+    The trajectory holds per-record scalars only.  A caller that wants the
+    iterates passes `on_record(n, c)`: it is called right after each
+    record, in iteration order, with the iteration and the iterate itself,
+    so also at n = 0, at the final iteration and at every record before a
+    divergence.  `run` rebinds `c` on each update and never writes into it,
+    so the callable may keep the array it is handed; `run` keeps none.
     """
     kernel = kernel_for(problem, mesh, basis)
     sampler = GermSampler(config.seed, problem.germ_dim)
@@ -186,12 +197,12 @@ def run(
     cv_state = estimate_cv_lambda(kernel, c, config.cv_mode, config.cv_pilot_size, sampler)
 
     records: list[tuple] = []  # one row per record, in Trajectory's field order
-    snapshots: dict[int, np.ndarray] = {}
 
     def record(n: int, eta: float, grad_norm: float, fallbacks: int):
         energy, partner = (kernel.expected_energy(c, rule) for rule in rules)
         records.append((n, eta, energy, abs(energy - partner), grad_norm, fallbacks))
-        snapshots[n] = c.copy()
+        if on_record is not None:
+            on_record(n, c)
 
     record(0, 0.0, np.nan, 0)
     fallbacks_since_record = 0
@@ -199,7 +210,7 @@ def run(
     def build_trajectory() -> Trajectory:
         columns = (np.array(column) for column in zip(*records))
         nodes = n_points**problem.germ_dim
-        return Trajectory(*columns, monitor_samples=nodes, snapshots=snapshots)
+        return Trajectory(*columns, monitor_samples=nodes)
 
     for n in range(1, config.n_iterations + 1):
         eta = config.schedule.rate(n)

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -36,6 +39,18 @@ def small_config(**overrides):
     return SgdConfig(**kwargs)
 
 
+class IterateLog:
+    """An `on_record` that keeps each array it is handed and a copy taken at the call."""
+
+    def __init__(self):
+        self.iterations, self.handed, self.copies = [], [], []
+
+    def __call__(self, n, c):
+        self.iterations.append(n)
+        self.handed.append(c)
+        self.copies.append(c.copy())
+
+
 def test_schedule_values():
     schedule = LearningRateSchedule(5.0, 2.0)
     assert schedule.rate(1) == pytest.approx(5.0 / 3.0)
@@ -44,6 +59,24 @@ def test_schedule_values():
         LearningRateSchedule(0.0)
     with pytest.raises(ValueError):
         LearningRateSchedule(1.0, -1.0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: LearningRateSchedule(float("nan")),
+        lambda: LearningRateSchedule(float("inf")),
+        lambda: LearningRateSchedule(1.0, float("nan")),
+        lambda: LearningRateSchedule(1.0, float("inf")),
+        lambda: small_config(init="gaussian", init_scale=float("nan")),
+        lambda: small_config(init="gaussian", init_scale=float("inf")),
+    ],
+    ids=["nan-numerator", "inf-numerator", "nan-offset", "inf-offset", "nan-scale", "inf-scale"],
+)
+def test_non_finite_sgd_settings_are_rejected(make):
+    """`nan <= 0` is false, so each would otherwise surface as a divergence at iteration 1."""
+    with pytest.raises(ValueError, match="finite"):
+        make()
 
 
 def test_config_validation():
@@ -154,14 +187,54 @@ def test_run_is_deterministic():
 def test_trajectory_recording():
     problem = builtin_linear_nonhomogeneous(0.1, 1, 10.0, 6, 1)
     config = small_config(n_iterations=23, record_stride=5)
-    trajectory, c = run(problem, problem.mesh, problem.basis, config)
+    log = IterateLog()
+    trajectory, c = run(problem, problem.mesh, problem.basis, config, log)
     np.testing.assert_array_equal(
         trajectory.iterations, [0, 5, 10, 15, 20, 23]
     )
     assert trajectory.rates[0] == 0.0
-    assert set(trajectory.snapshots) == {0, 5, 10, 15, 20, 23}
-    np.testing.assert_array_equal(trajectory.snapshots[23], c)
+    assert log.iterations == [0, 5, 10, 15, 20, 23]
+    np.testing.assert_array_equal(log.handed[-1], c)
     assert trajectory.monitor_samples == 4**2  # p + 3 points on each of K = 2 axes
+
+
+def test_on_record_gets_every_recorded_iterate_unmodified():
+    """Called at each record in order, from the initial c to the returned one; never written."""
+    problem = builtin_linear_nonhomogeneous(0.1, 1, 10.0, 6, 1)
+    config = small_config(n_iterations=23, record_stride=5, init="gaussian")
+    log = IterateLog()
+    trajectory, c = run(problem, problem.mesh, problem.basis, config, log)
+    assert log.iterations == trajectory.iterations.tolist()
+    start = small_config(n_iterations=0, init="gaussian")
+    _, initial = run(problem, problem.mesh, problem.basis, start)
+    np.testing.assert_array_equal(log.handed[0], initial)
+    np.testing.assert_array_equal(log.handed[-1], c)
+    for handed, copy in zip(log.handed, log.copies, strict=True):
+        np.testing.assert_array_equal(handed, copy)
+    assert not np.array_equal(log.handed[0], log.handed[1])
+
+
+def test_monitored_run_memory_does_not_grow_with_its_length():
+    """Memory held after `run` returns, with its result alive, grows by per-record scalars only."""
+    problem = builtin_linear_nonhomogeneous(0.1, 1, 10.0, 50, 3)  # dim 500, 4 KB per iterate
+
+    def held_after_run(n_iterations):
+        config = small_config(n_iterations=n_iterations, record_stride=1)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            result = run(problem, problem.mesh, problem.basis, config)
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0] - start, result
+        finally:
+            tracemalloc.stop()
+
+    held_after_run(20)  # warms the field's grid memo
+    short, _ = held_after_run(20)
+    long, (trajectory, _) = held_after_run(100)
+    assert trajectory.iterations.size == 101
+    assert long - short < 64 * 1024
 
 
 @pytest.mark.parametrize(
@@ -181,13 +254,14 @@ def test_monitor_records_the_gauss_hermite_rule(problem, init):
     1e3 checks those tables far from the minimizer too.
     """
     config = small_config(n_iterations=4, record_stride=2, init=init, init_scale=0.5)
-    trajectory, c = run(problem, problem.mesh, problem.basis, config)
+    log = IterateLog()
+    trajectory, c = run(problem, problem.mesh, problem.basis, config, log)
     assert trajectory.monitor_samples == 25
     kernel = kernel_for(problem)
     rules = gauss_hermite(5, 2), gauss_hermite(3, 2)
     moments = [kernel.rule_moments(*rule) for rule in rules]
-    records = [(trajectory.energy_mean[k], trajectory.energy_se[k], trajectory.snapshots[n])
-               for k, n in enumerate(trajectory.iterations)]
+    assert log.iterations == trajectory.iterations.tolist()
+    records = list(zip(trajectory.energy_mean, trajectory.energy_se, log.handed, strict=True))
     energy, partner = (kernel.expected_energy(1e3 * c, m) for m in moments)
     for monitored, se, iterate in records + [(energy, abs(energy - partner), 1e3 * c)]:
         q, q_partner = (w @ kernel.energies(iterate, nodes) for nodes, w in rules)
@@ -253,9 +327,11 @@ def test_converges_on_linear_problem():
 def test_zero_iterations_returns_initialization():
     problem = builtin_linear_homogeneous(0.1, 1, 10.0, 6, 1)
     config = small_config(n_iterations=0, init="gaussian")
-    trajectory, c = run(problem, problem.mesh, problem.basis, config)
+    log = IterateLog()
+    trajectory, c = run(problem, problem.mesh, problem.basis, config, log)
     np.testing.assert_array_equal(trajectory.iterations, [0])
-    np.testing.assert_array_equal(trajectory.snapshots[0], c)
+    assert log.iterations == [0]
+    np.testing.assert_array_equal(log.handed[0], c)
     assert c.any()  # gaussian init is not the zero vector
 
 
@@ -281,13 +357,15 @@ def test_first_order_divergence_raises_with_partial_trajectory():
         init="gaussian",
         record_stride=1,
     )
+    log = IterateLog()
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(SgdDivergenceError) as info:
-            run(problem, problem.mesh, problem.basis, config)
+            run(problem, problem.mesh, problem.basis, config, log)
     err = info.value
     assert err.iteration >= 1
     assert err.trajectory.iterations[-1] < err.iteration + 1
     assert "seed" in str(err)
+    assert log.iterations == err.trajectory.iterations.tolist()  # one call per record
 
 
 def test_staged_equals_linear_only_before_switch():
