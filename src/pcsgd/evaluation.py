@@ -12,14 +12,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .estimators import Kernel, kernel_for
 from .fem1d import Mesh1D, _check_domain, element_hats
 from .pc_basis import PcBasisSet, eval_all
 from .problem import ProblemInstance, _simpson_grid
 from .random_field import GermSampler, mean_and_se, over_chunks
-from .sgd import Trajectory
+from .sgd import Trajectory, dptsv
 
 EVAL_PURPOSE = "eval"
 
@@ -87,6 +86,7 @@ def pointwise_l2_error(
     """MC estimate of E[(u*(x, Y) - u_c(x, Y))^2]."""
     if problem.exact_solution is None:
         raise ValueError(f"problem {problem.name!r} has no exact solution")
+    _check_domain(mesh, np.asarray(x, dtype=float))  # before any germ is drawn
     kernel = kernel_for(problem, mesh, basis)
 
     def squared_error(germs):
@@ -174,7 +174,12 @@ def reference_solve_linear(
     # is the stiffness and of its gradient at c = 0 the lifting's residual.
     bands = kernel.averaged_hessian_blocks(zero, germ, "linear-only")[0]
     rhs = -kernel.gradient_parts(zero, germ).total[0]
-    interior = scipy.linalg.solveh_banded(bands, rhs, lower=True)
+    if not (np.isfinite(bands).all() and np.isfinite(rhs).all()):
+        raise ValueError("reference system is not finite at this germ")
+    sub = bands[1, : max(bands.shape[1] - 1, 1)]  # dptsv wants len(e) >= 1
+    _, _, interior, info = dptsv(bands[0], sub, rhs)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"stiffness matrix not positive definite (info={info})")
     return np.concatenate([[problem.boundary[0]], interior, [problem.boundary[1]]])
 
 

@@ -20,8 +20,8 @@ class Mesh1D:
     n_interior: int
 
     def __post_init__(self):
-        if self.length <= 0:
-            raise ValueError("length must be positive")
+        if not (np.isfinite(self.length) and self.length > 0):
+            raise ValueError("length must be finite and positive")
         if self.n_interior < 1:
             raise ValueError("need at least one interior basis function")
 
@@ -59,7 +59,7 @@ def quadrature_points(mesh: Mesh1D, points_per_element: int) -> QuadratureRule:
 def _check_domain(mesh: Mesh1D, x: np.ndarray):
     half = mesh.length / 2.0
     tol = 1e-12 * mesh.length
-    if np.any(x < -half - tol) or np.any(x > half + tol):
+    if not np.all((x >= -half - tol) & (x <= half + tol)):  # NaN fails both
         raise ValueError("evaluation point outside the mesh domain")
 
 

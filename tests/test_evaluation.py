@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from pcsgd import (
+    Kernel,
     Trajectory,
     builtin_linear_homogeneous,
     builtin_linear_nonhomogeneous,
@@ -121,6 +123,30 @@ def test_reference_solve_rejects_nonlinear():
     problem = builtin_semilinear_nonhomogeneous_field(0.2, 1, 4.0, 4, 1)
     with pytest.raises(ValueError):
         reference_solve_linear(problem, problem.mesh, np.zeros(2))
+
+
+@pytest.mark.parametrize("germ", [[np.nan, 0.0], [1e4, 0.0]])
+def test_reference_solve_rejects_a_germ_with_a_non_finite_system(germ):
+    """A NaN germ, or one whose field overflows, is an error, not a NaN solution."""
+    problem = builtin_linear_nonhomogeneous(0.2, 1, 10.0, 6, 1)
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
+        reference_solve_linear(problem, problem.mesh, np.array(germ))
+
+
+def test_reference_solve_raises_on_a_failed_factorization(monkeypatch):
+    problem = builtin_linear_nonhomogeneous(0.2, 1, 10.0, 6, 1)
+    blocks = Kernel.averaged_hessian_blocks
+    monkeypatch.setattr(Kernel, "averaged_hessian_blocks", lambda *a: -blocks(*a))
+    with pytest.raises(np.linalg.LinAlgError):
+        reference_solve_linear(problem, problem.mesh, np.zeros(2))
+
+
+def test_reference_solve_on_one_interior_node():
+    problem = builtin_linear_nonhomogeneous(0.2, 1, 10.0, 1, 1)
+    germ = np.array([0.3, -0.2])
+    nodal = reference_solve_linear(problem, problem.mesh, germ)
+    exact = problem.exact_solution(problem.mesh.nodes, germ[None])[0]
+    np.testing.assert_allclose(nodal, exact, atol=1e-6)
 
 
 def test_empirical_cdf_basic_properties():
@@ -258,3 +284,29 @@ def test_empirical_cdf_rejects_a_point_outside_the_mesh_on_both_paths():
                 problem, problem.mesh, problem.basis, c, [7.0], [np.zeros(3)], 100, 0,
                 use_exact_solution=use_exact_solution,
             )
+
+
+@pytest.mark.parametrize("x", [float("nan"), float("inf")])
+def test_empirical_cdf_rejects_a_non_finite_point_on_both_paths(x):
+    problem = builtin_linear_nonhomogeneous(0.1, 2, 10.0, 50, 3)
+    c = zero_coefficients(problem.mesh, problem.basis)
+    for use_exact_solution in (False, True):
+        with pytest.raises(ValueError, match="outside the mesh domain"):
+            empirical_cdf(
+                problem, problem.mesh, problem.basis, c, [x], [np.zeros(3)], 100, 0,
+                use_exact_solution=use_exact_solution,
+            )
+
+
+@pytest.mark.parametrize("x", [7.0, float("nan"), float("inf")])
+def test_pointwise_l2_error_rejects_a_point_before_evaluating_the_exact_solution(x):
+    problem = builtin_linear_nonhomogeneous(0.1, 2, 10.0, 50, 3)  # on [-5, 5]
+    calls = []
+    exact = problem.exact_solution
+    problem = dataclasses.replace(
+        problem, exact_solution=lambda points, germs: calls.append(points) or exact(points, germs)
+    )
+    c = zero_coefficients(problem.mesh, problem.basis)
+    with pytest.raises(ValueError, match="outside the mesh domain"):
+        pointwise_l2_error(problem, problem.mesh, problem.basis, c, x, 1000, 0)
+    assert calls == []

@@ -18,6 +18,20 @@ def test_mesh_validation():
         Mesh1D(1.0, 0)
 
 
+@pytest.mark.parametrize("length", [float("nan"), float("inf")])
+def test_mesh_rejects_a_non_finite_length(length):
+    with pytest.raises(ValueError, match="finite and positive"):
+        Mesh1D(length, 4)
+
+
+@pytest.mark.parametrize("x", [float("nan"), float("inf"), -float("inf")])
+def test_hats_reject_a_non_finite_point(x):
+    mesh = Mesh1D(4.0, 3)
+    for evaluate in (eval_phi, eval_dphi):
+        with pytest.raises(ValueError, match="outside the mesh domain"):
+            evaluate(mesh, 1, np.array([0.0, x]))
+
+
 def test_quadrature_integrates_polynomials_exactly():
     """q-point Gauss-Legendre is exact through degree 2q-1 on each element."""
     mesh = Mesh1D(3.0, 5)
