@@ -84,7 +84,7 @@ class Kernel:
         n1 = (self.x[:DEFAULT_QUADRATURE_ORDER] - mesh.nodes[0]) / mesh.h
         n0 = 1.0 - n1
         self._shape = np.stack([n0, n1])  # (2, q)
-        self._load_w = w[:, None] * self._shape.T
+        self._load_w = np.ascontiguousarray(w[:, None] * self._shape.T)  # matmul's fast path
         self._mass_w = w[:, None] * np.stack([n0 * n0, n0 * n1, n1 * n1], axis=1)
         # E[Y_k psi_a psi_b] is nonzero only at the b of alpha -/+ e_k: their k, b and
         # moment, (2K, N+1), over k, lower b first, as einsum sums over (k, b)
@@ -182,16 +182,22 @@ class Kernel:
         call, not BLAS, whose rounding can depend on its thread count.
         """
         psi, conductance, loads = self.germ_tables(nodes)
-        a, b = np.triu_indices(self.basis.size)
-        half = np.zeros((conductance.shape[1], len(a)))
-        source = None if loads is None else np.zeros((self.basis.size, loads.shape[1]))
+        n = self.basis.size
+        first = np.r_[0, np.cumsum(np.arange(n, 0, -1))]  # row j's start in the a <= b half
+        half = np.zeros((conductance.shape[1], first[-1]))
+        buffer = np.empty((min(len(nodes), 256), first[-1]))  # one slice's pairs
+        source = None if loads is None else np.zeros((n, loads.shape[1]))
         for k in range(0, len(nodes), 256):
             chunk = slice(k, k + 256)
             wpsi = weights[chunk, None] * psi[chunk]
-            half += np.einsum("se,sp->ep", conductance[chunk], wpsi[:, a] * psi[chunk, b])
+            pairs = buffer[: len(wpsi)]
+            for j, (lo, hi) in enumerate(zip(first, first[1:])):
+                np.multiply(wpsi[:, j, None], psi[chunk, j:], out=pairs[:, lo:hi])
+            half += np.einsum("se,sp->ep", conductance[chunk], pairs)
             if source is not None:
                 source += np.einsum("sa,si->ai", wpsi, loads[chunk])
-        stiffness = np.empty((len(half), self.basis.size, self.basis.size))
+        a, b = np.triu_indices(n)
+        stiffness = np.empty((len(half), n, n))
         stiffness[:, a, b] = stiffness[:, b, a] = half
         reaction = None if self.problem.nonlinearity is None else (weights, psi)
         return RuleMoments(stiffness, source, reaction)
@@ -209,7 +215,9 @@ class Kernel:
             energy += (moments.source * padded).sum()
         if moments.reaction is not None:
             weights, psi = moments.reaction
-            energy += weights @ self._reaction_energies(psi @ padded)
+            # one product, as BLAS rows can round by the row count, then node slices
+            slices = np.split(psi @ padded, range(256, len(psi), 256))
+            energy += weights @ np.concatenate([self._reaction_energies(s) for s in slices])
         return float(energy)
 
     def gradient_parts(self, c, germs, order: str = "none") -> GradientRows:

@@ -40,7 +40,7 @@ class CdfEstimate:
 
 def _over_eval_germs(problem: ProblemInstance, n_samples: int, seed: int, values, parallel=False):
     """`values(germs)` over n_samples evaluation germs, in chunks (see `over_chunks`)."""
-    germs = GermSampler(seed, problem.germ_dim).sample_batch(0, n_samples, EVAL_PURPOSE)
+    germs = GermSampler(seed, problem.germ_dim).chunks(0, n_samples, EVAL_PURPOSE)
     return over_chunks(values, germs, parallel)
 
 
@@ -172,8 +172,10 @@ def reference_solve_linear(
     germ, zero = np.atleast_2d(germ), np.zeros(kernel.dim)
     # The energy is quadratic.  At one germ, block 0 (psi_0 = 1) of its Hessian
     # is the stiffness and of its gradient at c = 0 the lifting's residual.
-    bands = kernel.averaged_hessian_blocks(zero, germ, "linear-only")[0]
-    rhs = -kernel.gradient_parts(zero, germ).total[0]
+    # An overflow or NaN on the way leaves a non-finite system, rejected below.
+    with np.errstate(all="ignore"):
+        bands = kernel.averaged_hessian_blocks(zero, germ, "linear-only")[0]
+        rhs = -kernel.gradient_parts(zero, germ).total[0]
     if not (np.isfinite(bands).all() and np.isfinite(rhs).all()):
         raise ValueError("reference system is not finite at this germ")
     sub = bands[1, : max(bands.shape[1] - 1, 1)]  # dptsv wants len(e) >= 1

@@ -10,6 +10,7 @@ any shared mutable state.  A germ batch is an (n, germ_dim) array.
 from __future__ import annotations
 
 import ctypes
+import itertools
 import os
 import zlib
 from concurrent.futures import ThreadPoolExecutor
@@ -44,19 +45,31 @@ def _pin_malloc_thresholds():
 _pin_malloc_thresholds()
 
 
-def over_chunks(values, germs: np.ndarray, parallel: bool = False) -> np.ndarray:
-    """`values` on GERM_CHUNK-row slices of `germs`, results concatenated by row.
+def over_chunks(values, germs, parallel: bool = False) -> np.ndarray:
+    """`values` on GERM_CHUNK-row chunks of `germs`, results concatenated by row.
 
-    With `parallel`, the slices run on a pool of one thread per usable core,
-    built for this call; `values` must then be safe to call from threads.
+    `germs` is an array, sliced here, or an iterable of chunks such as
+    `GermSampler.chunks`.  With `parallel`, two or more chunks run on a pool of
+    one thread per usable core, built for this call, at most two per worker in
+    flight; `values` must then be safe to call from threads.
     """
-    chunks = [germs[k : k + GERM_CHUNK] for k in range(0, len(germs), GERM_CHUNK)]
+    if isinstance(germs, np.ndarray):  # views, so no germ is copied
+        germs = [germs[k : k + GERM_CHUNK] for k in range(0, len(germs), GERM_CHUNK)]
+    chunks = iter(germs)
+    head = list(itertools.islice(chunks, 2))  # one chunk runs inline
+    chunks = itertools.chain(head, chunks)
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(cores or 1, len(chunks)) if parallel else 1
+    workers = (cores or 1) if parallel and len(head) > 1 else 1
     if workers < 2:
         return np.concatenate([values(chunk) for chunk in chunks])
+    done, pending = [], []
     with ThreadPoolExecutor(workers) as pool:
-        return np.concatenate(list(pool.map(values, chunks)))
+        for chunk in chunks:
+            if len(pending) == 2 * workers:
+                done.append(pending.pop(0).result())
+            pending.append(pool.submit(values, chunk))
+        done.extend(future.result() for future in pending)
+    return np.concatenate(done)
 
 
 def mean_and_se(samples: np.ndarray) -> tuple[float, float]:
@@ -85,6 +98,12 @@ class GermSampler:
         """Standard-normal germs of shape (size, dim); rows are batch-size invariant."""
         return self._rng(iteration, purpose).standard_normal((size, self.dim))
 
+    def chunks(self, iteration: int, size: int, purpose: str):
+        """The rows of `sample_batch(iteration, size, purpose)`, drawn GERM_CHUNK at a time."""
+        rng = self._rng(iteration, purpose)  # one stream, continued across draws
+        for k in range(0, size, GERM_CHUNK):
+            yield rng.standard_normal((min(GERM_CHUNK, size - k), self.dim))
+
 
 class LogNormalField:
     """kappa(x, Y) = exp(amplitude * Y @ rows(x)), a log-normal diffusivity.
@@ -109,7 +128,9 @@ class LogNormalField:
         grid = self._grid  # read once: another thread may store its own grid meanwhile
         if grid[0] != key:
             grid = self._grid = key, self.rows(x)
-        return np.exp(self.amplitude * (germs @ grid[1]))
+        e = germs @ grid[1]
+        e *= self.amplitude
+        return np.exp(e, out=e)
 
     def scalar_values(self, germs: np.ndarray) -> np.ndarray | None:
         """Per-germ value (n,) of a field constant in x; None for a field varying in x."""

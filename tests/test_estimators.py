@@ -1,5 +1,4 @@
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +26,7 @@ from pcsgd.fem1d import (
     lifting_tables,
     quadrature_points,
 )
-from pcsgd.pc_basis import eval_all, moment_table
+from pcsgd.pc_basis import eval_all, gauss_hermite, moment_table
 
 
 def dense_from_bands(bands):
@@ -316,16 +315,13 @@ def test_cv_lambda_matches_per_sample_products(problem, mode):
     np.testing.assert_array_equal(state.lam, expected)
 
 
-def test_cv_lambda_memory_is_bounded():
+def test_cv_lambda_memory_is_bounded(traced_peak):
     """Solve size (M=50, N+1=35), 1,000-germ order1 pilot: no (pilot, dim) arrays."""
     problem = builtin_linear_nonhomogeneous(0.1, 2, 10.0, 50, 3)
     c = zero_coefficients(problem.mesh, problem.basis)
-    tracemalloc.start()
-    try:
-        estimate_cv_lambda(kernel_for(problem), c, "order1", 1000, GermSampler(0, 4))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(
+        lambda: estimate_cv_lambda(kernel_for(problem), c, "order1", 1000, GermSampler(0, 4))
+    )
     assert peak < 16 * 2**20
 
 
@@ -393,3 +389,72 @@ def test_replaced_problem_evaluates_its_own_fields(problem, change):
     fresh = ProblemInstance(**{name: getattr(replaced, name) for name in names})
     expected = estimate_energy(fresh, mesh, basis, c, 64, 0)
     assert estimate_energy(replaced, mesh, basis, c, 64, 0).mean == expected.mean
+
+
+def test_kernel_weight_tables_are_c_contiguous():
+    """numpy's matmul takes a slower path for a Fortran-ordered right operand."""
+    kernel = kernel_for(builtin_semilinear_homogeneous_field(12.0, 10, 2))
+    for table in (kernel._element_w, kernel._shape, kernel._load_w, kernel._mass_w):
+        assert table.flags.c_contiguous
+
+
+def whole_array_rule_energy(kernel, c, nodes, weights):
+    """`rule_moments`' a <= b half of G_e and source, and `expected_energy`, with
+    every 256-node slice's pair products gathered at once and the reaction
+    evaluated on all nodes in one call."""
+    psi, conductance, loads = kernel.germ_tables(nodes)
+    a, b = np.triu_indices(kernel.basis.size)
+    half = np.zeros((conductance.shape[1], len(a)))
+    source = None if loads is None else np.zeros((kernel.basis.size, loads.shape[1]))
+    for k in range(0, len(nodes), 256):
+        chunk = slice(k, k + 256)
+        wpsi = weights[chunk, None] * psi[chunk]
+        half += np.einsum("se,sp->ep", conductance[chunk], wpsi[:, a] * psi[chunk, b])
+        if source is not None:
+            source += np.einsum("sa,si->ai", wpsi, loads[chunk])
+    stiffness = np.empty((len(half), kernel.basis.size, kernel.basis.size))
+    stiffness[:, a, b] = stiffness[:, b, a] = half
+    padded = kernel.padded_coefficients(c)
+    du = (np.diff(padded, axis=1) / kernel.mesh.h).T
+    energy = 0.5 * (np.einsum("eab,eb->ea", stiffness, du) * du).sum()
+    if source is not None:
+        energy += (source * padded).sum()
+    if kernel.problem.nonlinearity is not None:
+        energy += weights @ kernel._reaction_energies(psi @ padded)
+    return stiffness, source, float(energy)
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        builtin_semilinear_nonhomogeneous_field(0.3, 2, 12.0, 50, 3),
+        builtin_linear_nonhomogeneous(0.1, 2, 10.0, 50, 3),
+        builtin_semilinear_homogeneous_field(12.0, 100, 3),
+    ],
+    ids=["staged", "solve", "table3"],
+)
+def test_rule_tables_equal_the_whole_array_formulas(problem):
+    """Row-by-row pair products and 256-node reaction slices keep every bit."""
+    kernel = kernel_for(problem)
+    c = 0.1 * np.random.default_rng(2).standard_normal(kernel.dim)
+    for n in (6, 4):
+        rule = gauss_hermite(n, problem.germ_dim)
+        moments = kernel.rule_moments(*rule)
+        stiffness, source, energy = whole_array_rule_energy(kernel, c, *rule)
+        np.testing.assert_array_equal(moments.stiffness, stiffness)
+        if source is not None:
+            np.testing.assert_array_equal(moments.source, source)
+        assert kernel.expected_energy(c, moments) == energy
+
+
+def test_monitor_tables_memory_is_bounded(traced_peak):
+    """Staged size (K=4, M=50, p=3) on the 6^4 rule: no table over all 1,296
+    nodes' pair products, nor over all their quadrature points at once."""
+    problem = builtin_semilinear_nonhomogeneous_field(0.3, 2, 12.0, 50, 3)
+    kernel = kernel_for(problem)
+    c = 0.1 * np.random.default_rng(2).standard_normal(kernel.dim)
+    rule = gauss_hermite(6, problem.germ_dim)
+    kernel.rule_moments(*rule)  # warms the field's grid memo
+    assert traced_peak(lambda: kernel.rule_moments(*rule)) < 3.5 * 2**20
+    moments = kernel.rule_moments(*rule)
+    assert traced_peak(lambda: kernel.expected_energy(c, moments)) < 2 * 2**20

@@ -1,5 +1,5 @@
 import dataclasses
-import tracemalloc
+import os
 import warnings
 
 import numpy as np
@@ -133,6 +133,14 @@ def test_reference_solve_rejects_a_germ_with_a_non_finite_system(germ):
         reference_solve_linear(problem, problem.mesh, np.array(germ))
 
 
+def test_reference_solve_on_an_overflowing_germ_raises_without_warnings():
+    problem = builtin_linear_nonhomogeneous(0.2, 1, 10.0, 6, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not finite"):
+            reference_solve_linear(problem, problem.mesh, np.array([1e4, 0.0]))
+
+
 def test_reference_solve_raises_on_a_failed_factorization(monkeypatch):
     problem = builtin_linear_nonhomogeneous(0.2, 1, 10.0, 6, 1)
     blocks = Kernel.averaged_hessian_blocks
@@ -254,17 +262,25 @@ def test_estimate_energy_chunks_match_one_kernel_call():
     )
 
 
-def test_estimate_energy_memory_is_bounded():
+def test_estimate_energy_memory_is_bounded(traced_peak):
     """Table3 size (M=100, N+1=10) on 2e4 germs: GERM_CHUNK-row temporaries only."""
     problem = builtin_semilinear_homogeneous_field(12.0, 100, 3)
     c = zero_coefficients(problem.mesh, problem.basis)
-    tracemalloc.start()
-    try:
-        estimate_energy(problem, problem.mesh, problem.basis, c, 20_000, 0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: estimate_energy(problem, problem.mesh, problem.basis, c, 20_000, 0))
     assert peak < 40 * 2**20
+
+
+def test_estimate_energy_draws_its_germs_per_chunk(traced_peak, monkeypatch):
+    """Staged size (K=4, M=50, p=3) on a 2-worker pool: from 2e4 to 8e4 germs the peak
+    grows by the per-germ results only, not by the 32 B of a germ drawn ahead of its chunk."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    problem = builtin_semilinear_nonhomogeneous_field(0.3, 2, 12.0, 50, 3)
+    c = 0.1 * np.random.default_rng(8).standard_normal(problem.mesh.n_interior * problem.basis.size)
+    peaks = [
+        traced_peak(lambda: estimate_energy(problem, problem.mesh, problem.basis, c, n, 3))
+        for n in (20_000, 20_000, 80_000)  # the first call warms the field's grid memo
+    ]
+    assert (peaks[2] - peaks[1]) / 60_000 < 16
 
 
 def test_empirical_cdf_rejects_no_samples():

@@ -2,6 +2,7 @@ import os
 import platform
 import subprocess
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -14,6 +15,7 @@ from pcsgd import (
     GermSampler,
     HomogeneousLogNormalField,
     TrigLogNormalField,
+    random_field,
 )
 from pcsgd.random_field import GERM_CHUNK, mean_and_se, over_chunks
 
@@ -167,6 +169,70 @@ def test_over_chunks_matches_one_call(n):
         np.testing.assert_array_equal(
             over_chunks(values, a, parallel=True), over_chunks(values, a)
         )
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+@pytest.mark.parametrize(
+    "size", [1, GERM_CHUNK - 1, GERM_CHUNK, GERM_CHUNK + 1, 2 * GERM_CHUNK + 37]
+)
+def test_germ_chunks_are_the_rows_of_one_batch(size, dim):
+    sampler = GermSampler(11, dim)
+    chunks = list(sampler.chunks(3, size, "eval"))
+    assert [len(chunk) for chunk in chunks] == [
+        min(GERM_CHUNK, size - k) for k in range(0, size, GERM_CHUNK)
+    ]
+    np.testing.assert_array_equal(np.concatenate(chunks), sampler.sample_batch(3, size, "eval"))
+
+
+class _ChunkError(Exception):
+    pass
+
+
+def test_pooled_over_chunks_raises_the_error_of_a_middle_chunk(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    def values(chunk):
+        if chunk[0, 0] == 3.0:
+            raise _ChunkError
+        return chunk[:, 0]
+
+    chunks = (np.full((GERM_CHUNK, 2), float(k)) for k in range(8))
+    with pytest.raises(_ChunkError):
+        over_chunks(values, chunks, parallel=True)
+
+
+def test_over_chunks_runs_one_chunk_inline(monkeypatch):
+    """A parallel pass of one chunk, sliced or drawn, builds no pool."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(random_field, "ThreadPoolExecutor", None)
+    germs = GermSampler(5, 2).sample_batch(0, GERM_CHUNK, "eval")
+    drawn = GermSampler(5, 2).chunks(0, GERM_CHUNK, "eval")
+    for chunks in (germs, drawn):
+        np.testing.assert_array_equal(over_chunks(lambda g: g[:, 0], chunks, True), germs[:, 0])
+
+
+def test_pooled_over_chunks_holds_two_chunks_per_worker_in_flight(monkeypatch):
+    """A chunk is drawn only when it can wait behind at most two chunks per worker
+    whose results are not yet in, so a long pass never holds all its germs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    lock = threading.Lock()
+    count = {"drawn": 0, "done": 0, "most": 0}
+
+    def chunks():
+        for k in range(20):
+            with lock:
+                count["drawn"] += 1
+                count["most"] = max(count["most"], count["drawn"] - count["done"])
+            yield np.full((1, 1), float(k))
+
+    def values(chunk):
+        time.sleep(0.005)
+        with lock:
+            count["done"] += 1
+        return chunk[:, 0]
+
+    np.testing.assert_array_equal(over_chunks(values, chunks(), parallel=True), np.arange(20.0))
+    assert count["most"] <= 2 * 2 + 1  # two per worker, and the one just drawn
 
 
 class _YieldingField(TrigLogNormalField):
