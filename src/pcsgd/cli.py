@@ -6,17 +6,19 @@ Two subcommands share the same flags:
     pcsgd experiment <id> [--config F] [--seed N] [--out DIR] [--override k=v]...
 
 Precedence, lowest to highest: per-experiment defaults, the INI config
-file, --override flags, then --seed/--out.  Unknown config keys and
-invalid problem, SGD or evaluation settings are rejected before any work
-starts.
+file, --override flags, then --seed/--out.  Unknown config keys,
+invalid problem, SGD or evaluation settings and an --out that cannot be a
+directory are rejected before any work starts.
 
-Exit codes: 0 on success, 1 when an experiment's check fails or its SGD
-run diverges (`FAIL: ...`), 2 on a config error (`error: ...`).
+Exit codes: 0 on success, 1 when an experiment's checks fail or its SGD
+run diverges (one `FAIL: ...` line naming every failed check with its
+value and bound), 2 on a config error (`error: ...`).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from ._version import __version__
@@ -79,6 +81,7 @@ def resolve_config(args: argparse.Namespace):
     # checked once, on the final config, so that the order of the overrides
     # cannot matter
     check_config(config)
+    os.makedirs(config.out, exist_ok=True)
     return config
 
 

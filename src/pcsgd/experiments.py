@@ -334,6 +334,20 @@ def load_coefficients(path: str, n_interior: int) -> np.ndarray:
 
 # -- experiments ------------------------------------------------------------
 
+_RELATIONS = {"<": np.less, "<=": np.less_equal, ">": np.greater, ">=": np.greater_equal}
+
+
+def _require(*checks: tuple[str, float, str, float]) -> None:
+    """Raise one ExperimentFailure naming each failed check; a nan value or bound fails."""
+    failed = [
+        f"{message} (got {_fmt(value)}, need {relation} {_fmt(bound)})"
+        for message, value, relation, bound in checks
+        if not _RELATIONS[relation](value, bound)
+    ]
+    if failed:
+        raise ExperimentFailure("; ".join(failed))
+
+
 TABLE1_BETAS = (0.05, 0.1, 0.2, 0.4)
 
 
@@ -343,7 +357,6 @@ def run_table1(config: ExperimentConfig) -> list[str]:
         np.random.SeedSequence(entropy=config.seed, spawn_key=(0, 0xF1))
     )
     rows = []
-    stds: dict[tuple[float, str], float] = {}
     for beta in TABLE1_BETAS:
         problem = make_problem(replace(config, beta=beta))
         kernel = kernel_for(problem)
@@ -362,19 +375,19 @@ def run_table1(config: ExperimentConfig) -> list[str]:
                 return rows.total[:, 0] + state.lam[0] * (rows.surrogate[:, 0] - known)
 
             std = over_chunks(first_component, germs).std(ddof=1)
-            stds[(beta, mode)] = std
             rows.append(
                 (beta, mode, "c_1_0", std, std / np.sqrt(2.0 * (config.n_mc - 1)))
             )
     path = write_csv("table1.csv", ["beta", "cv_mode", "component", "std", "se"], rows, config)
-    for beta in TABLE1_BETAS:
-        if not stds[(beta, "order1")] < stds[(beta, "order0")] < stds[(beta, "none")]:
-            raise ExperimentFailure(f"CV variance ordering violated at beta={beta}")
-    if stds[(0.05, "order1")] / stds[(0.05, "none")] >= 0.05:
-        raise ExperimentFailure("order1/none std ratio at beta=0.05 not below 0.05")
-    for mode in CV_MODES:
-        if stds[(0.4, mode)] <= stds[(0.05, mode)]:
-            raise ExperimentFailure(f"std not increasing in beta for mode {mode}")
+    stds = {row[:2]: row[3] for row in rows}
+    _require(
+        *[(f"CV variance ordering violated at beta={beta}", stds[beta, a], "<", stds[beta, b])
+          for beta in TABLE1_BETAS for a, b in (("order1", "order0"), ("order0", "none"))],
+        ("order1/none std ratio at beta=0.05 not below 0.05",
+         stds[0.05, "order1"] / stds[0.05, "none"], "<", 0.05),
+        *[(f"std not increasing in beta for mode {mode}", stds[0.4, mode], ">", stds[0.05, mode])
+          for mode in CV_MODES],
+    )
     return [path]
 
 
@@ -386,8 +399,6 @@ def run_table2(config: ExperimentConfig) -> list[str]:
     problem = make_problem(config)
     minimum = _known_minimum(problem)
     rows = []
-    finals: dict[tuple[float, str], float] = {}
-    flags: dict[tuple[float, str], bool] = {}
     for numerator in TABLE2_RATES:
         for cv in ("order1", "none"):
             trajectory, c = _solve(
@@ -400,25 +411,22 @@ def run_table2(config: ExperimentConfig) -> list[str]:
                 ),
             )
             final = np.nan if c is None else trajectory.energy_mean[-1]
-            converged = abs(final - minimum) <= CONVERGENCE_GAP
-            finals[(numerator, cv)] = final
-            flags[(numerator, cv)] = converged
-            rows.append((numerator, cv, final, converged))
+            rows.append((numerator, cv, final, abs(final - minimum) <= CONVERGENCE_GAP))
     path = write_csv(
         "table2.csv", ["rate_numerator", "cv_mode", "final_j", "converged"], rows, config
     )
-    for numerator in TABLE2_RATES:
-        plain = finals[(numerator, "none")]
-        cv = finals[(numerator, "order1")]
-        if np.isfinite(plain) and not cv <= plain:  # a diverged CV run (nan) fails
-            raise ExperimentFailure(f"CV run worse than plain at rate {numerator}/(n+2)")
-    if flags[(100.0, "none")]:
-        raise ExperimentFailure("rate 100/(n+2) without CV unexpectedly converged")
-    cv_finals = [finals[(numerator, "order1")] for numerator in TABLE2_RATES]
-    if any(not b < a for a, b in zip(cv_finals, cv_finals[1:])):
-        raise ExperimentFailure("CV final energies not decreasing in the rate")
-    if not cv_finals[2] <= 1e-10:
-        raise ExperimentFailure("CV run at 5/(n+2) missed the 1e-10 target")
+    # rows alternate CV and plain arms; a diverged plain arm's nan final counts as infinite
+    cv_finals = [row[2] for row in rows[0::2]]
+    plain_finals = [np.nan_to_num(row[2], nan=np.inf) for row in rows[1::2]]
+    _require(
+        *[(f"CV run worse than plain at rate {rate}/(n+2)", cv, "<=", plain)
+          for rate, cv, plain in zip(TABLE2_RATES, cv_finals, plain_finals)],
+        ("rate 100/(n+2) without CV unexpectedly converged",
+         abs(plain_finals[-1] - minimum), ">", CONVERGENCE_GAP),
+        *[("CV final energies not decreasing in the rate", b, "<", a)
+          for a, b in zip(cv_finals, cv_finals[1:])],
+        ("CV run at 5/(n+2) missed the 1e-10 target", cv_finals[2], "<=", 1e-10),
+    )
     return [path]
 
 
@@ -452,18 +460,15 @@ def run_table3(config: ExperimentConfig) -> list[str]:
     )
     energies = [row[1] for row in rows]
     errors = [row[3] for row in rows]
-    # each check is written so that a nan fails it
-    if any(not b < a for a, b in zip(energies, energies[1:])):
-        raise ExperimentFailure("final energies not decreasing in p")
-    for p in range(min(2, len(errors) - 1)):  # the drops 0 -> 1 and 1 -> 2 that ran
-        if not errors[p] >= 5.0 * errors[p + 1]:
-            raise ExperimentFailure(f"l2 error drop below 5x from p={p} to {p + 1}")
-    if not errors[-1] <= 5e-4:
-        raise ExperimentFailure("l2 error at the highest order exceeds 5e-4")
-    if not abs(energies[-1] - oracle.mean) <= 0.01 * abs(oracle.mean):
-        raise ExperimentFailure(
-            f"final energy {energies[-1]:.4f} more than 1% from oracle {oracle.mean:.4f}"
-        )
+    _require(
+        *[("final energies not decreasing in p", b, "<", a)
+          for a, b in zip(energies, energies[1:])],
+        *[(f"l2 error drop below 5x from p={p} to {p + 1}", errors[p], ">=", 5.0 * errors[p + 1])
+          for p in range(min(2, len(errors) - 1))],  # the drops 0 -> 1 and 1 -> 2 that ran
+        ("l2 error at the highest order exceeds 5e-4", errors[-1], "<=", 5e-4),
+        (f"final energy {energies[-1]:.4f} more than 1% from oracle {oracle.mean:.4f}",
+         abs(energies[-1] - oracle.mean), "<=", 0.01 * abs(oracle.mean)),
+    )
     return [path]
 
 
@@ -592,12 +597,12 @@ def run_fig_cdf(config: ExperimentConfig) -> list[str]:
         lin_config,
         extra_meta={"x1": -4.0, "x2": 2.0, "ks_distance_x2": ks_lin},
     )
-    if np.any(np.diff(joint_approx, axis=0) < 0) or np.any(np.diff(joint_approx, axis=1) < 0):
-        raise ExperimentFailure("joint CDF not monotone along both axes")
-    if ks_semi > 0.07 or ks_lin > 0.07:
-        raise ExperimentFailure(
-            f"Kolmogorov distance above 0.07 (semilinear {ks_semi:.4f}, linear {ks_lin:.4f})"
-        )
+    _require(
+        ("joint CDF not monotone along both axes",
+         np.min([np.diff(joint_approx, axis=axis).min() for axis in (0, 1)]), ">=", 0.0),
+        ("Kolmogorov distance above 0.07 (semilinear)", ks_semi, "<=", 0.07),
+        ("Kolmogorov distance above 0.07 (linear)", ks_lin, "<=", 0.07),
+    )
     return [semi_path, lin_path]
 
 
@@ -627,13 +632,10 @@ def run_fig_staged_hessian(config: ExperimentConfig) -> list[str]:
             "full_converged": gaps["full"] <= 1e-3,
         },
     )
-    # a nan gap fails both checks; a diverged full arm's infinite gap passes
-    if not gaps["staged"] <= 1e-3:
-        raise ExperimentFailure(
-            f"staged run missed the 1e-3 energy gap (gap {gaps['staged']:.2e})"
-        )
-    if not gaps["full"] > 1e-3:
-        raise ExperimentFailure("full-from-start run unexpectedly converged")
+    _require(
+        ("staged run missed the 1e-3 energy gap", gaps["staged"], "<=", 1e-3),
+        ("full-from-start run unexpectedly converged", gaps["full"], ">", 1e-3),
+    )
     return [path]
 
 
@@ -648,7 +650,6 @@ def run_fig_batch_study(config: ExperimentConfig) -> list[str]:
     a small Hessian batch converges.
     """
     rows = []
-    flags = {}
     for beta in (0.3, 0.4):
         beta_config = replace(config, beta=beta)
         problem = make_problem(beta_config)
@@ -659,19 +660,18 @@ def run_fig_batch_study(config: ExperimentConfig) -> list[str]:
                 replace(beta_config, batch_gradient=batch_g, batch_hessian=batch_h),
             )
             gap = np.inf if c is None else abs(trajectory.energy_mean[-1] - minimum)
-            converged = gap <= CONVERGENCE_GAP
-            flags[(beta, batch_g, batch_h)] = converged
-            rows.append((beta, batch_g, batch_h, gap, converged))
+            rows.append((beta, batch_g, batch_h, gap, gap <= CONVERGENCE_GAP))
     path = write_csv(
         "fig-batch-study.csv",
         ["beta", "batch_gradient", "batch_hessian", "final_gap", "converged"],
         rows,
         config,
     )
-    if flags[(0.4, 128, 128)]:
-        raise ExperimentFailure("beta=0.4 (128,128) unexpectedly converged")
-    if not flags[(0.4, 256, 64)]:
-        raise ExperimentFailure("beta=0.4 (256,64) failed to converge")
+    gaps = {row[:3]: row[3] for row in rows}
+    _require(
+        ("beta=0.4 (128,128) unexpectedly converged", gaps[0.4, 128, 128], ">", CONVERGENCE_GAP),
+        ("beta=0.4 (256,64) failed to converge", gaps[0.4, 256, 64], "<=", CONVERGENCE_GAP),
+    )
     return [path]
 
 

@@ -407,7 +407,10 @@ def test_table2_without_iterations_fails_its_cv_ordering(tmp_path, capsys):
     """With no iterations every arm ends at its start, so the CV finals are all equal."""
     argv = ["experiment", "table2", "--override", "n_iterations=0", "--out", str(tmp_path)]
     assert main(argv) == 1
-    assert capsys.readouterr().err.startswith("FAIL: CV final energies not decreasing")
+    err = capsys.readouterr().err
+    assert err.startswith("FAIL: CV final energies not decreasing")
+    # the one FAIL line goes on past the first failed check
+    assert "CV run at 5/(n+2) missed the 1e-10 target" in err.splitlines()[0]
 
 
 @pytest.mark.parametrize("nan_arm", ["staged", "full"])
@@ -429,6 +432,84 @@ def test_fig_staged_hessian_checks_fail_on_nan(nan_arm, monkeypatch, tmp_path):
     monkeypatch.setattr(experiments, "_solve", solve)
     with pytest.raises(ExperimentFailure, match=nan_arm):
         run_experiment(config)
+
+
+PASSING_PAIRS = {"<": (0.0, 1.0), "<=": (1.0, 1.0), ">": (1.0, 0.0), ">=": (1.0, 1.0)}
+
+
+@pytest.mark.parametrize("relation", list(PASSING_PAIRS))
+def test_require_fails_a_nan_value_or_bound(relation):
+    value, bound = PASSING_PAIRS[relation]
+    experiments._require(("holds", value, relation, bound))
+    for nan_value, nan_bound in ((np.nan, bound), (value, np.nan)):
+        with pytest.raises(ExperimentFailure, match=r"^fails \(got"):
+            experiments._require(("fails", nan_value, relation, nan_bound))
+
+
+def test_require_passes_an_infinite_gap_that_must_stay_above_its_bound():
+    experiments._require(("diverged arm unexpectedly converged", np.inf, ">", 1e-3))
+
+
+def test_require_names_every_failed_check_in_order():
+    with pytest.raises(ExperimentFailure) as info:
+        experiments._require(
+            ("first", np.float64(0.5), "<", 0.25),
+            ("holds", np.float64(0.1), "<", 0.25),
+            ("second", np.float64(np.nan), ">=", np.float64(1e-10)),
+            ("third", 3, ">", np.float64(7.5)),
+        )
+    message = str(info.value)
+    assert message == (
+        "first (got 0.5, need < 0.25); second (got nan, need >= 1e-10); "
+        "third (got 3, need > 7.5)"
+    )
+    assert "np.float64(" not in message
+
+
+def one_record(final: float) -> Trajectory:
+    """A trajectory whose only record has the energy `final`."""
+    values = (500, 0.01, final, 0.0, 0.0, 0)
+    return Trajectory(*(np.array([value]) for value in values), monitor_samples=1)
+
+
+def test_table2_passes_with_its_non_converging_arm_diverged(monkeypatch, tmp_path):
+    """The plain 100/(n+2) arm must not converge; diverging is not converging."""
+    cv_finals = dict(zip(experiments.TABLE2_RATES, (1e-3, 1e-6, 1e-11, 1e-12, 1e-13)))
+
+    def solve(problem, config):
+        if config.cv_mode == "none" and config.rate_numerator == 100.0:
+            return one_record(1e300), None
+        final = cv_finals[config.rate_numerator] if config.cv_mode == "order1" else 1.0
+        return one_record(final), np.zeros(problem.mesh.n_interior)
+
+    monkeypatch.setattr(experiments, "_solve", solve)
+    [path] = run_experiment(dataclasses.replace(default_config("table2"), out=str(tmp_path)))
+    assert "100.0,none,nan,False\n" in open(path).readlines()
+
+
+def test_fig_batch_study_passes_with_its_non_converging_arm_diverged(monkeypatch, tmp_path):
+    """The beta=0.4 (128,128) arm must not converge; diverging is not converging."""
+
+    def solve(problem, config):
+        if (config.beta, config.batch_gradient, config.batch_hessian) == (0.4, 128, 128):
+            return one_record(1e300), None
+        return one_record(problem.exact_energy + 1e-4), np.zeros(problem.mesh.n_interior)
+
+    monkeypatch.setattr(experiments, "_solve", solve)
+    config = dataclasses.replace(default_config("fig-batch-study"), out=str(tmp_path))
+    [path] = run_experiment(config)
+    assert "0.4,128,128,inf,False\n" in open(path).readlines()
+
+
+def test_cli_rejects_an_out_that_is_a_regular_file(tmp_path, capsys):
+    """--out must name a directory; a regular file there is a config error before any solve."""
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    assert main(["solve", "--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [taken]
+    assert taken.read_text() == "kept\n"
 
 
 def test_cli_rejects_a_monitor_budget_below_the_smallest_rule(tmp_path, capsys):
