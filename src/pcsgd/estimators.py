@@ -158,7 +158,7 @@ class Kernel:
 
     def _reaction_energies(self, nodal: np.ndarray) -> np.ndarray:
         """Per-germ integrals of the reaction's antiderivative F(u), (n,)."""
-        return self.problem.nonlinearity.antiderivative(self.x, self._at_points(nodal)) @ self.w
+        return self.problem.nonlinearity.antiderivative(self._at_points(nodal)) @ self.w
 
     def energies(self, c: np.ndarray, germs: np.ndarray) -> np.ndarray:
         """Per-germ energy integral (n,)."""
@@ -227,7 +227,7 @@ class Kernel:
         linear = self._stiffness_rows(conductance * du)
         nl = self.problem.nonlinearity
         if nl is not None:
-            reaction = self._loads(nl.value(self.x, self._at_points(nodal)))
+            reaction = self._loads(nl.value(self._at_points(nodal)))
             loads = reaction if loads is None else reaction + loads
         total = linear if loads is None else linear + loads[:, 1:-1]
         if order == "none":
@@ -298,7 +298,7 @@ class Kernel:
         nl = self.problem.nonlinearity
         if stage == "full" and nl is not None:
             nodal = psi @ self.padded_coefficients(c)
-            dfu = nl.derivative(self.x, self._at_points(nodal))
+            dfu = nl.derivative(self._at_points(nodal))
             mass = self._per_element(psi2.T @ dfu, self._mass_w)  # (N+1, M+1, 3)
             bands[:, 0] += mass[:, :-1, 2] + mass[:, 1:, 0]
             bands[:, 1, :-1] += mass[:, 1:-1, 1]

@@ -18,7 +18,7 @@ from .fem1d import Mesh1D, _check_domain, element_hats
 from .pc_basis import PcBasisSet, eval_all
 from .problem import ProblemInstance, _simpson_grid
 from .random_field import GermSampler, mean_and_se, over_chunks
-from .sgd import Trajectory, dptsv
+from .sgd import Trajectory, precondition_solve
 
 EVAL_PURPOSE = "eval"
 
@@ -32,10 +32,7 @@ class EnergyEstimate:
 
 @dataclass(eq=False)
 class CdfEstimate:
-    points: tuple[float, ...]
-    thresholds: tuple[np.ndarray, ...]
     probabilities: np.ndarray
-    sample_count: int
 
 
 def _over_eval_germs(problem: ProblemInstance, n_samples: int, seed: int, values, parallel=False):
@@ -151,12 +148,7 @@ def empirical_cdf(
 
     values = _over_eval_germs(problem, n_samples, seed, solution)
     grids = tuple(np.asarray(t, dtype=float) for t in thresholds)
-    return CdfEstimate(
-        points=tuple(float(x) for x in points),
-        thresholds=grids,
-        probabilities=_empirical_cdf_of_values(list(values.T), grids),
-        sample_count=n_samples,
-    )
+    return CdfEstimate(_empirical_cdf_of_values(list(values.T), grids))
 
 
 def reference_solve_linear(
@@ -178,10 +170,9 @@ def reference_solve_linear(
         rhs = -kernel.gradient_parts(zero, germ).total[0]
     if not (np.isfinite(bands).all() and np.isfinite(rhs).all()):
         raise ValueError("reference system is not finite at this germ")
-    sub = bands[1, : max(bands.shape[1] - 1, 1)]  # dptsv wants len(e) >= 1
-    _, _, interior, info = dptsv(bands[0], sub, rhs)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"stiffness matrix not positive definite (info={info})")
+    interior, fallbacks = precondition_solve(bands[None], rhs, 0.0)
+    if fallbacks:
+        raise np.linalg.LinAlgError("stiffness matrix not positive definite")
     return np.concatenate([[problem.boundary[0]], interior, [problem.boundary[1]]])
 
 
@@ -206,7 +197,7 @@ def exact_energy_mc(
         kap = problem.field.values(x, germs)
         density = 0.5 * kap * du**2
         if problem.nonlinearity is not None:
-            density = density + problem.nonlinearity.antiderivative(x, u)
+            density = density + problem.nonlinearity.antiderivative(u)
         if problem.source is not None:
             density = density + problem.source(x, germs) * u
         return density @ w

@@ -145,9 +145,9 @@ def config_to_ini(config: ExperimentConfig) -> str:
 
 def _parse_value(key: str, raw: str):
     kind = _FIELD_TYPES[key]
-    if kind in ("int", int):
+    if kind == "int":
         return int(raw)
-    if kind in ("float", float):
+    if kind == "float":
         return float(raw)
     return raw
 
@@ -233,6 +233,8 @@ def make_sgd_config(config: ExperimentConfig) -> SgdConfig:
 def check_config(config: ExperimentConfig) -> None:
     """Raise ValueError on a problem, SGD or monitor setting that a solve of the run rejects."""
     solves = [config, _cdf_linear_config(config)] if config.experiment == "fig-cdf" else [config]
+    if config.experiment == "fig-staged-hessian":  # the runner replaces hessian_mode
+        solves += [replace(config, hessian_mode=mode) for mode in ("staged", "full")]
     for solve in solves:
         monitor_points(make_problem(solve).basis, make_sgd_config(solve).monitor_samples)
 

@@ -39,7 +39,6 @@ class Mesh1D:
 class QuadratureRule:
     """Per-element Gauss-Legendre points mapped to the physical mesh."""
 
-    points_per_element: int
     points: np.ndarray  # (n_elements * q,)
     weights: np.ndarray
 
@@ -53,7 +52,7 @@ def quadrature_points(mesh: Mesh1D, points_per_element: int) -> QuadratureRule:
     half = 0.5 * mesh.h
     pts = (mid[:, None] + half * ref_x[None, :]).ravel()
     wts = np.tile(half * ref_w, mesh.n_interior + 1)
-    return QuadratureRule(points_per_element, pts, wts)
+    return QuadratureRule(pts, wts)
 
 
 def _check_domain(mesh: Mesh1D, x: np.ndarray):

@@ -25,14 +25,14 @@ from .random_field import (
 
 @dataclass(eq=False)
 class Nonlinearity:
-    """Reaction term f(x, u) with antiderivative and u-derivative.
+    """Reaction term f(u) with antiderivative and derivative.
 
     `antiderivative` satisfies d/du antiderivative = value.
     """
 
-    value: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    antiderivative: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    derivative: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    value: Callable[[np.ndarray], np.ndarray]
+    antiderivative: Callable[[np.ndarray], np.ndarray]
+    derivative: Callable[[np.ndarray], np.ndarray]
 
 
 # sin and cos of an array through t = tan(u / 2): numpy's SIMD float64 tan loop
@@ -63,9 +63,9 @@ def _cos(u: np.ndarray, negated: bool = False) -> np.ndarray:
 
 
 SINE_REACTION = Nonlinearity(
-    value=lambda x, u: _sin(u),
-    antiderivative=lambda x, u: _cos(u, negated=True),
-    derivative=lambda x, u: _cos(u),
+    value=_sin,
+    antiderivative=lambda u: _cos(u, negated=True),
+    derivative=_cos,
 )
 
 

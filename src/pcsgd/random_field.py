@@ -109,8 +109,8 @@ class LogNormalField:
     """kappa(x, Y) = exp(amplitude * Y @ rows(x)), a log-normal diffusivity.
 
     The exponent is linear in the standard-normal germ Y, so kappa is 1 at
-    the germ mean.  A subclass supplies `__init__` (setting `amplitude` and
-    `germ_dim`) and `rows`.  The energy passes call `values`, and so `rows`,
+    the germ mean.  A subclass sets `amplitude` and `germ_dim` and supplies
+    `rows`.  The energy passes call `values`, and so `rows`,
     from several threads at once; a subclass must be safe to call that way.
     """
 
@@ -169,12 +169,10 @@ class TrigLogNormalField(LogNormalField):
 
 
 class HomogeneousLogNormalField(LogNormalField):
-    """Spatially constant kappa = exp(coefficient * (Y_1 + Y_2))."""
+    """Spatially constant kappa = exp(amplitude * (Y_1 + Y_2))."""
 
+    amplitude = 0.2
     germ_dim = 2
-
-    def __init__(self, coefficient: float = 0.2):
-        self.amplitude = coefficient
 
     def rows(self, x):
         return np.ones((2, np.size(x)))

@@ -305,6 +305,10 @@ def test_cli_rejects_bad_override(capsys):
         ["solve", "--override", "points=nan"],
         ["experiment", "table3", "--override", "points=nan"],
         ["solve", "--override", "p=1000"],
+        [
+            "experiment", "fig-staged-hessian",
+            "--override", "hessian_mode=full", "--override", "n_iterations=20",
+        ],
     ],
 )
 def test_cli_rejects_invalid_config_value(argv, tmp_path, capsys):
@@ -341,11 +345,11 @@ def test_gap_studies_need_a_known_minimum(experiment, tmp_path):
 
 def test_table2_fails_when_its_cv_runs_diverge(monkeypatch, tmp_path):
     """A diverged CV arm has a nan final energy, which the CV checks must reject."""
-    solve = experiments._solve
 
     def cv_arms_diverge(problem, config):
-        trajectory, c = solve(problem, config)
-        return trajectory, None if config.cv_mode == "order1" else c
+        if config.cv_mode == "order1":
+            return one_record(1e300), None
+        return one_record(1.0), np.zeros(problem.mesh.n_interior)
 
     monkeypatch.setattr(experiments, "_solve", cv_arms_diverge)
     config = dataclasses.replace(default_config("table2"), out=str(tmp_path))
@@ -499,6 +503,29 @@ def test_fig_batch_study_passes_with_its_non_converging_arm_diverged(monkeypatch
     config = dataclasses.replace(default_config("fig-batch-study"), out=str(tmp_path))
     [path] = run_experiment(config)
     assert "0.4,128,128,inf,False\n" in open(path).readlines()
+
+
+@pytest.mark.parametrize("diverged_arm", ["staged", "full"])
+def test_fig_staged_hessian_with_a_diverged_arm(diverged_arm, monkeypatch, tmp_path):
+    """A diverged full arm is not converging, so it passes; a diverged staged arm fails."""
+    config = dataclasses.replace(default_config("fig-staged-hessian"), out=str(tmp_path))
+    passing = {"staged": 1e-4, "full": 1.0}
+
+    def solve(problem, config):
+        if config.hessian_mode == diverged_arm:
+            return one_record(1e300), None
+        final = problem.exact_energy + passing[config.hessian_mode]
+        return one_record(final), np.zeros(problem.mesh.n_interior)
+
+    monkeypatch.setattr(experiments, "_solve", solve)
+    if diverged_arm == "staged":
+        with pytest.raises(ExperimentFailure, match="^staged run missed the 1e-3 energy gap"):
+            run_experiment(config)
+    else:
+        [path] = run_experiment(config)
+        lines = open(path).readlines()
+        assert "# full_converged=False\n" in lines
+        assert not any(line.startswith("full,") for line in lines)
 
 
 def test_cli_rejects_an_out_that_is_a_regular_file(tmp_path, capsys):

@@ -50,7 +50,7 @@ def dense_hessian_blocks(problem, c, germs, stage):
     blocks = np.stack([dphi.T @ (row[:, None] * dphi) for row in wa])
     if stage == "full" and problem.nonlinearity is not None:
         u = psi @ coefficient_matrix(c, mesh.n_interior) @ phi.T + lift
-        wb = (psi2.T @ problem.nonlinearity.derivative(x, u)) * w
+        wb = (psi2.T @ problem.nonlinearity.derivative(u)) * w
         blocks += np.stack([phi.T @ (row[:, None] * phi) for row in wb])
     return blocks
 
@@ -99,7 +99,7 @@ def naive_gradient(problem, c, germ, n_quad_per_element=4):
             du = du + cm[j, i - 1] * dphi_vals * psi[j]
     reaction = np.zeros_like(u)
     if problem.nonlinearity is not None:
-        reaction = problem.nonlinearity.value(rule_x, u)
+        reaction = problem.nonlinearity.value(u)
     if problem.source is not None:
         reaction = reaction + problem.source(rule_x, np.atleast_2d(germ))[0]
     for i in range(1, m + 1):
@@ -359,7 +359,7 @@ def test_energies_match_nodal_difference_formula(problem):
         q = DEFAULT_QUADRATURE_ORDER
         t = (kernel.x[:q] - problem.mesh.nodes[0]) / problem.mesh.h
         u = (nodal[:, :-1, None] * (1.0 - t) + nodal[:, 1:, None] * t).reshape(40, -1)
-        expected += problem.nonlinearity.antiderivative(kernel.x, u) @ kernel.w
+        expected += problem.nonlinearity.antiderivative(u) @ kernel.w
     if loads is not None:
         expected += np.sum(loads * nodal, axis=1)
     np.testing.assert_allclose(kernel.energies(c, germs), expected, rtol=1e-12)

@@ -25,9 +25,9 @@ def test_reaction_contracts():
     u = np.concatenate([u, np.linspace(-4.0, 4.0, 33), [0.0, -0.0, np.inf, -np.inf, np.nan]])
     before = u.copy()
     with np.errstate(invalid="ignore"):
-        value = SINE_REACTION.value(0.0, u)
-        antiderivative = SINE_REACTION.antiderivative(0.0, u)
-        derivative = SINE_REACTION.derivative(0.0, u)
+        value = SINE_REACTION.value(u)
+        antiderivative = SINE_REACTION.antiderivative(u)
+        derivative = SINE_REACTION.derivative(u)
         sin, cos = np.sin(u), np.cos(u)
     np.testing.assert_array_equal(u, before)
     for computed in (value, antiderivative, derivative):
@@ -47,10 +47,10 @@ def test_reaction_memory_is_bounded(name, arrays):
     """At most `arrays` temporaries of the input's size, plus small slack."""
     u = np.random.default_rng(7).standard_normal((1024, 404))
     reaction = getattr(SINE_REACTION, name)
-    reaction(0.0, u)  # numpy's first call of a loop may allocate
+    reaction(u)  # numpy's first call of a loop may allocate
     tracemalloc.start()
     try:
-        reaction(0.0, u)
+        reaction(u)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -62,10 +62,10 @@ def test_antiderivative_consistency():
     u = np.linspace(-3.0, 3.0, 25)
     eps = 1e-6
     fd = (
-        SINE_REACTION.antiderivative(0.0, u + eps)
-        - SINE_REACTION.antiderivative(0.0, u - eps)
+        SINE_REACTION.antiderivative(u + eps)
+        - SINE_REACTION.antiderivative(u - eps)
     ) / (2 * eps)
-    np.testing.assert_allclose(fd, SINE_REACTION.value(0.0, u), atol=1e-9)
+    np.testing.assert_allclose(fd, SINE_REACTION.value(u), atol=1e-9)
 
 
 def test_linear_homogeneous_shape():
