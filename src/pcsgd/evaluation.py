@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -63,12 +64,19 @@ def estimate_energy(
     return _mc_estimate(problem, n_samples, seed, lambda g: kernel.energies(c, g), pooled)
 
 
-def solution_at_point(kernel: Kernel, c: np.ndarray, x: float, germs: np.ndarray) -> np.ndarray:
-    """Expansion values u_c(x, Y) (lifting included) for a germ batch."""
-    element, hats = element_hats(kernel.mesh, x)
+def solution_at_points(kernel: Kernel, c: np.ndarray, points: Sequence[float]):
+    """u_c(x, Y), lifting included, at the points, as a function of a germ batch -> (n, P)."""
     padded = kernel.padded_coefficients(c)
-    psi = eval_all(kernel.basis, germs)
-    return psi @ (padded[:, element : element + 2] @ hats)
+    rows = []  # each point's (N+1,) chaos coefficients, once per call
+    for x in points:
+        element, hats = element_hats(kernel.mesh, x)
+        rows.append(padded[:, element : element + 2] @ hats)
+
+    def values(germs: np.ndarray) -> np.ndarray:
+        psi = eval_all(kernel.basis, germs)
+        return np.stack([psi @ row for row in rows], 1)
+
+    return values
 
 
 def pointwise_l2_error(
@@ -83,14 +91,10 @@ def pointwise_l2_error(
     """MC estimate of E[(u*(x, Y) - u_c(x, Y))^2]."""
     if problem.exact_solution is None:
         raise ValueError(f"problem {problem.name!r} has no exact solution")
-    _check_domain(mesh, np.asarray(x, dtype=float))  # before any germ is drawn
-    kernel = kernel_for(problem, mesh, basis)
+    u_c = solution_at_points(kernel_for(problem, mesh, basis), c, [x])  # checks x
 
     def squared_error(germs):
-        return (
-            problem.exact_solution(np.array([x]), germs)[:, 0]
-            - solution_at_point(kernel, c, x, germs)
-        ) ** 2
+        return (problem.exact_solution(np.array([x]), germs)[:, 0] - u_c(germs)[:, 0]) ** 2
 
     return _mc_estimate(problem, n_samples, seed, squared_error)
 
@@ -137,15 +141,12 @@ def empirical_cdf(
         raise ValueError("need at least one sample")
     if use_exact_solution and problem.exact_solution is None:
         raise ValueError(f"problem {problem.name!r} has no exact solution")
-    _check_domain(mesh, np.asarray(points, dtype=float))  # the exact path would extrapolate
-
-    kernel = None if use_exact_solution else kernel_for(problem, mesh, basis)
-
-    def solution(germs):
-        if kernel is None:
-            return problem.exact_solution(np.asarray(points, dtype=float), germs)
-        return np.stack([solution_at_point(kernel, c, x, germs) for x in points], 1)
-
+    points = np.asarray(points, dtype=float)
+    _check_domain(mesh, points)  # the exact path would extrapolate
+    if use_exact_solution:
+        solution = partial(problem.exact_solution, points)
+    else:
+        solution = solution_at_points(kernel_for(problem, mesh, basis), c, points)
     values = _over_eval_germs(problem, n_samples, seed, solution)
     grids = tuple(np.asarray(t, dtype=float) for t in thresholds)
     return CdfEstimate(_empirical_cdf_of_values(list(values.T), grids))

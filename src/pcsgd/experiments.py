@@ -76,7 +76,7 @@ class ExperimentConfig:
     seed: int = 0
     out: str = "."
     # [problem]
-    problem: str = "linear_homogeneous"
+    problem: str = "linear_nonhomogeneous"
     beta: float = 0.1
     n_v: int = 2
     length: float = 10.0
@@ -300,6 +300,8 @@ def write_csv(
 
 def save_coefficients(path: str, c: np.ndarray, n_interior: int) -> str:
     """Text dump, one `i j hexfloat` line per coefficient; exact round-trip."""
+    if n_interior < 1 or c.size % n_interior:
+        raise ValueError(f"{c.size} coefficients are not blocks of n_interior={n_interior}")
     n_basis = c.size // n_interior
     lines = []
     for j in range(n_basis):
@@ -324,7 +326,7 @@ def load_coefficients(path: str, n_interior: int) -> np.ndarray:
             if key in entries:
                 raise ValueError(f"{path} repeats the entry (i, j) = {key}")
             entries[key] = float.fromhex(hex_str)
-    n_basis = len(entries) // n_interior
+    n_basis = len(entries) // n_interior if n_interior > 0 else 0
     grid = {(i, j) for i in range(1, n_interior + 1) for j in range(n_basis)}
     if n_basis < 1 or entries.keys() != grid:
         raise ValueError(f"{path} is not a coefficient dump for n_interior={n_interior}")
@@ -529,20 +531,11 @@ def _cdf_pair(problem, c, points, grids, n_samples, seed) -> list[np.ndarray]:
 
 
 def _cdf_linear_config(config: ExperimentConfig) -> ExperimentConfig:
-    """fig-cdf's second solve: the linear problem with boundary data."""
-    return replace(
-        config,
-        problem="linear_nonhomogeneous",
-        beta=0.1,
-        length=10.0,
-        m=50,
-        n_iterations=500,
-        batch_gradient=128,
-        batch_hessian=64,
-        hessian_mode="linear-only",
-        init="zero",
-        points=2.0,  # its marginal CDF's point, inside this shorter domain
-    )
+    """fig-cdf's second solve: the `solve` defaults' linear problem with boundary data."""
+    keys = ("problem", "beta", "length", "m", "n_iterations", "batch_gradient", "batch_hessian",
+            "hessian_mode", "init")
+    defaults = {key: getattr(ExperimentConfig, key) for key in keys}
+    return replace(config, **defaults, points=2.0)  # inside the shorter domain
 
 
 def run_fig_cdf(config: ExperimentConfig) -> list[str]:
@@ -753,7 +746,7 @@ EXPERIMENTS = {
         run_fig_batch_study,
         dict(_STAGED_STUDY, beta=0.4, record_stride=50),
     ),
-    "solve": (run_solve, dict(problem="linear_nonhomogeneous")),
+    "solve": (run_solve, {}),
 }
 EXPERIMENT_IDS = tuple(EXPERIMENTS)
 

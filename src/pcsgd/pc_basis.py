@@ -129,24 +129,16 @@ class MomentTable:
 
 
 def moment_table(basis: PcBasisSet) -> MomentTable:
-    """Analytic moments: E[psi_a psi_b] is prod(alpha_k!) on the diagonal, and
-    E[Y_k psi_a psi_b] follows from y He_n = He_{n+1} + n He_{n-1} on component k.
+    """Analytic moments: E[psi_a psi_b] is prod(alpha_k!) on the diagonal.  By
+    y He_n = He_{n+1} + n He_{n-1} on component k, E[Y_k psi_a psi_b] is nonzero only
+    where b = a + e_k or a = b + e_k, and there it is the larger of the two norms.
     """
-    n = basis.size
+    norms = np.array([_norm(alpha) for alpha in basis.indices])
     position = {alpha: a for a, alpha in enumerate(basis.indices)}
-    pair = np.zeros((n, n))
-    for a in range(n):
-        pair[a, a] = _norm(basis.indices[a])
-    linear = np.zeros((basis.germ_dim, n, n))
+    linear = np.zeros((basis.germ_dim, basis.size, basis.size))
     for k in range(basis.germ_dim):
-        for a in range(n):
-            alpha = basis.indices[a]
-            # only indices one degree apart along k can contribute
-            for shift, weight in (((1), 1.0), ((-1), alpha[k])):
-                if alpha[k] + shift < 0 or weight == 0:
-                    continue
-                moved = alpha[:k] + (alpha[k] + shift,) + alpha[k + 1 :]
-                b = position.get(moved)
-                if b is not None:
-                    linear[k, a, b] = weight * _norm(moved)
-    return MomentTable(pair, linear)
+        for a, alpha in enumerate(basis.indices):
+            b = position.get(alpha[:k] + (alpha[k] + 1,) + alpha[k + 1 :])
+            if b is not None:  # the top degree has no raised neighbour
+                linear[k, a, b] = linear[k, b, a] = norms[b]
+    return MomentTable(np.diag(norms), linear)

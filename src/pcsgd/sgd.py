@@ -111,11 +111,12 @@ class Trajectory:
 
 
 class SgdDivergenceError(RuntimeError):
-    """Raised when an update produces non-finite coefficients."""
+    """Raised when an update produces non-finite coefficients; carries the records before it."""
 
-    def __init__(self, iteration: int, seed: int):
+    def __init__(self, iteration: int, seed: int, trajectory: Trajectory):
         self.iteration = iteration
         self.seed = seed
+        self.trajectory = trajectory
         super().__init__(
             f"non-finite update at iteration {iteration}; "
             f"germ streams derive from seed {seed}"
@@ -238,9 +239,7 @@ def run(
 
         c = c - eta * step
         if not np.all(np.isfinite(c)):
-            err = SgdDivergenceError(iteration=n, seed=config.seed)
-            err.trajectory = build_trajectory()
-            raise err
+            raise SgdDivergenceError(n, config.seed, build_trajectory())
 
         if n % config.record_stride == 0 or n == config.n_iterations:
             record(n, eta, float(np.linalg.norm(grad)), fallbacks_since_record)

@@ -91,6 +91,13 @@ def test_config_hash_pinned_per_experiment():
     assert {e: config_hash(default_config(e)) for e in EXPERIMENT_IDS} == PRESET_HASHES
 
 
+def test_the_solve_defaults_are_the_class_defaults():
+    """The `solve` preset is empty, and fig-cdf's linear solve reads the same defaults."""
+    assert ExperimentConfig() == default_config("solve")
+    linear = experiments._cdf_linear_config(default_config("fig-cdf"))
+    assert config_hash(linear) == "a218a527ef7a"  # heads fig-cdf-linear.csv
+
+
 def test_config_hash_sensitivity():
     config = default_config("solve")
     assert config_hash(config) == config_hash(default_config("solve"))
@@ -164,6 +171,24 @@ def test_load_coefficients_rejects_a_repeated_entry(tmp_path):
         fh.write(f"1 0 {(99.0).hex()}\n")
     with pytest.raises(ValueError, match="repeats"):
         load_coefficients(str(path), 3)
+
+
+def test_save_coefficients_rejects_a_partial_block(tmp_path):
+    """11 coefficients do not fill blocks of 5: the 11th would be dropped from the dump."""
+    path = tmp_path / "c.txt"
+    with pytest.raises(ValueError, match="n_interior=5"):
+        save_coefficients(str(path), np.arange(11.0), 5)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("n_interior", [0, -1])
+def test_coefficient_dump_rejects_a_mesh_without_interior_nodes(n_interior, tmp_path):
+    path = str(tmp_path / "c.txt")
+    with pytest.raises(ValueError):
+        save_coefficients(path, np.arange(6.0), n_interior)
+    save_coefficients(path, np.arange(6.0), 3)
+    with pytest.raises(ValueError):
+        load_coefficients(path, n_interior)
 
 
 def test_load_coefficients_rejects_an_empty_dump(tmp_path):
@@ -393,6 +418,39 @@ def test_table3_checks_fail_on_nan(nan_energy, nan_error, monkeypatch, tmp_path)
             run_experiment(config)
     else:
         run_experiment(config)
+
+
+def test_table3_fails_when_a_run_diverges(monkeypatch, tmp_path):
+    """A diverged p=2 run fails table3 before its CSV is written."""
+    fake_table3_estimates(monkeypatch, nan_energy=False, nan_error=False)
+
+    def solve(problem, config):
+        if problem.basis.degree_bound == 2:
+            return one_record(1e300), None
+        return one_record(-45.0), np.zeros(problem.mesh.n_interior)
+
+    monkeypatch.setattr(experiments, "_solve", solve)
+    config = dataclasses.replace(default_config("table3"), out=str(tmp_path))
+    with pytest.raises(ExperimentFailure, match="^the p=2 run diverged$"):
+        run_experiment(config)
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("diverged", ["semilinear", "linear"])
+def test_fig_cdf_fails_when_a_run_diverges(diverged, monkeypatch, tmp_path):
+    """A diverged solve fails fig-cdf; the semilinear CSV exists only if its solve finished."""
+
+    def solve(problem, config):
+        if problem.name.startswith(diverged):
+            return one_record(1e300), None
+        return one_record(0.0), np.zeros(problem.basis.size * problem.mesh.n_interior)
+
+    monkeypatch.setattr(experiments, "_solve", solve)
+    config = dataclasses.replace(default_config("fig-cdf"), n_mc=200, out=str(tmp_path))
+    with pytest.raises(ExperimentFailure, match=f"^the {diverged} run diverged$"):
+        run_experiment(config)
+    assert (tmp_path / "fig-cdf-semilinear.csv").exists() == (diverged == "linear")
+    assert not (tmp_path / "fig-cdf-linear.csv").exists()
 
 
 @pytest.mark.parametrize("p", [0, 1])

@@ -14,6 +14,7 @@ from pcsgd import (
     builtin_semilinear_nonhomogeneous_field,
     estimate_cv_lambda,
     estimate_energy,
+    generate_basis,
     kernel_for,
     zero_coefficients,
 )
@@ -458,3 +459,30 @@ def test_monitor_tables_memory_is_bounded(traced_peak):
     assert traced_peak(lambda: kernel.rule_moments(*rule)) < 3.5 * 2**20
     moments = kernel.rule_moments(*rule)
     assert traced_peak(lambda: kernel.expected_energy(c, moments)) < 2 * 2**20
+
+
+def _check_kernel():
+    problem = builtin_linear_homogeneous(0.3, 1, 10.0, 5, 1)
+    kernel = kernel_for(problem)
+    return kernel, np.zeros(kernel.dim), np.zeros((4, problem.germ_dim))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda k, c, g: Kernel(k.problem, k.mesh, generate_basis(3, 1)), "germ dimension"),
+        (lambda k, c, g: k.gradient_parts(c, g, "order2"), "unknown control-variate order"),
+        (lambda k, c, g: k.cv_auxiliary_batch(c, g, "none"), "unknown control-variate order"),
+        (lambda k, c, g: k.cv_known_mean(c, "order2"), "unknown control-variate order"),
+        (lambda k, c, g: k.averaged_hessian_blocks(c, g, "staged"), "unknown Hessian stage"),
+        (lambda k, c, g: estimate_cv_lambda(k, c, "order2", 10, GermSampler(0, 2)),
+         "unknown control-variate mode"),
+        (lambda k, c, g: estimate_cv_lambda(k, c, "order1", 1, GermSampler(0, 2)),
+         "at least two samples"),
+    ],
+    ids=["basis-germ-dim", "gradient-order", "auxiliary-order", "known-mean-order",
+         "hessian-stage", "cv-mode", "cv-pilot"],
+)
+def test_estimators_reject_invalid_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(*_check_kernel())

@@ -21,7 +21,7 @@ from pcsgd import (
     reference_solve_linear,
     zero_coefficients,
 )
-from pcsgd.evaluation import EVAL_PURPOSE, solution_at_point
+from pcsgd.evaluation import EVAL_PURPOSE, solution_at_points
 from pcsgd.fem1d import Mesh1D
 from pcsgd.random_field import GERM_CHUNK, GermSampler
 
@@ -58,8 +58,8 @@ def test_solution_at_point_includes_lifting():
     germs = np.zeros((2, 2))
     # with zero coefficients only the lifting remains
     near_right = problem.mesh.nodes[-1]
-    values = solution_at_point(kernel_for(problem), c, near_right - 0.25 * problem.mesh.h, germs)
-    np.testing.assert_allclose(values, 0.75)
+    u_c = solution_at_points(kernel_for(problem), c, [near_right - 0.25 * problem.mesh.h])
+    np.testing.assert_allclose(u_c(germs), 0.75)
 
 
 def test_solution_at_point_matches_manual_expansion():
@@ -67,16 +67,16 @@ def test_solution_at_point_matches_manual_expansion():
     rng = np.random.default_rng(1)
     c = rng.standard_normal(4 * problem.basis.size)
     germs = rng.standard_normal((5, 2))
-    x = 0.7
+    points = [0.7, -1.3]
     from pcsgd.estimators import coefficient_matrix
     from pcsgd.fem1d import eval_phi
     from pcsgd.pc_basis import eval_all
 
-    phi = np.array([eval_phi(problem.mesh, i, x) for i in range(1, 5)])
+    phi = np.array([[eval_phi(problem.mesh, i, x) for x in points] for i in range(1, 5)])
     psi = eval_all(problem.basis, germs)
-    manual = psi @ (coefficient_matrix(c, 4) @ phi)
+    manual = psi @ (coefficient_matrix(c, 4) @ phi)  # (5, 2): one column per point
     np.testing.assert_allclose(
-        solution_at_point(kernel_for(problem), c, x, germs),
+        solution_at_points(kernel_for(problem), c, points)(germs),
         manual,
         atol=1e-13,
     )
@@ -326,3 +326,42 @@ def test_pointwise_l2_error_rejects_a_point_before_evaluating_the_exact_solution
     with pytest.raises(ValueError, match="outside the mesh domain"):
         pointwise_l2_error(problem, problem.mesh, problem.basis, c, x, 1000, 0)
     assert calls == []
+
+
+def _records(energies):
+    """A trajectory with the given energies recorded at n = 0, 10, 20, ..."""
+    zeros = np.zeros(len(energies))
+    iterations = 10 * np.arange(len(energies))
+    return Trajectory(iterations, zeros, np.array(energies), zeros, zeros, zeros, 1)
+
+
+NO_EXACT = dataclasses.replace(
+    builtin_linear_homogeneous(0.1, 1, 10.0, 4, 1), exact_solution=None
+)
+CDF_PROBLEM = builtin_linear_homogeneous(0.1, 1, 10.0, 4, 1)
+CDF_C = zero_coefficients(CDF_PROBLEM.mesh, CDF_PROBLEM.basis)
+GRID = np.linspace(0.0, 1.0, 3)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: pointwise_l2_error(NO_EXACT, NO_EXACT.mesh, NO_EXACT.basis, CDF_C, 0.5, 10, 0),
+         "no exact solution"),
+        (lambda: empirical_cdf(NO_EXACT, NO_EXACT.mesh, NO_EXACT.basis, CDF_C, [0.5], [GRID],
+                               10, 0, use_exact_solution=True), "no exact solution"),
+        (lambda: exact_energy_mc(NO_EXACT, 10, 0), "no exact solution data"),
+        (lambda: empirical_cdf(CDF_PROBLEM, CDF_PROBLEM.mesh, CDF_PROBLEM.basis, CDF_C,
+                               [-1.0, 0.0, 1.0], [GRID] * 3, 10, 0), "one or two"),
+        (lambda: empirical_cdf(CDF_PROBLEM, CDF_PROBLEM.mesh, CDF_PROBLEM.basis, CDF_C,
+                               [-1.0, 1.0], [GRID], 10, 0), "one threshold grid per"),
+        # one record inside the range: nothing is truncated, so no warning either
+        (lambda: fit_convergence_rate(_records([3.0, 2.0]), 1.0, (10, 100)),
+         "not enough usable records"),
+    ],
+    ids=["l2-no-exact", "cdf-no-exact", "energy-no-exact", "three-points", "grid-count",
+         "one-usable-record"],
+)
+def test_evaluation_rejects_invalid_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -140,3 +140,17 @@ def test_lifting_tables_match_pointwise():
     lift = LiftingFunction(0.5, 1.5)
     np.testing.assert_allclose(vals, lift.value(mesh, rule.points))
     np.testing.assert_allclose(dvals, lift.derivative(mesh, rule.points))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda mesh: quadrature_points(mesh, 0), "at least one point per element"),
+        (lambda mesh: eval_phi(mesh, 0, 0.0), "basis index 0 out of range 1..4"),
+        (lambda mesh: eval_dphi(mesh, 5, 0.0), "basis index 5 out of range 1..4"),
+    ],
+    ids=["no-quadrature-points", "phi-index", "dphi-index"],
+)
+def test_fem1d_rejects_invalid_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(Mesh1D(10.0, 4))

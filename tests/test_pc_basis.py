@@ -163,3 +163,12 @@ def test_eval_all_rejects_a_single_germ_vector():
         eval_all(basis, np.zeros(2))
     with pytest.raises(ValueError):
         eval_all(basis, np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize(
+    "germ_dim, degree_bound, message",
+    [(0, 1, "germ_dim must be >= 1"), (1, -1, "degree_bound must be >= 0")],
+)
+def test_generate_basis_rejects_invalid_sizes(germ_dim, degree_bound, message):
+    with pytest.raises(ValueError, match=message):
+        generate_basis(germ_dim, degree_bound)

@@ -321,3 +321,8 @@ def test_repeated_monte_carlo_pass_takes_no_page_faults():
     )
     assert result.returncode == 0, result.stderr
     assert int(result.stdout) < 2000
+
+
+def test_trig_field_needs_a_harmonic_pair():
+    with pytest.raises(ValueError, match="at least one harmonic pair"):
+        TrigLogNormalField(0.1, 0, 10.0)

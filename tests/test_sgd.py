@@ -98,6 +98,8 @@ def test_config_validation():
         small_config(monitor_samples=2)
     with pytest.raises(ValueError):  # so does the pilot's covariance
         small_config(cv_mode="order1", cv_pilot_size=1)
+    with pytest.raises(ValueError, match="iteration count must be non-negative"):
+        small_config(n_iterations=-1)
     with pytest.raises(ValueError):  # numpy's SeedSequence takes no negative entropy
         small_config(seed=-1)
 
@@ -364,7 +366,9 @@ def test_first_order_divergence_raises_with_partial_trajectory():
     err = info.value
     assert err.iteration >= 1
     assert err.trajectory.iterations[-1] < err.iteration + 1
-    assert "seed" in str(err)
+    assert err.seed == config.seed and str(err) == (
+        f"non-finite update at iteration {err.iteration}; germ streams derive from seed 0"
+    )
     assert log.iterations == err.trajectory.iterations.tolist()  # one call per record
 
 
