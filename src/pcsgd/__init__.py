@@ -22,7 +22,6 @@ from .estimators import (
     Kernel,
     estimate_cv_lambda,
     kernel_for,
-    zero_coefficients,
 )
 from .fem1d import LiftingFunction, Mesh1D, QuadratureRule, quadrature_points
 from .pc_basis import (

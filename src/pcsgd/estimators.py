@@ -22,9 +22,9 @@ DEFAULT_QUADRATURE_ORDER = 4
 
 CV_MODES = ("none", "order0", "order1")
 
-
-def zero_coefficients(mesh: Mesh1D, basis: PcBasisSet) -> np.ndarray:
-    return np.zeros(mesh.n_interior * basis.size)
+# Rule nodes per slice in `rule_moments` and `expected_energy`: it bounds the pair buffer
+# and the reaction's (nodes, points) temporaries, which lowers a solve's peak memory.
+NODE_SLICE = 256
 
 
 def coefficient_matrix(c: np.ndarray, n_interior: int) -> np.ndarray:
@@ -178,17 +178,17 @@ class Kernel:
     def rule_moments(self, nodes: np.ndarray, weights: np.ndarray) -> RuleMoments:
         """Tables of `expected_energy` for the rule (nodes, weights).
 
-        np.einsum sums G_e (its a <= b half) and the source over 256 nodes per
-        call, not BLAS, whose rounding can depend on its thread count.
+        np.einsum sums G_e (its a <= b half) and the source over NODE_SLICE nodes
+        per call, not BLAS, whose rounding can depend on its thread count.
         """
         psi, conductance, loads = self.germ_tables(nodes)
         n = self.basis.size
         first = np.r_[0, np.cumsum(np.arange(n, 0, -1))]  # row j's start in the a <= b half
         half = np.zeros((conductance.shape[1], first[-1]))
-        buffer = np.empty((min(len(nodes), 256), first[-1]))  # one slice's pairs
+        buffer = np.empty((min(len(nodes), NODE_SLICE), first[-1]))  # one slice's pairs
         source = None if loads is None else np.zeros((n, loads.shape[1]))
-        for k in range(0, len(nodes), 256):
-            chunk = slice(k, k + 256)
+        for k in range(0, len(nodes), NODE_SLICE):
+            chunk = slice(k, k + NODE_SLICE)
             wpsi = weights[chunk, None] * psi[chunk]
             pairs = buffer[: len(wpsi)]
             for j, (lo, hi) in enumerate(zip(first, first[1:])):
@@ -216,7 +216,7 @@ class Kernel:
         if moments.reaction is not None:
             weights, psi = moments.reaction
             # one product, as BLAS rows can round by the row count, then node slices
-            slices = np.split(psi @ padded, range(256, len(psi), 256))
+            slices = np.split(psi @ padded, range(NODE_SLICE, len(psi), NODE_SLICE))
             energy += weights @ np.concatenate([self._reaction_energies(s) for s in slices])
         return float(energy)
 
@@ -281,14 +281,12 @@ class Kernel:
 
     # -- Hessian blocks ---------------------------------------------------
 
-    def averaged_hessian_blocks(self, c: np.ndarray, germs: np.ndarray, stage: str):
+    def averaged_hessian_blocks(self, c: np.ndarray, germs: np.ndarray, *, full: bool):
         """Mini-batch mean of the diagonal Hessian blocks as (N+1, 2, M) lower bands.
 
         The mean over samples of psi_j^2 * A collapses into per-block element
-        weights: conductances, and f'(u) times the element's hat products.
+        weights: conductances and, if `full`, f'(u) times the element's hat products.
         """
-        if stage not in ("linear-only", "full"):
-            raise ValueError(f"unknown Hessian stage {stage!r}")
         psi = eval_all(self.basis, germs)
         psi2 = psi**2 / germs.shape[0]
         conductance = psi2.T @ self.conductances(germs) / self.mesh.h**2  # (N+1, M+1)
@@ -296,7 +294,7 @@ class Kernel:
         bands[:, 0] = conductance[:, :-1] + conductance[:, 1:]
         bands[:, 1, :-1] = -conductance[:, 1:-1]
         nl = self.problem.nonlinearity
-        if stage == "full" and nl is not None:
+        if full and nl is not None:
             nodal = psi @ self.padded_coefficients(c)
             dfu = nl.derivative(self._at_points(nodal))
             mass = self._per_element(psi2.T @ dfu, self._mass_w)  # (N+1, M+1, 3)

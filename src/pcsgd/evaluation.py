@@ -167,7 +167,7 @@ def reference_solve_linear(
     # is the stiffness and of its gradient at c = 0 the lifting's residual.
     # An overflow or NaN on the way leaves a non-finite system, rejected below.
     with np.errstate(all="ignore"):
-        bands = kernel.averaged_hessian_blocks(zero, germ, "linear-only")[0]
+        bands = kernel.averaged_hessian_blocks(zero, germ, full=False)[0]
         rhs = -kernel.gradient_parts(zero, germ).total[0]
     if not (np.isfinite(bands).all() and np.isfinite(rhs).all()):
         raise ValueError("reference system is not finite at this germ")

@@ -210,12 +210,13 @@ def default_config(experiment: str) -> ExperimentConfig:
 
 def make_problem(config: ExperimentConfig) -> ProblemInstance:
     """The run's problem; raises ValueError on an invalid [problem] value or point."""
-    if abs(config.points) > config.length / 2:
-        raise ValueError(f"points={config.points} lies outside [-length/2, length/2]")
     builtin = PROBLEMS[config.problem]
     # a spatially constant field has no amplitude beta or harmonic pairs n_v
     field = () if builtin is builtin_semilinear_homogeneous_field else (config.beta, config.n_v)
-    return builtin(*field, config.length, config.m, config.p)
+    problem = builtin(*field, config.length, config.m, config.p)  # validates length first
+    if abs(config.points) > config.length / 2:
+        raise ValueError(f"points={config.points} lies outside [-length/2, length/2]")
+    return problem
 
 
 # Every SgdConfig field but the schedule has an ExperimentConfig key of its name.
@@ -234,7 +235,7 @@ def check_config(config: ExperimentConfig) -> None:
     """Raise ValueError on a problem, SGD or monitor setting that a solve of the run rejects."""
     solves = [config, _cdf_linear_config(config)] if config.experiment == "fig-cdf" else [config]
     if config.experiment == "fig-staged-hessian":  # the runner replaces hessian_mode
-        solves += [replace(config, hessian_mode=mode) for mode in ("staged", "full")]
+        solves += [replace(config, hessian_mode=mode) for mode in STAGED_STUDY_ARMS]
     for solve in solves:
         monitor_points(make_problem(solve).basis, make_sgd_config(solve).monitor_samples)
 
@@ -601,13 +602,16 @@ def run_fig_cdf(config: ExperimentConfig) -> list[str]:
     return [semi_path, lin_path]
 
 
+STAGED_STUDY_ARMS = ("staged", "full")
+
+
 def run_fig_staged_hessian(config: ExperimentConfig) -> list[str]:
     """Staged versus full-from-start Hessian on the semilinear benchmark."""
     problem = make_problem(config)
     minimum = _known_minimum(problem)
     rows = []
     gaps = {}
-    for mode in ("staged", "full"):
+    for mode in STAGED_STUDY_ARMS:
         trajectory, c = _solve(problem, replace(config, hessian_mode=mode))
         if c is None:  # a diverged arm is left out of the CSV
             gaps[mode] = np.inf

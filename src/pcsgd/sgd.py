@@ -165,14 +165,6 @@ def _initial_coefficients(kernel: Kernel, config: SgdConfig) -> np.ndarray:
     return config.init_scale * rng.standard_normal(kernel.dim)
 
 
-def _hessian_stage(config: SgdConfig, n: int) -> str:
-    if config.hessian_mode == "linear-only":
-        return "linear-only"
-    if config.hessian_mode == "staged" and n <= config.n_switch:
-        return "linear-only"
-    return "full"
-
-
 def run(
     problem: ProblemInstance,
     mesh: Mesh1D,
@@ -223,17 +215,18 @@ def run(
         nodes = n_points**problem.germ_dim
         return Trajectory(*columns, monitor_samples=nodes)
 
+    mode = config.hessian_mode
     for n in range(1, config.n_iterations + 1):
         eta = config.schedule.rate(n)
         germs_g = sampler.sample_batch(n, config.batch_gradient, "gradient")
         grad = kernel.gradient_mean(c, germs_g, cv_state)
 
-        if config.hessian_mode == "none":
+        if mode == "none":
             step = grad
         else:
-            stage = _hessian_stage(config, n)
+            full = mode == "full" or (mode == "staged" and n > config.n_switch)
             germs_h = sampler.sample_batch(n, config.batch_hessian, "hessian")
-            blocks = kernel.averaged_hessian_blocks(c, germs_h, stage)
+            blocks = kernel.averaged_hessian_blocks(c, germs_h, full=full)
             step, fallbacks = precondition_solve(blocks, grad, RIDGE)
             fallbacks_since_record += fallbacks
 

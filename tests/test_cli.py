@@ -343,6 +343,20 @@ def test_cli_rejects_invalid_config_value(argv, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ("length=-5", "length must be finite and positive"),
+        ("length=0", "length must be finite and positive"),
+        ("points=6", "points=6.0 lies outside [-length/2, length/2]"),
+    ],
+)
+def test_cli_names_the_invalid_length_before_the_point(override, message, tmp_path, capsys):
+    """A bad length is reported as such, not as every point lying outside the domain."""
+    assert main(["solve", "--override", override, "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_sgd_values_are_checked_after_all_overrides():
     """Only the final config must be valid: n_switch=100 > n_iterations=4 in between."""
     overrides = ["hessian_mode=staged", "n_iterations=4", "n_switch=2"]

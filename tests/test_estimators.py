@@ -16,7 +16,6 @@ from pcsgd import (
     estimate_energy,
     generate_basis,
     kernel_for,
-    zero_coefficients,
 )
 from pcsgd.estimators import DEFAULT_QUADRATURE_ORDER, coefficient_matrix, flat_index
 from pcsgd.fem1d import (
@@ -38,7 +37,7 @@ def dense_from_bands(bands):
     return blocks
 
 
-def dense_hessian_blocks(problem, c, germs, stage):
+def dense_hessian_blocks(problem, c, germs, full):
     """Averaged blocks by dense assembly over the full (P, M) hat tables."""
     mesh = problem.mesh
     rule = quadrature_points(mesh, DEFAULT_QUADRATURE_ORDER)
@@ -49,7 +48,7 @@ def dense_hessian_blocks(problem, c, germs, stage):
     psi2 = psi**2 / germs.shape[0]
     wa = (psi2.T @ problem.field.values(x, germs)) * w
     blocks = np.stack([dphi.T @ (row[:, None] * dphi) for row in wa])
-    if stage == "full" and problem.nonlinearity is not None:
+    if full and problem.nonlinearity is not None:
         u = psi @ coefficient_matrix(c, mesh.n_interior) @ phi.T + lift
         wb = (psi2.T @ problem.nonlinearity.derivative(u)) * w
         blocks += np.stack([phi.T @ (row[:, None] * phi) for row in wb])
@@ -64,13 +63,6 @@ def test_flat_index_layout_round_trip():
     for j in range(4):
         for i in range(1, m + 1):
             assert matrix[j, i - 1] == c[flat_index(i, j, m)]
-
-
-def test_zero_coefficients_shape():
-    problem = builtin_semilinear_nonhomogeneous_field(0.2, 1, 4.0, 6, 2)
-    c = zero_coefficients(problem.mesh, problem.basis)
-    assert c.shape == (6 * problem.basis.size,)
-    assert not c.any()
 
 
 def naive_gradient(problem, c, germ, n_quad_per_element=4):
@@ -159,7 +151,7 @@ def test_hessian_blocks_match_gradient_finite_differences():
     rng = np.random.default_rng(8)
     c = 0.2 * rng.standard_normal(kernel.dim)
     germ = rng.standard_normal(2)
-    blocks = dense_from_bands(kernel.averaged_hessian_blocks(c, np.atleast_2d(germ), "full"))
+    blocks = dense_from_bands(kernel.averaged_hessian_blocks(c, np.atleast_2d(germ), full=True))
     m = problem.mesh.n_interior
     eps = 1e-6
     for j in range(problem.basis.size):
@@ -182,11 +174,11 @@ def test_averaged_blocks_equal_mean_of_single_samples():
     rng = np.random.default_rng(9)
     c = 0.1 * rng.standard_normal(kernel.dim)
     germs = rng.standard_normal((5, 2))
-    for stage in ("linear-only", "full"):
-        averaged = kernel.averaged_hessian_blocks(c, germs, stage)
+    for full in (False, True):
+        averaged = kernel.averaged_hessian_blocks(c, germs, full=full)
         assert averaged.shape == (problem.basis.size, 2, problem.mesh.n_interior)
         manual = np.mean(
-            [kernel.averaged_hessian_blocks(c, g[None, :], stage) for g in germs],
+            [kernel.averaged_hessian_blocks(c, g[None, :], full=full) for g in germs],
             axis=0,
         )
         np.testing.assert_allclose(averaged, manual, atol=1e-12)
@@ -207,9 +199,9 @@ def test_hessian_bands_match_dense_assembly(problem):
     rng = np.random.default_rng(13)
     c = 0.5 * rng.standard_normal(kernel.dim)
     germs = rng.standard_normal((11, problem.germ_dim))
-    for stage in ("linear-only", "full"):
-        dense = dense_hessian_blocks(problem, c, germs, stage)
-        banded = dense_from_bands(kernel.averaged_hessian_blocks(c, germs, stage))
+    for full in (False, True):
+        dense = dense_hessian_blocks(problem, c, germs, full)
+        banded = dense_from_bands(kernel.averaged_hessian_blocks(c, germs, full=full))
         assert np.max(np.abs(banded - dense)) <= 1e-13 * np.max(np.abs(dense))
 
 
@@ -270,7 +262,7 @@ def test_cv_estimator_reduces_variance_and_keeps_mean():
 def test_lambda_zero_when_auxiliary_degenerate():
     """With zero coefficients and zero boundary the linear part vanishes."""
     problem = builtin_semilinear_nonhomogeneous_field(0.2, 1, 4.0, 4, 1)
-    c = zero_coefficients(problem.mesh, problem.basis)
+    c = np.zeros(problem.mesh.n_interior * problem.basis.size)
     state = estimate_cv_lambda(kernel_for(problem), c, "order1", 100, GermSampler(0, 2))
     np.testing.assert_array_equal(state.lam, 0.0)
 
@@ -319,7 +311,7 @@ def test_cv_lambda_matches_per_sample_products(problem, mode):
 def test_cv_lambda_memory_is_bounded(traced_peak):
     """Solve size (M=50, N+1=35), 1,000-germ order1 pilot: no (pilot, dim) arrays."""
     problem = builtin_linear_nonhomogeneous(0.1, 2, 10.0, 50, 3)
-    c = zero_coefficients(problem.mesh, problem.basis)
+    c = np.zeros(problem.mesh.n_interior * problem.basis.size)
     peak = traced_peak(
         lambda: estimate_cv_lambda(kernel_for(problem), c, "order1", 1000, GermSampler(0, 4))
     )
@@ -474,15 +466,21 @@ def _check_kernel():
         (lambda k, c, g: k.gradient_parts(c, g, "order2"), "unknown control-variate order"),
         (lambda k, c, g: k.cv_auxiliary_batch(c, g, "none"), "unknown control-variate order"),
         (lambda k, c, g: k.cv_known_mean(c, "order2"), "unknown control-variate order"),
-        (lambda k, c, g: k.averaged_hessian_blocks(c, g, "staged"), "unknown Hessian stage"),
         (lambda k, c, g: estimate_cv_lambda(k, c, "order2", 10, GermSampler(0, 2)),
          "unknown control-variate mode"),
         (lambda k, c, g: estimate_cv_lambda(k, c, "order1", 1, GermSampler(0, 2)),
          "at least two samples"),
     ],
     ids=["basis-germ-dim", "gradient-order", "auxiliary-order", "known-mean-order",
-         "hessian-stage", "cv-mode", "cv-pilot"],
+         "cv-mode", "cv-pilot"],
 )
 def test_estimators_reject_invalid_input(call, message):
     with pytest.raises(ValueError, match=message):
         call(*_check_kernel())
+
+
+def test_hessian_blocks_take_the_stage_by_keyword_only():
+    """A positional stage, such as an old stage string, is a TypeError, not a truthy `full`."""
+    kernel, c, germs = _check_kernel()
+    with pytest.raises(TypeError):
+        kernel.averaged_hessian_blocks(c, germs, "full")

@@ -19,7 +19,6 @@ from pcsgd import (
     kernel_for,
     pointwise_l2_error,
     reference_solve_linear,
-    zero_coefficients,
 )
 from pcsgd.evaluation import EVAL_PURPOSE, solution_at_points
 from pcsgd.fem1d import Mesh1D
@@ -28,7 +27,7 @@ from pcsgd.random_field import GERM_CHUNK, GermSampler
 
 def test_energy_zero_for_linear_homogeneous_at_zero():
     problem = builtin_linear_homogeneous(0.1, 1, 10.0, 6, 1)
-    c = zero_coefficients(problem.mesh, problem.basis)
+    c = np.zeros(problem.mesh.n_interior * problem.basis.size)
     estimate = estimate_energy(problem, problem.mesh, problem.basis, c, 1000, 0)
     assert estimate.mean == 0.0
     assert estimate.standard_error == 0.0
@@ -38,7 +37,7 @@ def test_energy_zero_for_linear_homogeneous_at_zero():
 def test_energy_deterministic_for_semilinear_at_zero():
     """u = 0 makes the integrand -cos(0) per sample: exactly -l, zero SE."""
     problem = builtin_semilinear_nonhomogeneous_field(0.3, 1, 12.0, 6, 1)
-    c = zero_coefficients(problem.mesh, problem.basis)
+    c = np.zeros(problem.mesh.n_interior * problem.basis.size)
     estimate = estimate_energy(problem, problem.mesh, problem.basis, c, 500, 0)
     assert estimate.mean == pytest.approx(-12.0, rel=1e-12)
     assert estimate.standard_error == pytest.approx(0.0, abs=1e-12)
@@ -46,7 +45,7 @@ def test_energy_deterministic_for_semilinear_at_zero():
 
 def test_energy_estimate_reproducible():
     problem = builtin_linear_nonhomogeneous(0.2, 1, 10.0, 8, 2)
-    c = zero_coefficients(problem.mesh, problem.basis)
+    c = np.zeros(problem.mesh.n_interior * problem.basis.size)
     a = estimate_energy(problem, problem.mesh, problem.basis, c, 2000, 3)
     b = estimate_energy(problem, problem.mesh, problem.basis, c, 2000, 3)
     assert a.mean == b.mean and a.standard_error == b.standard_error
@@ -54,7 +53,7 @@ def test_energy_estimate_reproducible():
 
 def test_solution_at_point_includes_lifting():
     problem = builtin_linear_nonhomogeneous(0.2, 1, 10.0, 4, 1)
-    c = zero_coefficients(problem.mesh, problem.basis)
+    c = np.zeros(problem.mesh.n_interior * problem.basis.size)
     germs = np.zeros((2, 2))
     # with zero coefficients only the lifting remains
     near_right = problem.mesh.nodes[-1]
@@ -84,7 +83,7 @@ def test_solution_at_point_matches_manual_expansion():
 
 def test_l2_error_zero_for_exact_zero_solution():
     problem = builtin_semilinear_nonhomogeneous_field(0.3, 1, 12.0, 6, 1)
-    c = zero_coefficients(problem.mesh, problem.basis)
+    c = np.zeros(problem.mesh.n_interior * problem.basis.size)
     error = pointwise_l2_error(problem, problem.mesh, problem.basis, c, 0.5, 500, 0)
     assert error.mean == 0.0
 
@@ -92,7 +91,7 @@ def test_l2_error_zero_for_exact_zero_solution():
 def test_l2_error_se_scaling():
     """Quadrupling the sample count roughly halves the standard error."""
     problem = builtin_linear_nonhomogeneous(0.2, 1, 10.0, 8, 2)
-    c = zero_coefficients(problem.mesh, problem.basis)
+    c = np.zeros(problem.mesh.n_interior * problem.basis.size)
     small = pointwise_l2_error(problem, problem.mesh, problem.basis, c, 2.0, 20_000, 5)
     large = pointwise_l2_error(problem, problem.mesh, problem.basis, c, 2.0, 80_000, 5)
     ratio = large.standard_error / small.standard_error
@@ -144,7 +143,7 @@ def test_reference_solve_on_an_overflowing_germ_raises_without_warnings():
 def test_reference_solve_raises_on_a_failed_factorization(monkeypatch):
     problem = builtin_linear_nonhomogeneous(0.2, 1, 10.0, 6, 1)
     blocks = Kernel.averaged_hessian_blocks
-    monkeypatch.setattr(Kernel, "averaged_hessian_blocks", lambda *a: -blocks(*a))
+    monkeypatch.setattr(Kernel, "averaged_hessian_blocks", lambda *a, **k: -blocks(*a, **k))
     with pytest.raises(np.linalg.LinAlgError):
         reference_solve_linear(problem, problem.mesh, np.zeros(2))
 
@@ -159,7 +158,7 @@ def test_reference_solve_on_one_interior_node():
 
 def test_empirical_cdf_basic_properties():
     problem = builtin_linear_nonhomogeneous(0.2, 1, 10.0, 8, 2)
-    c = zero_coefficients(problem.mesh, problem.basis)
+    c = np.zeros(problem.mesh.n_interior * problem.basis.size)
     grid = np.linspace(-0.5, 1.5, 41)
     cdf = empirical_cdf(
         problem, problem.mesh, problem.basis, c, [2.0], [grid], 5000, 0
@@ -185,7 +184,7 @@ def test_empirical_cdf_exact_flag_uses_exact_solution():
 
 def test_joint_cdf_monotone():
     problem = builtin_linear_nonhomogeneous(0.2, 1, 10.0, 8, 2)
-    c = zero_coefficients(problem.mesh, problem.basis)
+    c = np.zeros(problem.mesh.n_interior * problem.basis.size)
     grid = np.linspace(0.0, 1.0, 11)
     cdf = empirical_cdf(
         problem, problem.mesh, problem.basis, c, [-4.0, 2.0], [grid, grid], 4000, 0
@@ -242,7 +241,7 @@ def test_fit_convergence_rate_warns_on_nonpositive_gap():
 
 def test_estimate_energy_rejects_tiny_sample():
     problem = builtin_linear_homogeneous(0.1, 1, 10.0, 4, 1)
-    c = zero_coefficients(problem.mesh, problem.basis)
+    c = np.zeros(problem.mesh.n_interior * problem.basis.size)
     with pytest.raises(ValueError):
         estimate_energy(problem, problem.mesh, problem.basis, c, 1, 0)
 
@@ -265,7 +264,7 @@ def test_estimate_energy_chunks_match_one_kernel_call():
 def test_estimate_energy_memory_is_bounded(traced_peak):
     """Table3 size (M=100, N+1=10) on 2e4 germs: GERM_CHUNK-row temporaries only."""
     problem = builtin_semilinear_homogeneous_field(12.0, 100, 3)
-    c = zero_coefficients(problem.mesh, problem.basis)
+    c = np.zeros(problem.mesh.n_interior * problem.basis.size)
     peak = traced_peak(lambda: estimate_energy(problem, problem.mesh, problem.basis, c, 20_000, 0))
     assert peak < 40 * 2**20
 
@@ -285,7 +284,7 @@ def test_estimate_energy_draws_its_germs_per_chunk(traced_peak, monkeypatch):
 
 def test_empirical_cdf_rejects_no_samples():
     problem = builtin_linear_nonhomogeneous(0.2, 1, 10.0, 6, 2)
-    c = zero_coefficients(problem.mesh, problem.basis)
+    c = np.zeros(problem.mesh.n_interior * problem.basis.size)
     with pytest.raises(ValueError):
         empirical_cdf(problem, problem.mesh, problem.basis, c, [0.5], [np.zeros(3)], 0, 0)
 
@@ -293,7 +292,7 @@ def test_empirical_cdf_rejects_no_samples():
 def test_empirical_cdf_rejects_a_point_outside_the_mesh_on_both_paths():
     """The exact solution would extrapolate past the mesh; both paths raise the same error."""
     problem = builtin_linear_nonhomogeneous(0.1, 2, 10.0, 50, 3)  # on [-5, 5]
-    c = zero_coefficients(problem.mesh, problem.basis)
+    c = np.zeros(problem.mesh.n_interior * problem.basis.size)
     for use_exact_solution in (False, True):
         with pytest.raises(ValueError, match="evaluation point outside the mesh domain"):
             empirical_cdf(
@@ -305,7 +304,7 @@ def test_empirical_cdf_rejects_a_point_outside_the_mesh_on_both_paths():
 @pytest.mark.parametrize("x", [float("nan"), float("inf")])
 def test_empirical_cdf_rejects_a_non_finite_point_on_both_paths(x):
     problem = builtin_linear_nonhomogeneous(0.1, 2, 10.0, 50, 3)
-    c = zero_coefficients(problem.mesh, problem.basis)
+    c = np.zeros(problem.mesh.n_interior * problem.basis.size)
     for use_exact_solution in (False, True):
         with pytest.raises(ValueError, match="outside the mesh domain"):
             empirical_cdf(
@@ -322,7 +321,7 @@ def test_pointwise_l2_error_rejects_a_point_before_evaluating_the_exact_solution
     problem = dataclasses.replace(
         problem, exact_solution=lambda points, germs: calls.append(points) or exact(points, germs)
     )
-    c = zero_coefficients(problem.mesh, problem.basis)
+    c = np.zeros(problem.mesh.n_interior * problem.basis.size)
     with pytest.raises(ValueError, match="outside the mesh domain"):
         pointwise_l2_error(problem, problem.mesh, problem.basis, c, x, 1000, 0)
     assert calls == []
@@ -339,7 +338,7 @@ NO_EXACT = dataclasses.replace(
     builtin_linear_homogeneous(0.1, 1, 10.0, 4, 1), exact_solution=None
 )
 CDF_PROBLEM = builtin_linear_homogeneous(0.1, 1, 10.0, 4, 1)
-CDF_C = zero_coefficients(CDF_PROBLEM.mesh, CDF_PROBLEM.basis)
+CDF_C = np.zeros(CDF_PROBLEM.mesh.n_interior * CDF_PROBLEM.basis.size)
 GRID = np.linspace(0.0, 1.0, 3)
 
 

@@ -7,6 +7,7 @@ import scipy.linalg
 from scipy.linalg.lapack import dptsv
 
 from pcsgd import (
+    Kernel,
     LearningRateSchedule,
     SgdConfig,
     SgdDivergenceError,
@@ -408,6 +409,32 @@ def test_staged_differs_from_linear_only_after_switch():
     _, c_staged = run(problem, problem.mesh, problem.basis, staged)
     _, c_linear = run(problem, problem.mesh, problem.basis, linear)
     assert not np.array_equal(c_staged, c_linear)
+
+
+@pytest.mark.parametrize(
+    "mode, n_switch, expected",
+    [
+        ("none", 100, []),
+        ("linear-only", 100, [False] * 8),
+        ("full", 100, [True] * 8),
+        ("staged", 3, [False] * 3 + [True] * 5),
+        ("staged", 8, [False] * 8),
+        ("staged", 0, [True] * 8),
+    ],
+)
+def test_run_decides_the_hessian_stage_per_iteration(monkeypatch, mode, n_switch, expected):
+    """`full` at each iteration: staged is linear-only for n <= n_switch and full after."""
+    blocks, calls = Kernel.averaged_hessian_blocks, []
+
+    def recorded(self, c, germs, *, full):
+        calls.append(full)
+        return blocks(self, c, germs, full=full)
+
+    monkeypatch.setattr(Kernel, "averaged_hessian_blocks", recorded)
+    problem = builtin_semilinear_nonhomogeneous_field(0.2, 1, 4.0, 5, 1)
+    config = small_config(n_iterations=8, hessian_mode=mode, n_switch=n_switch)
+    run(problem, problem.mesh, problem.basis, config)
+    assert calls == expected
 
 
 def test_cv_run_matches_plain_when_lambda_zero():

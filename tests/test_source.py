@@ -1,7 +1,15 @@
+import ast
 import glob
 import os
+import re
+from collections import Counter
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "pcsgd")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src", "pcsgd")
+
+# Public names that only callers outside the package use: the coefficient-dump reader is
+# user API, and ROADMAP item 14 moves the rate fit and the reference solve out of `src/`.
+CALLED_FROM_OUTSIDE = {"fit_convergence_rate", "load_coefficients", "reference_solve_linear"}
 
 
 def test_no_source_line_is_over_100_characters():
@@ -12,3 +20,48 @@ def test_no_source_line_is_over_100_characters():
         if len(line.rstrip("\n")) > 100
     ]
     assert long_lines == []
+
+
+def _public_definitions(tree):
+    """Module-level functions and classes, and the classes' methods, not starting with _."""
+    for node in tree.body:
+        members = node.body if isinstance(node, ast.ClassDef) else []
+        for definition in [node, *members]:
+            is_definition = isinstance(definition, (ast.FunctionDef, ast.ClassDef))
+            if is_definition and not definition.name.startswith("_"):
+                yield definition
+
+
+def _names(node) -> Counter:
+    """Identifiers and attribute names read or written anywhere in `node`."""
+    return Counter(
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute))
+    )
+
+
+def test_every_public_name_is_used_by_the_package_or_the_benchmark():
+    """A public function, class or method that only tests call is a test-only layer.
+
+    A use inside the name's own definition or a re-export in `__init__` does
+    not count; `perfbench` counts by any mention, since it wraps methods by name.
+    """
+    trees = [
+        ast.parse(open(path, encoding="utf-8").read())
+        for path in sorted(glob.glob(os.path.join(SRC, "*.py")))
+        if os.path.basename(path) != "__init__.py"
+    ]
+    used = sum((_names(tree) for tree in trees), Counter())
+    bench = "\n".join(
+        open(path, encoding="utf-8").read()
+        for path in sorted(glob.glob(os.path.join(ROOT, "perfbench", "*.py")))
+    )
+    unused = {
+        definition.name
+        for tree in trees
+        for definition in _public_definitions(tree)
+        if used[definition.name] == _names(definition)[definition.name]
+        and not re.search(rf"\b{definition.name}\b", bench)
+    }
+    assert unused == CALLED_FROM_OUTSIDE
