@@ -131,13 +131,19 @@ _SECTIONS = {
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
 
+def _fmt(value) -> str:
+    """The one text form of a config, metadata or CSV value; a numpy float prints as a float."""
+    if isinstance(value, (bool, np.bool_)):
+        return str(bool(value))
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
 def config_to_ini(config: ExperimentConfig) -> str:
     parser = configparser.ConfigParser()
     for section, keys in _SECTIONS.items():
-        parser[section] = {}
-        for key in keys:
-            value = getattr(config, key)
-            parser[section][key] = repr(value) if isinstance(value, float) else str(value)
+        parser[section] = {key: _fmt(getattr(config, key)) for key in keys}
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()
@@ -238,6 +244,8 @@ def check_config(config: ExperimentConfig) -> None:
         solves += [replace(config, hessian_mode=mode) for mode in STAGED_STUDY_ARMS]
     for solve in solves:
         monitor_points(make_problem(solve).basis, make_sgd_config(solve).monitor_samples)
+    if config.experiment in _GAP_STUDIES:
+        _known_minimum(make_problem(config))
 
 
 def _solve(
@@ -260,19 +268,19 @@ def _solve(
 
 def _known_minimum(problem: ProblemInstance) -> float:
     if problem.exact_energy is None:
-        raise ExperimentFailure(f"problem {problem.name!r} has no known minimum energy")
+        raise ValueError(f"problem {problem.name!r} has no known minimum energy")
     return problem.exact_energy
 
 
 # -- CSV plumbing -----------------------------------------------------------
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+def _write_lines(path: str, lines: list[str]) -> str:
+    """Write `lines` to `path` with "\\n" endings, creating its directory."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return path
 
 
 def write_csv(
@@ -292,11 +300,7 @@ def write_csv(
         lines.append(f"# {key}={_fmt(value)}")
     lines.append(",".join(header))
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    path = os.path.join(config.out, name)
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return path
+    return _write_lines(os.path.join(config.out, name), lines)
 
 
 def save_coefficients(path: str, c: np.ndarray, n_interior: int) -> str:
@@ -308,10 +312,7 @@ def save_coefficients(path: str, c: np.ndarray, n_interior: int) -> str:
     for j in range(n_basis):
         for i in range(1, n_interior + 1):
             lines.append(f"{i} {j} {float(c[flat_index(i, j, n_interior)]).hex()}")
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return path
+    return _write_lines(path, lines)
 
 
 def load_coefficients(path: str, n_interior: int) -> np.ndarray:
@@ -451,8 +452,7 @@ def run_table3(config: ExperimentConfig) -> list[str]:
             config.seed + 202,
         )
         rows.append((p, energy.mean, energy.standard_error, error.mean))
-    oracle_problem = make_problem(config)
-    oracle = exact_energy_mc(oracle_problem, config.n_mc, config.seed + 303)
+    oracle = exact_energy_mc(problem, config.n_mc, config.seed + 303)  # on the p = config.p problem
     path = write_csv(
         "table3.csv",
         ["p", "final_j", "se", "l2_error"],
@@ -603,6 +603,7 @@ def run_fig_cdf(config: ExperimentConfig) -> list[str]:
 
 
 STAGED_STUDY_ARMS = ("staged", "full")
+_GAP_STUDIES = ("table2", "fig-staged-hessian", "fig-batch-study")  # gaps to exact_energy
 
 
 def run_fig_staged_hessian(config: ExperimentConfig) -> list[str]:

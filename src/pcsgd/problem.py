@@ -76,7 +76,7 @@ class ProblemInstance:
     Every callable of x maps (points (P,), germs (n, K)) to per-germ values
     (n, P), as `field.values` does.  `source` enters the energy as
     source * u and the gradient as its projection onto the basis.
-    `nonlinearity` is None for a linear problem.  `exact_solution` and
+    `nonlinearity` is None, the default, for a linear problem.  `exact_solution` and
     `exact_solution_derivative` give u and u' where they are known.
     The energy passes call `field`, `source`, `nonlinearity` and the exact
     solution from several threads at once, so these must be thread-safe.
@@ -84,9 +84,9 @@ class ProblemInstance:
 
     name: str
     field: LogNormalField
-    nonlinearity: Nonlinearity | None
     mesh: Mesh1D
     basis: PcBasisSet
+    nonlinearity: Nonlinearity | None = None
     boundary: tuple[float, float] = (0.0, 0.0)
     source: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     exact_solution: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
@@ -127,19 +127,22 @@ def _inverse_kappa_integral(
     return over_chunks(lambda g: (1.0 / field.values(x, g)) @ w, germs)
 
 
+def _instance(
+    name: str, field: LogNormalField, length: float, n_interior: int, degree_bound: int, **data
+) -> ProblemInstance:
+    """`name` on P1 elements over [-length/2, length/2] times a total-degree Hermite basis."""
+    mesh, basis = Mesh1D(length, n_interior), generate_basis(field.germ_dim, degree_bound)
+    return ProblemInstance(name=name, field=field, mesh=mesh, basis=basis, **data)
+
+
 def builtin_linear_homogeneous(
     beta: float, n_pairs: int, length: float, n_interior: int, degree_bound: int
 ) -> ProblemInstance:
     """Linear diffusion, zero source, zero boundary: the minimizer is u = 0."""
     field = TrigLogNormalField(beta, n_pairs, length)
-    return ProblemInstance(
-        name="linear_homogeneous",
-        field=field,
-        nonlinearity=None,
-        mesh=Mesh1D(length, n_interior),
-        basis=generate_basis(field.germ_dim, degree_bound),
-        exact_solution=_zero_solution,
-        exact_solution_derivative=_zero_solution,
+    return _instance(
+        "linear_homogeneous", field, length, n_interior, degree_bound,
+        exact_solution=_zero_solution, exact_solution_derivative=_zero_solution,
         exact_energy=0.0,
     )
 
@@ -165,15 +168,10 @@ def builtin_linear_nonhomogeneous(
         den = _inverse_kappa_integral(field, -half, half, germs)
         return 1.0 / field.values(x, germs) / den[:, None]
 
-    return ProblemInstance(
-        name="linear_nonhomogeneous",
-        field=field,
-        nonlinearity=None,
-        mesh=Mesh1D(length, n_interior),
-        basis=generate_basis(field.germ_dim, degree_bound),
+    return _instance(
+        "linear_nonhomogeneous", field, length, n_interior, degree_bound,
         boundary=(0.0, 1.0),
-        exact_solution=exact,
-        exact_solution_derivative=exact_derivative,
+        exact_solution=exact, exact_solution_derivative=exact_derivative,
     )
 
 
@@ -203,15 +201,10 @@ def builtin_semilinear_homogeneous_field(
     def exact_derivative(x: np.ndarray, germs: np.ndarray) -> np.ndarray:
         return np.pi * np.cos(np.pi * x) / field.scalar_values(germs)[:, None]
 
-    return ProblemInstance(
-        name="semilinear_homogeneous_field",
-        field=field,
-        nonlinearity=SINE_REACTION,
-        mesh=Mesh1D(length, n_interior),
-        basis=generate_basis(field.germ_dim, degree_bound),
-        source=source,
-        exact_solution=exact,
-        exact_solution_derivative=exact_derivative,
+    return _instance(
+        "semilinear_homogeneous_field", field, length, n_interior, degree_bound,
+        nonlinearity=SINE_REACTION, source=source,
+        exact_solution=exact, exact_solution_derivative=exact_derivative,
     )
 
 
@@ -224,13 +217,9 @@ def builtin_semilinear_nonhomogeneous_field(
     -cos(0), i.e. -length.
     """
     field = TrigLogNormalField(beta, n_pairs, length)
-    return ProblemInstance(
-        name="semilinear_nonhomogeneous_field",
-        field=field,
+    return _instance(
+        "semilinear_nonhomogeneous_field", field, length, n_interior, degree_bound,
         nonlinearity=SINE_REACTION,
-        mesh=Mesh1D(length, n_interior),
-        basis=generate_basis(field.germ_dim, degree_bound),
-        exact_solution=_zero_solution,
-        exact_solution_derivative=_zero_solution,
+        exact_solution=_zero_solution, exact_solution_derivative=_zero_solution,
         exact_energy=-length,
     )

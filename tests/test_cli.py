@@ -98,6 +98,15 @@ def test_the_solve_defaults_are_the_class_defaults():
     assert config_hash(linear) == "a218a527ef7a"  # heads fig-cdf-linear.csv
 
 
+def test_a_numpy_float_config_value_is_written_as_a_float():
+    """np.float64 subclasses float, but its repr is not a float literal."""
+    config = default_config("solve")
+    numpy_valued = dataclasses.replace(config, beta=np.float64(0.1))
+    assert "beta = 0.1\n" in config_to_ini(numpy_valued)
+    assert config_hash(numpy_valued) == config_hash(config)
+    assert config_from_ini(config_to_ini(numpy_valued)) == config
+
+
 def test_config_hash_sensitivity():
     config = default_config("solve")
     assert config_hash(config) == config_hash(default_config("solve"))
@@ -189,6 +198,15 @@ def test_coefficient_dump_rejects_a_mesh_without_interior_nodes(n_interior, tmp_
     save_coefficients(path, np.arange(6.0), 3)
     with pytest.raises(ValueError):
         load_coefficients(path, n_interior)
+
+
+def test_load_coefficients_skips_blank_lines(tmp_path):
+    path = tmp_path / "c.txt"
+    c = np.arange(6.0) - 2.5
+    save_coefficients(str(path), c, 3)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:3] + ["\n", "  \n"] + lines[3:] + ["\n"]))
+    np.testing.assert_array_equal(load_coefficients(str(path), 3), c)
 
 
 def test_load_coefficients_rejects_an_empty_dump(tmp_path):
@@ -372,13 +390,20 @@ def test_sgd_values_are_checked_after_all_overrides():
 
 
 @pytest.mark.parametrize("experiment", ["table2", "fig-staged-hessian", "fig-batch-study"])
-def test_gap_studies_need_a_known_minimum(experiment, tmp_path):
-    """They measure the gap to problem.exact_energy, which linear_nonhomogeneous lacks."""
+def test_gap_studies_need_a_known_minimum(experiment, tmp_path, capsys):
+    """They measure the gap to problem.exact_energy, which linear_nonhomogeneous lacks.
+
+    That is a config error: the CLI exits 2 before anything is solved.
+    """
     config = dataclasses.replace(
         default_config(experiment), problem="linear_nonhomogeneous", out=str(tmp_path)
     )
-    with pytest.raises(ExperimentFailure, match="no known minimum"):
+    with pytest.raises(ValueError, match="no known minimum"):
         run_experiment(config)
+    assert not any(tmp_path.iterdir())
+    argv = ["experiment", experiment, "--override", "problem=linear_nonhomogeneous"]
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: problem 'linear_nonhomogeneous' has no")
     assert not any(tmp_path.iterdir())
 
 

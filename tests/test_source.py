@@ -22,13 +22,12 @@ def test_no_source_line_is_over_100_characters():
     assert long_lines == []
 
 
-def _public_definitions(tree):
-    """Module-level functions and classes, and the classes' methods, not starting with _."""
+def _definitions(tree):
+    """Module-level functions and classes, and the classes' methods."""
     for node in tree.body:
         members = node.body if isinstance(node, ast.ClassDef) else []
         for definition in [node, *members]:
-            is_definition = isinstance(definition, (ast.FunctionDef, ast.ClassDef))
-            if is_definition and not definition.name.startswith("_"):
+            if isinstance(definition, (ast.FunctionDef, ast.ClassDef)):
                 yield definition
 
 
@@ -41,17 +40,26 @@ def _names(node) -> Counter:
     )
 
 
+def _source_trees():
+    """The package's modules but `__init__`, whose re-exports use nothing."""
+    return [
+        ast.parse(open(path, encoding="utf-8").read())
+        for path in sorted(glob.glob(os.path.join(SRC, "*.py")))
+        if os.path.basename(path) != "__init__.py"
+    ]
+
+
+def _unused_outside_itself(definition, used: Counter) -> bool:
+    return used[definition.name] == _names(definition)[definition.name]
+
+
 def test_every_public_name_is_used_by_the_package_or_the_benchmark():
     """A public function, class or method that only tests call is a test-only layer.
 
     A use inside the name's own definition or a re-export in `__init__` does
     not count; `perfbench` counts by any mention, since it wraps methods by name.
     """
-    trees = [
-        ast.parse(open(path, encoding="utf-8").read())
-        for path in sorted(glob.glob(os.path.join(SRC, "*.py")))
-        if os.path.basename(path) != "__init__.py"
-    ]
+    trees = _source_trees()
     used = sum((_names(tree) for tree in trees), Counter())
     bench = "\n".join(
         open(path, encoding="utf-8").read()
@@ -60,8 +68,29 @@ def test_every_public_name_is_used_by_the_package_or_the_benchmark():
     unused = {
         definition.name
         for tree in trees
-        for definition in _public_definitions(tree)
-        if used[definition.name] == _names(definition)[definition.name]
+        for definition in _definitions(tree)
+        if not definition.name.startswith("_")
+        and _unused_outside_itself(definition, used)
         and not re.search(rf"\b{definition.name}\b", bench)
     }
     assert unused == CALLED_FROM_OUTSIDE
+
+
+def test_every_private_function_is_used_by_the_package():
+    """A private function or method that nothing in the package calls is dead code.
+
+    Tests and `perfbench` do not count: they may not reach into private helpers.
+    A use inside the function's own definition does not count either.
+    """
+    trees = _source_trees()
+    used = sum((_names(tree) for tree in trees), Counter())
+    unused = {
+        definition.name
+        for tree in trees
+        for definition in _definitions(tree)
+        if isinstance(definition, ast.FunctionDef)
+        and definition.name.startswith("_")
+        and not (definition.name.startswith("__") and definition.name.endswith("__"))
+        and _unused_outside_itself(definition, used)
+    }
+    assert unused == set()
