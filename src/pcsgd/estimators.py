@@ -20,8 +20,6 @@ from .problem import ProblemInstance
 
 DEFAULT_QUADRATURE_ORDER = 4
 
-CV_MODES = ("none", "order0", "order1")
-
 # Rule nodes per slice in `rule_moments` and `expected_energy`: it bounds the pair buffer
 # and the reaction's (nodes, points) temporaries, which lowers a solve's peak memory.
 NODE_SLICE = 256
@@ -39,14 +37,10 @@ def flat_index(i: int, j: int, n_interior: int) -> int:
 
 @dataclass(eq=False)
 class ControlVariateState:
-    """Fitted per-component multipliers for the linear-part control variate."""
+    """A control variate's order and its fitted per-component multipliers."""
 
-    mode: str
-    lam: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.mode != "none" and self.lam is None:
-            raise ValueError("a control-variate mode needs its fitted multipliers")
+    order: int  # the Taylor degree of kappa's mean-point surrogate
+    lam: np.ndarray
 
 
 class GermTables(NamedTuple):
@@ -220,7 +214,7 @@ class Kernel:
             energy += weights @ np.concatenate([self._reaction_energies(s) for s in slices])
         return float(energy)
 
-    def gradient_parts(self, c, germs, order: str = "none") -> GradientRows:
+    def gradient_parts(self, c, germs, order: int | None = None) -> GradientRows:
         """Per-germ psi and gradient rows, with the CV surrogate's for a CV `order`."""
         psi, conductance, loads = self.germ_tables(germs)
         nodal, du = self.solution_values(c, psi)
@@ -230,11 +224,9 @@ class Kernel:
             reaction = self._loads(nl.value(self._at_points(nodal)))
             loads = reaction if loads is None else reaction + loads
         total = linear if loads is None else linear + loads[:, 1:-1]
-        if order == "none":
+        if order is None:
             return GradientRows(psi, linear, total, None)
-        if order not in CV_MODES:
-            raise ValueError(f"unknown control-variate order {order!r}")
-        surrogate = self._cond0 + (germs @ self._condk if order == "order1" else 0.0)
+        surrogate = self._cond0 + (germs @ self._condk if order >= 1 else 0.0)
         return GradientRows(psi, linear, total, self._stiffness_rows(surrogate * du))
 
     def gradient_batch(self, c: np.ndarray, germs: np.ndarray) -> np.ndarray:
@@ -243,41 +235,38 @@ class Kernel:
 
     # -- control variates -------------------------------------------------
 
-    def cv_auxiliary_batch(self, c, germs, order: str):
+    def cv_auxiliary_batch(self, c, germs, order: int):
         """Linear-part gradient with kappa replaced by its mean-point surrogate, (n, dim)."""
-        if order not in ("order0", "order1"):
-            raise ValueError(f"unknown control-variate order {order!r}")
         rows = self.gradient_parts(c, germs, order)
         return self._tensor(rows.psi, rows.surrogate)
 
-    def cv_known_mean(self, c: np.ndarray, order: str) -> np.ndarray:
+    def cv_known_mean(self, c: np.ndarray, order: int) -> np.ndarray:
         """Analytic expectation of the auxiliary estimator at coefficients c."""
-        if order not in ("order0", "order1"):
-            raise ValueError(f"unknown control-variate order {order!r}")
         slopes = np.diff(self.padded_coefficients(c), axis=1) / self.mesh.h
         mean = self._norms * self._stiffness_rows(self._cond0 * slopes)
-        if order == "order1":
+        if order >= 1:
             rows = self._stiffness_rows(self._condk[:, None, :] * slopes)  # (K, N+1, M)
             k, b, moment = self._neighbours
             mean += (moment[..., None] * rows[k, b]).sum(axis=0)  # (2K, N+1, M) summed
         return mean.reshape(self.dim)
 
-    def cv_gradient_batch(self, c: np.ndarray, germs: np.ndarray, state: ControlVariateState):
-        """Per-sample gradients (n, dim) of the estimator with control variate `state`."""
-        if state.mode == "none":
+    def cv_gradient_batch(self, c, germs, state: ControlVariateState | None):
+        """Per-sample gradients (n, dim) of the estimator with control variate `state`, if any."""
+        if state is None:
             return self.gradient_batch(c, germs)
-        rows = self.gradient_parts(c, germs, state.mode)
-        aux = self._tensor(rows.psi, rows.surrogate) - self.cv_known_mean(c, state.mode)
+        rows = self.gradient_parts(c, germs, state.order)
+        aux = self._tensor(rows.psi, rows.surrogate) - self.cv_known_mean(c, state.order)
         return self._tensor(rows.psi, rows.total) + state.lam * aux
 
-    def gradient_mean(self, c: np.ndarray, germs: np.ndarray, state: ControlVariateState):
+    def gradient_mean(self, c, germs, state: ControlVariateState | None):
         """Batch mean (dim,) of `cv_gradient_batch`: each part's rows projected onto psi once."""
-        psi, _, total, surrogate = self.gradient_parts(c, germs, state.mode)
+        order = None if state is None else state.order
+        psi, _, total, surrogate = self.gradient_parts(c, germs, order)
         mean = (psi.T @ total).reshape(self.dim) / len(psi)
-        if state.mode == "none":
+        if state is None:
             return mean
         aux = (psi.T @ surrogate).reshape(self.dim) / len(psi)
-        return mean + state.lam * (aux - self.cv_known_mean(c, state.mode))
+        return mean + state.lam * (aux - self.cv_known_mean(c, order))
 
     # -- Hessian blocks ---------------------------------------------------
 
@@ -313,22 +302,20 @@ def kernel_for(
 
 
 def estimate_cv_lambda(
-    kernel: Kernel, c: np.ndarray, mode: str, pilot_size: int, sampler
-) -> ControlVariateState:
-    """Fit per-component multipliers from a pilot batch at coefficients c.
+    kernel: Kernel, c: np.ndarray, order: int | None, pilot_size: int, sampler
+) -> ControlVariateState | None:
+    """The control variate of `order` (None for none), fitted on a pilot batch at c.
 
     lam = -Cov(X, Z) / Var(Z) with X the linear gradient part and Z its
     mean-point surrogate; components with a degenerate pilot variance get
     lam = 0 so the estimator falls back to the plain one there.
     """
-    if mode == "none":
-        return ControlVariateState(mode="none")
-    if mode not in CV_MODES:
-        raise ValueError(f"unknown control-variate mode {mode!r}")
+    if order is None:
+        return None
     if pilot_size < 2:
         raise ValueError("pilot batch needs at least two samples")
     germs = sampler.sample_batch(0, pilot_size, "pilot")
-    rows = kernel.gradient_parts(c, germs, mode)
+    rows = kernel.gradient_parts(c, germs, order)
     # centered Z·Z and X·Z sums per psi_j
     sums = np.empty((2, kernel.basis.size, kernel.mesh.n_interior))
     for j, psi_j in enumerate(rows.psi.T[:, :, None]):
@@ -338,4 +325,4 @@ def estimate_cv_lambda(
     var_z, cov_xz = sums.reshape(2, kernel.dim)
     with np.errstate(divide="ignore", invalid="ignore"):
         lam = np.where(var_z > 0.0, -cov_xz / np.where(var_z > 0.0, var_z, 1.0), 0.0)
-    return ControlVariateState(mode=mode, lam=lam)
+    return ControlVariateState(order, lam)

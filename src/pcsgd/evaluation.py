@@ -28,7 +28,6 @@ EVAL_PURPOSE = "eval"
 class EnergyEstimate:
     mean: float
     standard_error: float
-    sample_count: int
 
 
 @dataclass(eq=False)
@@ -47,7 +46,7 @@ def _mc_estimate(problem: ProblemInstance, n_samples: int, seed: int, values, pa
     if n_samples < 2:
         raise ValueError("need at least two samples for a standard error")
     mean, se = mean_and_se(_over_eval_germs(problem, n_samples, seed, values, parallel))
-    return EnergyEstimate(mean=mean, standard_error=se, sample_count=n_samples)
+    return EnergyEstimate(mean=mean, standard_error=se)
 
 
 def estimate_energy(

@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from ._version import __version__
-from .estimators import CV_MODES, estimate_cv_lambda, flat_index, kernel_for
+from .estimators import estimate_cv_lambda, flat_index, kernel_for
 from .evaluation import (
     empirical_cdf,
     estimate_energy,
@@ -37,6 +37,7 @@ from .problem import (
 )
 from .random_field import GermSampler, over_chunks
 from .sgd import (
+    CV_ORDERS,
     LearningRateSchedule,
     SgdConfig,
     SgdDivergenceError,
@@ -369,13 +370,13 @@ def run_table1(config: ExperimentConfig) -> list[str]:
         c = rng.standard_normal(kernel.dim)
         sampler = GermSampler(config.seed, problem.germ_dim)
         germs = sampler.sample_batch(0, config.n_mc, "gradient")
-        for mode in CV_MODES:
-            state = estimate_cv_lambda(kernel, c, mode, config.cv_pilot_size, sampler)
-            known = None if mode == "none" else kernel.cv_known_mean(c, mode)[0]
+        for mode, order in CV_ORDERS.items():
+            state = estimate_cv_lambda(kernel, c, order, config.cv_pilot_size, sampler)
+            known = None if state is None else kernel.cv_known_mean(c, order)[0]
 
             def first_component(chunk):
                 # c_1_0 multiplies phi_1 psi_0 = phi_1: its samples are the rows' first column
-                rows = kernel.gradient_parts(c, chunk, order=mode)
+                rows = kernel.gradient_parts(c, chunk, order)
                 if known is None:
                     return rows.total[:, 0]
                 return rows.total[:, 0] + state.lam[0] * (rows.surrogate[:, 0] - known)
@@ -392,7 +393,7 @@ def run_table1(config: ExperimentConfig) -> list[str]:
         ("order1/none std ratio at beta=0.05 not below 0.05",
          stds[0.05, "order1"] / stds[0.05, "none"], "<", 0.05),
         *[(f"std not increasing in beta for mode {mode}", stds[0.4, mode], ">", stds[0.05, mode])
-          for mode in CV_MODES],
+          for mode in CV_ORDERS],
     )
     return [path]
 
@@ -757,5 +758,7 @@ EXPERIMENT_IDS = tuple(EXPERIMENTS)
 
 
 def run_experiment(config: ExperimentConfig) -> list[str]:
+    """Run the config's experiment, after `check_config`; returns the paths it wrote."""
+    check_config(config)
     runner, _ = EXPERIMENTS[config.experiment]
     return runner(config)

@@ -19,7 +19,7 @@ from math import isfinite
 import numpy as np
 import scipy
 
-from .estimators import CV_MODES, Kernel, estimate_cv_lambda, kernel_for
+from .estimators import Kernel, estimate_cv_lambda, kernel_for
 from .fem1d import Mesh1D
 from .pc_basis import PcBasisSet, gauss_hermite
 from .problem import ProblemInstance
@@ -33,6 +33,8 @@ _spec.loader.exec_module(_flapack)
 dptsv = _flapack.dptsv
 
 HESSIAN_MODES = ("none", "linear-only", "staged", "full")
+# Each cv_mode's order: the Taylor degree of kappa's mean-point surrogate, None for no CV.
+CV_ORDERS = {"none": None, "order0": 0, "order1": 1}
 
 # Relative diagonal shift of every Hessian block, as a share of its mean
 # diagonal entry.
@@ -77,7 +79,7 @@ class SgdConfig:
             raise ValueError("iteration count must be non-negative")
         if self.batch_gradient < 1 or self.batch_hessian < 1:
             raise ValueError("batch sizes must be at least 1")
-        if self.cv_mode not in CV_MODES:
+        if self.cv_mode not in CV_ORDERS:
             raise ValueError(f"unknown cv_mode {self.cv_mode!r}")
         if self.cv_pilot_size < 2:
             raise ValueError("cv_pilot_size must be >= 2")
@@ -197,7 +199,8 @@ def run(
         kernel.rule_moments(*gauss_hermite(n, problem.germ_dim)) for n in (n_points, n_points - 2)
     ]
 
-    cv_state = estimate_cv_lambda(kernel, c, config.cv_mode, config.cv_pilot_size, sampler)
+    order = CV_ORDERS[config.cv_mode]
+    cv_state = estimate_cv_lambda(kernel, c, order, config.cv_pilot_size, sampler)
 
     records: list[tuple] = []  # one row per record, in Trajectory's field order
 

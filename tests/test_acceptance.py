@@ -141,8 +141,8 @@ def test_criterion_6_estimator_unbiasedness():
     eps = 1e-5
     worst = 0.0
     plain = kernel.gradient_batch(c, germs)
-    for mode in ("none", "order0", "order1"):
-        if mode == "none":
+    for mode in (None, 0, 1):
+        if mode is None:
             batch = plain
         else:
             state = estimate_cv_lambda(kernel, c, mode, 2000, sampler)
@@ -153,7 +153,7 @@ def test_criterion_6_estimator_unbiasedness():
         # i.e. the correction term's own fluctuation; for the plain mode
         # that difference is exactly zero and the estimator SE applies.
         se = batch.std(axis=0, ddof=1) / np.sqrt(germs.shape[0])
-        if mode != "none":
+        if mode is not None:
             diff_se = (batch - plain).std(axis=0, ddof=1) / np.sqrt(germs.shape[0])
             se = np.maximum(se, diff_se)
         for idx in components:

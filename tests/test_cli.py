@@ -407,6 +407,14 @@ def test_gap_studies_need_a_known_minimum(experiment, tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+def test_run_experiment_checks_its_config_first(tmp_path):
+    """A config that `check_config` rejects fails before the run and writes nothing."""
+    config = dataclasses.replace(default_config("table3"), p=-1, out=str(tmp_path))
+    with pytest.raises(ValueError, match="degree_bound must be >= 0"):
+        run_experiment(config)
+    assert not any(tmp_path.iterdir())
+
+
 def test_table2_fails_when_its_cv_runs_diverge(monkeypatch, tmp_path):
     """A diverged CV arm has a nan final energy, which the CV checks must reject."""
 
@@ -429,7 +437,7 @@ def fake_table3_estimates(monkeypatch, nan_energy: bool, nan_error: bool):
     def estimate(values, nan):
         def fake(problem, mesh, basis, *args):
             value = np.nan if nan else values[basis.degree_bound]
-            return EnergyEstimate(mean=value, standard_error=0.01, sample_count=2)
+            return EnergyEstimate(mean=value, standard_error=0.01)
 
         return fake
 
@@ -441,7 +449,7 @@ def fake_table3_estimates(monkeypatch, nan_energy: bool, nan_error: bool):
     monkeypatch.setattr(
         experiments,
         "exact_energy_mc",
-        lambda *args: EnergyEstimate(mean=-45.0, standard_error=0.01, sample_count=2),
+        lambda *args: EnergyEstimate(mean=-45.0, standard_error=0.01),
     )
 
 

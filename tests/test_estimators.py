@@ -27,6 +27,7 @@ from pcsgd.fem1d import (
     quadrature_points,
 )
 from pcsgd.pc_basis import eval_all, gauss_hermite, moment_table
+from pcsgd.sgd import CV_ORDERS
 
 
 def dense_from_bands(bands):
@@ -212,7 +213,7 @@ def test_cv_known_mean_matches_monte_carlo():
     rng = np.random.default_rng(10)
     c = rng.standard_normal(kernel.dim)
     germs = rng.standard_normal((400_000, 2))
-    for order in ("order0", "order1"):
+    for order in (0, 1):
         analytic = kernel.cv_known_mean(c, order)
         z = kernel.cv_auxiliary_batch(c, germs, order)
         se = z.std(axis=0, ddof=1) / np.sqrt(germs.shape[0])
@@ -234,8 +235,8 @@ def test_cv_known_mean_equals_the_dense_moment_contraction(n_pairs, degree):
         order0 = moments.pair_moments @ kernel._stiffness_rows(kernel._cond0 * slopes)
         rows = kernel._stiffness_rows(kernel._condk[:, None, :] * slopes)
         order1 = order0 + np.einsum("kab,kbi->ai", moments.linear_moments, rows)
-        assert np.array_equal(kernel.cv_known_mean(c, "order0"), order0.ravel())
-        assert np.array_equal(kernel.cv_known_mean(c, "order1"), order1.ravel())
+        assert np.array_equal(kernel.cv_known_mean(c, 0), order0.ravel())
+        assert np.array_equal(kernel.cv_known_mean(c, 1), order1.ravel())
 
 
 def test_cv_estimator_reduces_variance_and_keeps_mean():
@@ -244,7 +245,7 @@ def test_cv_estimator_reduces_variance_and_keeps_mean():
     rng = np.random.default_rng(11)
     c = rng.standard_normal(kernel.dim)
     sampler = GermSampler(4, 2)
-    state = estimate_cv_lambda(kernel, c, "order1", 2000, sampler)
+    state = estimate_cv_lambda(kernel, c, 1, 2000, sampler)
     germs = sampler.sample_batch(1, 100_000, "gradient")
     plain = kernel.gradient_batch(c, germs)
     reduced = kernel.cv_gradient_batch(c, germs, state)
@@ -263,7 +264,7 @@ def test_lambda_zero_when_auxiliary_degenerate():
     """With zero coefficients and zero boundary the linear part vanishes."""
     problem = builtin_semilinear_nonhomogeneous_field(0.2, 1, 4.0, 4, 1)
     c = np.zeros(problem.mesh.n_interior * problem.basis.size)
-    state = estimate_cv_lambda(kernel_for(problem), c, "order1", 100, GermSampler(0, 2))
+    state = estimate_cv_lambda(kernel_for(problem), c, 1, 100, GermSampler(0, 2))
     np.testing.assert_array_equal(state.lam, 0.0)
 
 
@@ -277,14 +278,14 @@ BUILTIN_IDS = ["linear", "linear-lifting", "semilinear-source", "semilinear-trig
 
 
 @pytest.mark.parametrize("problem", ALL_BUILTINS, ids=BUILTIN_IDS)
-@pytest.mark.parametrize("mode", ["none", "order0", "order1"])
-def test_gradient_mean_equals_mean_of_cv_batches(problem, mode):
+@pytest.mark.parametrize("order", CV_ORDERS.values(), ids=CV_ORDERS)
+def test_gradient_mean_equals_mean_of_cv_batches(problem, order):
     """The once-projected batch mean equals the mean of the per-sample estimator."""
     kernel = kernel_for(problem)
     rng = np.random.default_rng(14)
     c = 0.5 * rng.standard_normal(kernel.dim)
     sampler = GermSampler(6, problem.germ_dim)
-    state = estimate_cv_lambda(kernel, c, mode, 200, sampler)
+    state = estimate_cv_lambda(kernel, c, order, 200, sampler)
     germs = sampler.sample_batch(1, 64, "gradient")
     expected = kernel.cv_gradient_batch(c, germs, state).mean(axis=0)
     mean = kernel.gradient_mean(c, germs, state)
@@ -292,16 +293,16 @@ def test_gradient_mean_equals_mean_of_cv_batches(problem, mode):
 
 
 @pytest.mark.parametrize("problem", ALL_BUILTINS, ids=BUILTIN_IDS)
-@pytest.mark.parametrize("mode", ["order0", "order1"])
-def test_cv_lambda_matches_per_sample_products(problem, mode):
+@pytest.mark.parametrize("order", [0, 1], ids=["order0", "order1"])
+def test_cv_lambda_matches_per_sample_products(problem, order):
     """Fitting one psi_j at a time sums in the order of the full (n, dim) sample arrays."""
     kernel = kernel_for(problem)
     c = 0.5 * np.random.default_rng(16).standard_normal(kernel.dim)
     sampler = GermSampler(7, problem.germ_dim)
-    state = estimate_cv_lambda(kernel, c, mode, 300, sampler)
+    state = estimate_cv_lambda(kernel, c, order, 300, sampler)
     germs = sampler.sample_batch(0, 300, "pilot")
     x = kernel._tensor(eval_all(problem.basis, germs), kernel.gradient_parts(c, germs).linear)
-    z = kernel.cv_auxiliary_batch(c, germs, mode)
+    z = kernel.cv_auxiliary_batch(c, germs, order)
     xc, zc = x - x.mean(axis=0), z - z.mean(axis=0)
     var_z = (zc * zc).sum(axis=0)
     expected = np.where(var_z > 0, -(xc * zc).sum(axis=0) / np.where(var_z > 0, var_z, 1), 0)
@@ -313,15 +314,17 @@ def test_cv_lambda_memory_is_bounded(traced_peak):
     problem = builtin_linear_nonhomogeneous(0.1, 2, 10.0, 50, 3)
     c = np.zeros(problem.mesh.n_interior * problem.basis.size)
     peak = traced_peak(
-        lambda: estimate_cv_lambda(kernel_for(problem), c, "order1", 1000, GermSampler(0, 4))
+        lambda: estimate_cv_lambda(kernel_for(problem), c, 1, 1000, GermSampler(0, 4))
     )
     assert peak < 16 * 2**20
 
 
 def test_control_variate_state_needs_fitted_multipliers():
-    ControlVariateState("none")
-    with pytest.raises(ValueError):
-        ControlVariateState("order1")
+    """A state always has its order and multipliers; no control variate is None."""
+    with pytest.raises(TypeError):
+        ControlVariateState(1)
+    kernel, c, _ = _check_kernel()
+    assert estimate_cv_lambda(kernel, c, None, 2, GermSampler(0, 2)) is None
 
 
 def test_constant_field_conductances_match_quadrature():
@@ -463,16 +466,10 @@ def _check_kernel():
     "call, message",
     [
         (lambda k, c, g: Kernel(k.problem, k.mesh, generate_basis(3, 1)), "germ dimension"),
-        (lambda k, c, g: k.gradient_parts(c, g, "order2"), "unknown control-variate order"),
-        (lambda k, c, g: k.cv_auxiliary_batch(c, g, "none"), "unknown control-variate order"),
-        (lambda k, c, g: k.cv_known_mean(c, "order2"), "unknown control-variate order"),
-        (lambda k, c, g: estimate_cv_lambda(k, c, "order2", 10, GermSampler(0, 2)),
-         "unknown control-variate mode"),
-        (lambda k, c, g: estimate_cv_lambda(k, c, "order1", 1, GermSampler(0, 2)),
+        (lambda k, c, g: estimate_cv_lambda(k, c, 1, 1, GermSampler(0, 2)),
          "at least two samples"),
     ],
-    ids=["basis-germ-dim", "gradient-order", "auxiliary-order", "known-mean-order",
-         "cv-mode", "cv-pilot"],
+    ids=["basis-germ-dim", "cv-pilot"],
 )
 def test_estimators_reject_invalid_input(call, message):
     with pytest.raises(ValueError, match=message):

@@ -22,7 +22,7 @@ from pcsgd import (
     run,
 )
 from pcsgd.pc_basis import gauss_hermite
-from pcsgd.sgd import monitor_points
+from pcsgd.sgd import CV_ORDERS, monitor_points
 
 
 def small_config(**overrides):
@@ -435,6 +435,32 @@ def test_run_decides_the_hessian_stage_per_iteration(monkeypatch, mode, n_switch
     config = small_config(n_iterations=8, hessian_mode=mode, n_switch=n_switch)
     run(problem, problem.mesh, problem.basis, config)
     assert calls == expected
+
+
+@pytest.mark.parametrize("cv_mode", CV_ORDERS)
+def test_run_decides_the_cv_order_once(monkeypatch, cv_mode):
+    """The pilot and every iteration get the mode's order; with no CV, no known mean is taken."""
+    parts, known_mean = Kernel.gradient_parts, Kernel.cv_known_mean
+    part_orders, mean_orders = [], []
+
+    def recorded_parts(self, c, germs, order=None):
+        part_orders.append(order)
+        return parts(self, c, germs, order)
+
+    def recorded_mean(self, c, order):
+        mean_orders.append(order)
+        return known_mean(self, c, order)
+
+    monkeypatch.setattr(Kernel, "gradient_parts", recorded_parts)
+    monkeypatch.setattr(Kernel, "cv_known_mean", recorded_mean)
+    problem = builtin_linear_nonhomogeneous(0.2, 1, 10.0, 5, 1)
+    config = small_config(n_iterations=8, cv_mode=cv_mode, cv_pilot_size=10)
+    run(problem, problem.mesh, problem.basis, config)
+    order = CV_ORDERS[cv_mode]
+    if order is None:
+        assert (part_orders, mean_orders) == ([None] * 8, [])
+    else:  # the pilot's call, then one per iteration
+        assert (part_orders, mean_orders) == ([order] * 9, [order] * 8)
 
 
 def test_cv_run_matches_plain_when_lambda_zero():

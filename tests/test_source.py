@@ -4,6 +4,8 @@ import os
 import re
 from collections import Counter
 
+from pcsgd.sgd import CV_ORDERS, HESSIAN_MODES
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "pcsgd")
 
@@ -20,6 +22,21 @@ def test_no_source_line_is_over_100_characters():
         if len(line.rstrip("\n")) > 100
     ]
     assert long_lines == []
+
+
+def test_no_mode_string_below_the_sgd_loop():
+    """`run` turns `cv_mode` and `hessian_mode` into an order and a flag.
+
+    The kernel and the evaluation below it hold no string of either vocabulary.
+    """
+    vocabulary = {*CV_ORDERS, *HESSIAN_MODES}
+    found = [
+        f"{name}:{node.lineno} {node.value!r}"
+        for name in ("estimators.py", "evaluation.py")
+        for node in ast.walk(ast.parse(open(os.path.join(SRC, name), encoding="utf-8").read()))
+        if isinstance(node, ast.Constant) and node.value in vocabulary
+    ]
+    assert found == []
 
 
 def _definitions(tree):
