@@ -13,9 +13,7 @@ from .evaluation import (
     empirical_cdf,
     estimate_energy,
     exact_energy_mc,
-    fit_convergence_rate,
     pointwise_l2_error,
-    reference_solve_linear,
 )
 from .estimators import (
     ControlVariateState,

@@ -143,6 +143,8 @@ class Kernel:
 
     def padded_coefficients(self, c: np.ndarray) -> np.ndarray:
         """(N+1, M+2) coefficients; row 0, psi_0 = 1, carries the boundary data."""
+        if np.size(c) != self.dim:  # else M coefficients would broadcast over every mode
+            raise ValueError(f"{np.size(c)} coefficients given, the problem has {self.dim}")
         padded = np.zeros((self.basis.size, self.mesh.n_interior + 2))
         padded[:, 1:-1] = coefficient_matrix(c, self.mesh.n_interior)
         padded[0, 0], padded[0, -1] = self.problem.boundary

@@ -1,4 +1,4 @@
-"""Post-hoc analysis: energies, pointwise errors, CDFs, reference solves.
+"""Post-hoc analysis: energies, pointwise errors, CDFs.
 
 Monte Carlo estimates are reproducible given (seed, n_samples) and always
 carry a standard error.  Evaluation germ streams use their own purpose tag
@@ -7,7 +7,6 @@ so they never collide with optimization streams.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
@@ -19,7 +18,6 @@ from .fem1d import Mesh1D, _check_domain, element_hats
 from .pc_basis import PcBasisSet, eval_all
 from .problem import ProblemInstance, _simpson_grid
 from .random_field import GermSampler, mean_and_se, over_chunks
-from .sgd import Trajectory, precondition_solve
 
 EVAL_PURPOSE = "eval"
 
@@ -151,31 +149,6 @@ def empirical_cdf(
     return CdfEstimate(_empirical_cdf_of_values(list(values.T), grids))
 
 
-def reference_solve_linear(
-    problem: ProblemInstance, mesh: Mesh1D, germ: np.ndarray
-) -> np.ndarray:
-    """Deterministic FEM solve of the sampled linear problem at one germ.
-
-    Returns nodal solution values including the boundary nodes.
-    """
-    if problem.nonlinearity is not None:
-        raise ValueError("reference solve only applies to linear problems")
-    kernel = kernel_for(problem, mesh, problem.basis)
-    germ, zero = np.atleast_2d(germ), np.zeros(kernel.dim)
-    # The energy is quadratic.  At one germ, block 0 (psi_0 = 1) of its Hessian
-    # is the stiffness and of its gradient at c = 0 the lifting's residual.
-    # An overflow or NaN on the way leaves a non-finite system, rejected below.
-    with np.errstate(all="ignore"):
-        bands = kernel.averaged_hessian_blocks(zero, germ, full=False)[0]
-        rhs = -kernel.gradient_parts(zero, germ).total[0]
-    if not (np.isfinite(bands).all() and np.isfinite(rhs).all()):
-        raise ValueError("reference system is not finite at this germ")
-    interior, fallbacks = precondition_solve(bands[None], rhs, 0.0)
-    if fallbacks:
-        raise np.linalg.LinAlgError("stiffness matrix not positive definite")
-    return np.concatenate([[problem.boundary[0]], interior, [problem.boundary[1]]])
-
-
 def exact_energy_mc(
     problem: ProblemInstance,
     n_samples: int,
@@ -203,24 +176,3 @@ def exact_energy_mc(
         return density @ w
 
     return _mc_estimate(problem, n_samples, seed, energies, parallel=True)
-
-
-def fit_convergence_rate(
-    trajectory: Trajectory,
-    j_star: float,
-    n_range: tuple[int, int],
-) -> float:
-    """Least-squares slope of log(J(c_n) - j_star) against log(n)."""
-    n = trajectory.iterations
-    gap = trajectory.energy_mean - j_star
-    mask = (n >= n_range[0]) & (n <= n_range[1]) & (n > 0)
-    positive = mask & (gap > 0)
-    if positive.sum() < mask.sum():
-        warnings.warn(
-            "non-positive energy gap inside the fit range; range truncated",
-            RuntimeWarning,
-        )
-    if positive.sum() < 2:
-        raise ValueError("not enough usable records to fit a rate")
-    slope, _ = np.polyfit(np.log(n[positive]), np.log(gap[positive]), 1)
-    return float(slope)

@@ -329,6 +329,8 @@ def load_coefficients(path: str, n_interior: int) -> np.ndarray:
             if key in entries:
                 raise ValueError(f"{path} repeats the entry (i, j) = {key}")
             entries[key] = float.fromhex(hex_str)
+            if not np.isfinite(entries[key]):  # float.fromhex reads nan and inf
+                raise ValueError(f"{path} has a non-finite entry (i, j) = {key}")
     n_basis = len(entries) // n_interior if n_interior > 0 else 0
     grid = {(i, j) for i in range(1, n_interior + 1) for j in range(n_basis)}
     if n_basis < 1 or entries.keys() != grid:

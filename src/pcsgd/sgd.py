@@ -109,7 +109,6 @@ class Trajectory:
     energy_se: np.ndarray  # |Q_n - Q_(n-2)|, the monitor rule's error estimate
     gradient_norm: np.ndarray
     fallback_count: np.ndarray  # block fallbacks since the previous record
-    monitor_samples: int  # nodes of the monitor rule
 
 
 class SgdDivergenceError(RuntimeError):
@@ -214,9 +213,7 @@ def run(
     fallbacks_since_record = 0
 
     def build_trajectory() -> Trajectory:
-        columns = (np.array(column) for column in zip(*records))
-        nodes = n_points**problem.germ_dim
-        return Trajectory(*columns, monitor_samples=nodes)
+        return Trajectory(*(np.array(column) for column in zip(*records)))
 
     mode = config.hessian_mode
     for n in range(1, config.n_iterations + 1):

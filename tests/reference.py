@@ -1,0 +1,60 @@
+"""Test instruments: a deterministic FEM solve at one germ and a log-log rate fit.
+
+Neither is part of the method; the tests use them to check the kernel's
+discretization and the SGD's convergence rate.
+"""
+
+import warnings
+
+import numpy as np
+
+from pcsgd.estimators import kernel_for
+from pcsgd.fem1d import Mesh1D
+from pcsgd.problem import ProblemInstance
+from pcsgd.sgd import Trajectory, precondition_solve
+
+
+def reference_solve_linear(
+    problem: ProblemInstance, mesh: Mesh1D, germ: np.ndarray
+) -> np.ndarray:
+    """Deterministic FEM solve of the sampled linear problem at one germ.
+
+    Returns nodal solution values including the boundary nodes.
+    """
+    if problem.nonlinearity is not None:
+        raise ValueError("reference solve only applies to linear problems")
+    kernel = kernel_for(problem, mesh, problem.basis)
+    germ, zero = np.atleast_2d(germ), np.zeros(kernel.dim)
+    # The energy is quadratic.  At one germ, block 0 (psi_0 = 1) of its Hessian
+    # is the stiffness and of its gradient at c = 0 the lifting's residual.
+    # An overflow or NaN on the way leaves a non-finite system, rejected below.
+    with np.errstate(all="ignore"):
+        bands = kernel.averaged_hessian_blocks(zero, germ, full=False)[0]
+        rhs = -kernel.gradient_parts(zero, germ).total[0]
+    if not (np.isfinite(bands).all() and np.isfinite(rhs).all()):
+        raise ValueError("reference system is not finite at this germ")
+    interior, fallbacks = precondition_solve(bands[None], rhs, 0.0)
+    if fallbacks:
+        raise np.linalg.LinAlgError("stiffness matrix not positive definite")
+    return np.concatenate([[problem.boundary[0]], interior, [problem.boundary[1]]])
+
+
+def fit_convergence_rate(
+    trajectory: Trajectory,
+    j_star: float,
+    n_range: tuple[int, int],
+) -> float:
+    """Least-squares slope of log(J(c_n) - j_star) against log(n)."""
+    n = trajectory.iterations
+    gap = trajectory.energy_mean - j_star
+    mask = (n >= n_range[0]) & (n <= n_range[1]) & (n > 0)
+    positive = mask & (gap > 0)
+    if positive.sum() < mask.sum():
+        warnings.warn(
+            "non-positive energy gap inside the fit range; range truncated",
+            RuntimeWarning,
+        )
+    if positive.sum() < 2:
+        raise ValueError("not enough usable records to fit a rate")
+    slope, _ = np.polyfit(np.log(n[positive]), np.log(gap[positive]), 1)
+    return float(slope)

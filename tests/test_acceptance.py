@@ -22,7 +22,6 @@ from pcsgd import (
     default_config,
     estimate_cv_lambda,
     empirical_cdf,
-    fit_convergence_rate,
     kernel_for,
     make_problem,
     make_sgd_config,
@@ -37,6 +36,7 @@ from pcsgd.experiments import (
     run_table2,
     run_table3,
 )
+from reference import fit_convergence_rate, reference_solve_linear
 
 
 def read_rows(path):
@@ -205,8 +205,6 @@ def test_criterion_8_oracle_equivalence():
     assert gradient_gap < 1e-12
 
     # FEM: per-sample solve vs closed-form solution with O(h^2) decay
-    from pcsgd import reference_solve_linear
-
     errors = []
     for m in (10, 20, 40):
         lin = builtin_linear_nonhomogeneous(0.3, 1, 10.0, m, 1)

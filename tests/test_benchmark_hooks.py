@@ -73,7 +73,7 @@ config = pcsgd.SgdConfig(
 trajectory, _ = pcsgd.run(problem, problem.mesh, problem.basis, config)
 print(
     tracer.counts["sgd.monitor_germs"],
-    trajectory.monitor_samples,
+    pcsgd.sgd.monitor_points(problem.basis, config.monitor_samples) ** problem.germ_dim,
     len(trajectory.iterations),
     tracer.counts["pc_basis.psi_germs"],
     config.n_iterations * (config.batch_gradient + config.batch_hessian),

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 
 import numpy as np
 import pytest
@@ -180,6 +181,17 @@ def test_load_coefficients_rejects_a_repeated_entry(tmp_path):
         fh.write(f"1 0 {(99.0).hex()}\n")
     with pytest.raises(ValueError, match="repeats"):
         load_coefficients(str(path), 3)
+
+
+@pytest.mark.parametrize(
+    "first, entry", [("nan", "(1, 0)"), ("0x0p0", "(1, 1)")], ids=["nan", "inf"]
+)
+def test_load_coefficients_rejects_a_non_finite_entry(first, entry, tmp_path):
+    """float.fromhex reads nan and inf; a dump holding one is not a coefficient vector."""
+    path = tmp_path / "c.txt"
+    path.write_text(f"1 0 {first}\n2 0 0x1p0\n1 1 inf\n2 1 -0x1p-1\n")
+    with pytest.raises(ValueError, match=re.escape(f"non-finite entry (i, j) = {entry}")):
+        load_coefficients(str(path), 2)
 
 
 def test_save_coefficients_rejects_a_partial_block(tmp_path):
@@ -532,10 +544,7 @@ def test_fig_staged_hessian_checks_fail_on_nan(nan_arm, monkeypatch, tmp_path):
     def solve(problem, config):
         mode = config.hessian_mode
         final = np.nan if mode == nan_arm else passing[mode]
-        trajectory = Trajectory(
-            *(np.array([value]) for value in (500, 0.01, final, 0.0, 0.0, 0)),
-            monitor_samples=1,
-        )
+        trajectory = Trajectory(*(np.array([value]) for value in (500, 0.01, final, 0.0, 0.0, 0)))
         return trajectory, np.zeros(problem.mesh.n_interior)
 
     monkeypatch.setattr(experiments, "_solve", solve)
@@ -578,7 +587,7 @@ def test_require_names_every_failed_check_in_order():
 def one_record(final: float) -> Trajectory:
     """A trajectory whose only record has the energy `final`."""
     values = (500, 0.01, final, 0.0, 0.0, 0)
-    return Trajectory(*(np.array([value]) for value in values), monitor_samples=1)
+    return Trajectory(*(np.array([value]) for value in values))
 
 
 def test_table2_passes_with_its_non_converging_arm_diverged(monkeypatch, tmp_path):

@@ -15,14 +15,13 @@ from pcsgd import (
     empirical_cdf,
     estimate_energy,
     exact_energy_mc,
-    fit_convergence_rate,
     kernel_for,
     pointwise_l2_error,
-    reference_solve_linear,
 )
 from pcsgd.evaluation import EVAL_PURPOSE, solution_at_points
 from pcsgd.fem1d import Mesh1D
 from pcsgd.random_field import GERM_CHUNK, GermSampler
+from reference import fit_convergence_rate, reference_solve_linear
 
 
 def test_energy_zero_for_linear_homogeneous_at_zero():
@@ -215,7 +214,6 @@ def test_fit_convergence_rate_on_synthetic_decay():
         energy_se=np.zeros_like(n, dtype=float),
         gradient_norm=np.zeros_like(n, dtype=float),
         fallback_count=np.zeros_like(n),
-        monitor_samples=1,
     )
     slope = fit_convergence_rate(trajectory, 1.5, (10, 1000))
     assert slope == pytest.approx(-1.0, abs=1e-6)
@@ -232,7 +230,6 @@ def test_fit_convergence_rate_warns_on_nonpositive_gap():
         energy_se=np.zeros_like(n, dtype=float),
         gradient_norm=np.zeros_like(n, dtype=float),
         fallback_count=np.zeros_like(n),
-        monitor_samples=1,
     )
     with pytest.warns(RuntimeWarning):
         fit_convergence_rate(trajectory, 1.0, (10, 100))
@@ -312,6 +309,23 @@ def test_empirical_cdf_rejects_a_non_finite_point_on_both_paths(x):
             )
 
 
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda *args: estimate_energy(*args, 100, 0),
+        lambda *args: pointwise_l2_error(*args, 0.5, 100, 0),
+        lambda *args: empirical_cdf(*args, [0.5], [np.zeros(3)], 100, 0),
+    ],
+    ids=["energy", "l2", "cdf"],
+)
+def test_evaluation_rejects_a_coefficient_vector_of_another_size(evaluate):
+    """M coefficients, one per interior node, would otherwise fill every chaos mode."""
+    problem = builtin_linear_nonhomogeneous(0.1, 2, 10.0, 50, 3)  # M = 50, dim 1750
+    for size in (50, 51, 100):
+        with pytest.raises(ValueError, match=f"^{size} coefficients given, the problem has 1750"):
+            evaluate(problem, problem.mesh, problem.basis, np.ones(size))
+
+
 @pytest.mark.parametrize("x", [7.0, float("nan"), float("inf")])
 def test_pointwise_l2_error_rejects_a_point_before_evaluating_the_exact_solution(x):
     problem = builtin_linear_nonhomogeneous(0.1, 2, 10.0, 50, 3)  # on [-5, 5]
@@ -330,7 +344,7 @@ def _records(energies):
     """A trajectory with the given energies recorded at n = 0, 10, 20, ..."""
     zeros = np.zeros(len(energies))
     iterations = 10 * np.arange(len(energies))
-    return Trajectory(iterations, zeros, np.array(energies), zeros, zeros, zeros, 1)
+    return Trajectory(iterations, zeros, np.array(energies), zeros, zeros, zeros)
 
 
 NO_EXACT = dataclasses.replace(

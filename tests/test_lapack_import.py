@@ -21,7 +21,10 @@ config = pcsgd.SgdConfig(
 )
 _, c = pcsgd.run(problem, problem.mesh, problem.basis, config)
 pcsgd.estimate_energy(problem, problem.mesh, problem.basis, c, 100, 0)
-pcsgd.reference_solve_linear(problem, problem.mesh, np.zeros(2))
+# two stacked (3, 3) blocks, the second not positive definite: the fallback retry runs
+blocks = np.array([[[2.0, 2.0, 2.0], [-1.0, -1.0, 0.0]], [[-1.0, 2.0, 2.0], [0.5, 0.5, 0.0]]])
+step, fallbacks = pcsgd.precondition_solve(blocks, np.ones(6), 0.0)
+assert fallbacks == 1 and np.allclose(step, [1.5, 2.0, 1.5, 1.0, 1.0, 1.0]), (step, fallbacks)
 assert "scipy.linalg" not in sys.modules, "pcsgd imported scipy.linalg"
 
 import scipy.linalg

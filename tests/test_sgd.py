@@ -198,7 +198,8 @@ def test_trajectory_recording():
     assert trajectory.rates[0] == 0.0
     assert log.iterations == [0, 5, 10, 15, 20, 23]
     np.testing.assert_array_equal(log.handed[-1], c)
-    assert trajectory.monitor_samples == 4**2  # p + 3 points on each of K = 2 axes
+    nodes = monitor_points(problem.basis, config.monitor_samples) ** problem.germ_dim
+    assert nodes == 4**2  # p + 3 points on each of K = 2 axes
 
 
 def test_on_record_gets_every_recorded_iterate_unmodified():
@@ -259,7 +260,7 @@ def test_monitor_records_the_gauss_hermite_rule(problem, init):
     config = small_config(n_iterations=4, record_stride=2, init=init, init_scale=0.5)
     log = IterateLog()
     trajectory, c = run(problem, problem.mesh, problem.basis, config, log)
-    assert trajectory.monitor_samples == 25
+    assert monitor_points(problem.basis, config.monitor_samples) ** problem.germ_dim == 25
     kernel = kernel_for(problem)
     rules = gauss_hermite(5, 2), gauss_hermite(3, 2)
     moments = [kernel.rule_moments(*rule) for rule in rules]
@@ -288,10 +289,9 @@ def test_monitor_budget_below_the_smallest_rule_is_rejected():
     problem = builtin_linear_nonhomogeneous(0.1, 2, 10.0, 6, 1)
     with pytest.raises(ValueError, match="3\\^4"):
         run(problem, problem.mesh, problem.basis, small_config(monitor_samples=80))
-    trajectory, _ = run(
-        problem, problem.mesh, problem.basis, small_config(n_iterations=2, monitor_samples=81)
-    )
-    assert trajectory.monitor_samples == 81
+    config = small_config(n_iterations=2, monitor_samples=81)
+    run(problem, problem.mesh, problem.basis, config)
+    assert monitor_points(problem.basis, config.monitor_samples) ** problem.germ_dim == 81
 
 
 def test_fallback_count_sums_fallbacks_between_records():

@@ -10,8 +10,12 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "pcsgd")
 
 # Public names that only callers outside the package use: the coefficient-dump reader is
-# user API, and ROADMAP item 14 moves the rate fit and the reference solve out of `src/`.
-CALLED_FROM_OUTSIDE = {"fit_convergence_rate", "load_coefficients", "reference_solve_linear"}
+# user API.
+CALLED_FROM_OUTSIDE = {"load_coefficients"}
+# The modules above the kernel: the SGD loop and the analysis layer are siblings, and only
+# the experiments and the package's re-exports import either.
+TOP_LAYER = {"sgd", "evaluation"}
+IMPORTS_TOP_LAYER = {"experiments", "__init__"}
 
 
 def test_no_source_line_is_over_100_characters():
@@ -22,6 +26,24 @@ def test_no_source_line_is_over_100_characters():
         if len(line.rstrip("\n")) > 100
     ]
     assert long_lines == []
+
+
+def _relative_imports(tree):
+    """Modules that a tree imports with `from .x import ...` or `from . import x`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            yield from [node.module] if node.module else [alias.name for alias in node.names]
+
+
+def test_only_the_experiments_import_the_sgd_loop_or_the_evaluation():
+    edges = {
+        (os.path.basename(path)[:-3], module)
+        for path in sorted(glob.glob(os.path.join(SRC, "*.py")))
+        for module in _relative_imports(ast.parse(open(path, encoding="utf-8").read()))
+        if module in TOP_LAYER
+    }
+    assert {edge for edge in edges if edge[0] not in IMPORTS_TOP_LAYER} == set()
+    assert ("experiments", "sgd") in edges  # the scan sees the edges it allows
 
 
 def test_no_mode_string_below_the_sgd_loop():
