@@ -5,13 +5,19 @@ prints a single PASS line on success (pytest -s shows them; -v shows the
 usual per-test verdicts).  The experiment runners already enforce their
 own assertions; these tests re-derive the critical numbers from the
 emitted CSVs so the checks stay independent of the runners' internal
-flags.
+flags.  A test that runs a preset at its defaults also compares the files
+it writes with the sha256 digests in output_digests.json, wherever numpy,
+scipy and numpy's CPU dispatch match the record.
 """
 
 import dataclasses
+import hashlib
+import json
+import os
 
 import numpy as np
 import pytest
+import scipy
 
 from pcsgd import (
     GermSampler,
@@ -38,6 +44,38 @@ from pcsgd.experiments import (
 )
 from reference import fit_convergence_rate, reference_solve_linear
 
+with open(os.path.join(os.path.dirname(__file__), "output_digests.json")) as fh:
+    DIGESTS = json.load(fh)
+
+
+def _cpu_features():
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    return sorted(name for name, enabled in __cpu_features__.items() if enabled)
+
+
+def environment_mismatch() -> str | None:
+    """The first recorded field this environment differs in, or None."""
+    here = (
+        ("numpy", lambda: np.__version__),
+        ("scipy", lambda: scipy.__version__),
+        ("cpu_features", _cpu_features),  # the SIMD loops may round differently
+    )
+    for field, value in here:
+        if value() != DIGESTS[field]:
+            return field
+    return None
+
+
+def check_digests(paths):
+    """Each file's sha256 equals its recorded digest; nothing to check on another environment."""
+    if environment_mismatch() is not None:
+        return
+    for path in paths:
+        name = os.path.basename(path)
+        with open(path, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == DIGESTS["files"][name], name
+
 
 def read_rows(path):
     meta, header, rows = {}, None, []
@@ -56,6 +94,7 @@ def read_rows(path):
 def test_criterion_1_cv_variance_ordering(tmp_path):
     config = dataclasses.replace(default_config("table1"), out=str(tmp_path))
     [path] = run_table1(config)
+    check_digests([path])
     _, rows = read_rows(path)
     stds = {(float(r["beta"]), r["cv_mode"]): float(r["std"]) for r in rows}
     for beta in (0.05, 0.1, 0.2, 0.4):
@@ -68,6 +107,7 @@ def test_criterion_1_cv_variance_ordering(tmp_path):
 def test_criterion_2_linear_convergence_with_cv(tmp_path):
     config = dataclasses.replace(default_config("table2"), out=str(tmp_path))
     [path] = run_table2(config)
+    check_digests([path])
     _, rows = read_rows(path)
     finals = {(float(r["rate_numerator"]), r["cv_mode"]): float(r["final_j"]) for r in rows}
     flags = {
@@ -86,6 +126,7 @@ def test_criterion_2_linear_convergence_with_cv(tmp_path):
 def test_criterion_3_pce_order_accuracy(tmp_path):
     config = dataclasses.replace(default_config("table3"), out=str(tmp_path))
     [path] = run_table3(config)
+    check_digests([path])
     meta, rows = read_rows(path)
     errors = [float(r["l2_error"]) for r in rows]
     energies = [float(r["final_j"]) for r in rows]
@@ -105,6 +146,7 @@ def test_criterion_3_pce_order_accuracy(tmp_path):
 def test_criterion_4_staged_hessian(tmp_path):
     config = dataclasses.replace(default_config("fig-staged-hessian"), out=str(tmp_path))
     [path] = run_fig_staged_hessian(config)
+    check_digests([path])
     meta, rows = read_rows(path)
     final = {r["variant"]: float(r["gap"]) for r in rows}  # last row per variant wins
     assert final["staged"] <= 1e-3
@@ -118,6 +160,7 @@ def test_criterion_4_staged_hessian(tmp_path):
 def test_criterion_5_batch_tolerance(tmp_path):
     config = dataclasses.replace(default_config("fig-batch-study"), out=str(tmp_path))
     [path] = run_fig_batch_study(config)
+    check_digests([path])
     _, rows = read_rows(path)
     flags = {
         (float(r["beta"]), int(r["batch_gradient"]), int(r["batch_hessian"])): r["converged"] == "True"
@@ -243,6 +286,7 @@ def test_criterion_8_oracle_equivalence():
 def test_criterion_9_cdf_accuracy(tmp_path):
     config = dataclasses.replace(default_config("fig-cdf"), out=str(tmp_path))
     semi_path, lin_path = run_fig_cdf(config)
+    check_digests([semi_path, lin_path])
     semi_meta, _ = read_rows(semi_path)
     lin_meta, _ = read_rows(lin_path)
     ks_semi = float(semi_meta["ks_distance"])
@@ -253,6 +297,18 @@ def test_criterion_9_cdf_accuracy(tmp_path):
         f"\nPASS criterion 9: Kolmogorov distances {ks_semi:.4f} (x=0.5) and "
         f"{ks_lin:.4f} (x=2) <= 0.07 at 1e5 samples"
     )
+
+
+def test_the_uncovered_presets_write_their_recorded_files(tmp_path):
+    """fig-convergence and solve, which no criterion runs at its defaults, against the record."""
+    field = environment_mismatch()
+    if field is not None:
+        pytest.skip(f"{field} differs from the one output_digests.json was recorded with")
+    for experiment in ("fig-convergence", "solve"):
+        config = dataclasses.replace(default_config(experiment), out=str(tmp_path))
+        paths = run_experiment(config)
+        assert len(paths) == 2
+        check_digests(paths)
 
 
 def test_criterion_10_determinism(tmp_path):
