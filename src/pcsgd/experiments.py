@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from ._version import __version__
-from .estimators import estimate_cv_lambda, flat_index, kernel_for
+from .estimators import coefficient_matrix, estimate_cv_lambda, flat_index, kernel_for
 from .evaluation import (
     empirical_cdf,
     estimate_energy,
@@ -308,11 +308,10 @@ def save_coefficients(path: str, c: np.ndarray, n_interior: int) -> str:
     """Text dump, one `i j hexfloat` line per coefficient; exact round-trip."""
     if n_interior < 1 or c.size % n_interior:
         raise ValueError(f"{c.size} coefficients are not blocks of n_interior={n_interior}")
-    n_basis = c.size // n_interior
-    lines = []
-    for j in range(n_basis):
-        for i in range(1, n_interior + 1):
-            lines.append(f"{i} {j} {float(c[flat_index(i, j, n_interior)]).hex()}")
+    grid = coefficient_matrix(c, n_interior)  # row j holds phi_1..phi_M's psi_j coefficients
+    for j, i in np.argwhere(~np.isfinite(grid))[:1]:  # the loader would reject the dump
+        raise ValueError(f"non-finite coefficient (i, j) = {(int(i) + 1, int(j))}")
+    lines = [f"{i + 1} {j} {float(value).hex()}" for (j, i), value in np.ndenumerate(grid)]
     return _write_lines(path, lines)
 
 

@@ -194,6 +194,15 @@ def test_load_coefficients_rejects_a_non_finite_entry(first, entry, tmp_path):
         load_coefficients(str(path), 2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_save_coefficients_rejects_a_non_finite_coefficient(bad, tmp_path):
+    """The writer refuses what the loader would reject, and names the first such (i, j)."""
+    path = tmp_path / "c.txt"
+    with pytest.raises(ValueError, match=re.escape("non-finite coefficient (i, j) = (2, 0)")):
+        save_coefficients(str(path), np.array([1.0, bad, np.nan, 2.0]), 2)
+    assert not path.exists()
+
+
 def test_save_coefficients_rejects_a_partial_block(tmp_path):
     """11 coefficients do not fill blocks of 5: the 11th would be dropped from the dump."""
     path = tmp_path / "c.txt"
