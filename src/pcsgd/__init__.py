@@ -23,11 +23,9 @@ from .estimators import (
 )
 from .fem1d import LiftingFunction, Mesh1D, QuadratureRule, quadrature_points
 from .pc_basis import (
-    MomentTable,
     PcBasisSet,
     eval_all,
     generate_basis,
-    moment_table,
 )
 from .problem import (
     Nonlinearity,

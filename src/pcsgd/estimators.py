@@ -14,8 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fem1d import Mesh1D, quadrature_points
-from .pc_basis import PcBasisSet, eval_all, moment_table
+from .fem1d import Mesh1D, element_hats, quadrature_points
+from .pc_basis import PcBasisSet, eval_all
 from .problem import ProblemInstance
 
 DEFAULT_QUADRATURE_ORDER = 4
@@ -75,18 +75,22 @@ class Kernel:
         self.x, self.w = rule.points, rule.weights
         # an element's weights, and its left and right node's hats at its points
         w = self._element_w = self.w[:DEFAULT_QUADRATURE_ORDER]
-        n1 = (self.x[:DEFAULT_QUADRATURE_ORDER] - mesh.nodes[0]) / mesh.h
-        n0 = 1.0 - n1
-        self._shape = np.stack([n0, n1])  # (2, q)
+        hats = [element_hats(mesh, x)[1] for x in self.x[:DEFAULT_QUADRATURE_ORDER]]
+        n0, n1 = self._shape = np.stack(hats, axis=1)  # (2, q)
         self._load_w = np.ascontiguousarray(w[:, None] * self._shape.T)  # matmul's fast path
         self._mass_w = w[:, None] * np.stack([n0 * n0, n0 * n1, n1 * n1], axis=1)
-        # E[Y_k psi_a psi_b] is nonzero only at the b of alpha -/+ e_k: their k, b and
-        # moment, (2K, N+1), over k, lower b first, as einsum sums over (k, b)
-        moments = moment_table(basis)
-        self._norms = np.diag(moments.pair_moments)[:, None]
-        lin = moments.linear_moments
-        sides = np.stack([np.tril(lin, -1), np.triu(lin, 1)], 1).reshape(-1, *lin.shape[1:])
-        self._neighbours = np.arange(len(sides))[:, None] // 2, sides.argmax(2), sides.max(2)
+        # E[Y_k psi_a psi_b] is nonzero only at the b of alpha -/+ e_k, where it is the raised
+        # one's norm: their k, b and moment, (2K, N+1), over k, lower b first, as einsum sums
+        # over (k, b); a missing neighbour has b = 0 and moment 0
+        self._norms = basis.norms[:, None]
+        up = basis.raised  # (K, N+1)
+        down = np.zeros_like(up)
+        k, a = np.nonzero(up >= 0)
+        down[k, up[k, a]] = a
+        b = np.stack([down, np.maximum(up, 0)], axis=1).reshape(2 * len(up), -1)
+        lower = np.where(basis.degrees > 0, basis.norms, 0.0)
+        moment = np.stack([lower, np.where(up >= 0, basis.norms[up], 0.0)], axis=1)
+        self._neighbours = np.arange(len(b))[:, None] // 2, b, moment.reshape(b.shape)
         self.dim = mesh.n_interior * basis.size
         # element conductances of the mean-point surrogates for the control
         # variates; kappa is 1 at the germ mean
@@ -192,7 +196,7 @@ class Kernel:
             half += np.einsum("se,sp->ep", conductance[chunk], pairs)
             if source is not None:
                 source += np.einsum("sa,si->ai", wpsi, loads[chunk])
-        a, b = np.triu_indices(n)
+        a, b = np.nonzero(np.less_equal.outer(np.arange(n), np.arange(n)))  # the a <= b half
         stiffness = np.empty((len(half), n, n))
         stiffness[:, a, b] = stiffness[:, b, a] = half
         reaction = None if self.problem.nonlinearity is None else (weights, psi)

@@ -122,9 +122,9 @@ class LiftingFunction:
     def value(self, mesh: Mesh1D, x):
         x = np.asarray(x, dtype=float)
         _check_domain(mesh, x)
-        nodes = mesh.nodes
-        left_hat = np.maximum(0.0, 1.0 - np.abs(x - nodes[0]) / mesh.h)
-        right_hat = np.maximum(0.0, 1.0 - np.abs(x - nodes[-1]) / mesh.h)
+        half = mesh.length / 2.0  # the end nodes are -half and half
+        left_hat = np.maximum(0.0, 1.0 - np.abs(x + half) / mesh.h)
+        right_hat = np.maximum(0.0, 1.0 - np.abs(x - half) / mesh.h)
         return self.left_value * left_hat + self.right_value * right_hat
 
     def derivative(self, mesh: Mesh1D, x):

@@ -1,10 +1,11 @@
-"""Multivariate probabilists' Hermite basis with analytic moment tables.
+"""Multivariate probabilists' Hermite basis and the structure of its moments.
 
 The stochastic subspace is spanned by products of univariate probabilists'
 Hermite polynomials indexed by multi-indices of bounded total degree.  The
 basis is un-normalized: the second moment of a basis function with
-multi-index ``a`` is ``prod(a_k!)``.  All moments used by the control
-variates are computed analytically from the three-term recurrence.
+multi-index ``a`` is ``prod(a_k!)``.  By y He_n = He_{n+1} + n He_{n-1},
+E[Y_k psi_a psi_b] is nonzero only where one index is the other raised by
+e_k, and there it is the raised one's norm; `PcBasisSet` states both.
 `gauss_hermite` is the tensor Gauss-Hermite rule over the germ: the SGD
 energy monitor takes its expected energy with it, and the tests check it
 and the analytic moments against each other.
@@ -16,7 +17,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
@@ -56,6 +57,18 @@ class PcBasisSet:
     def degrees(self) -> np.ndarray:
         """The multi-indices as a (germ_dim, size) array, built once per basis."""
         return np.array(self.indices).T
+
+    @functools.cached_property
+    def norms(self) -> np.ndarray:
+        """E[psi_a^2] = prod_k alpha_k!, shape (size,)."""
+        return np.array([math.prod(map(math.factorial, alpha)) for alpha in self.indices], float)
+
+    @functools.cached_property
+    def raised(self) -> np.ndarray:
+        """Position of alpha_a + e_k, (germ_dim, size); -1 past the degree bound."""
+        position = {alpha: a for a, alpha in enumerate(self.indices)}
+        up = [[(*a[:k], a[k] + 1, *a[k + 1 :]) for a in self.indices] for k in range(self.germ_dim)]
+        return np.array([[position.get(alpha, -1) for alpha in row] for row in up])
 
 
 def generate_basis(germ_dim: int, degree_bound: int) -> PcBasisSet:
@@ -114,31 +127,3 @@ def gauss_hermite(n: int, germ_dim: int) -> tuple[np.ndarray, np.ndarray]:
     weights = weights / np.sqrt(2.0 * np.pi)
     nodes = np.array(list(itertools.product(points, repeat=germ_dim)))
     return nodes, np.prod(list(itertools.product(weights, repeat=germ_dim)), axis=1)
-
-
-def _norm(alpha: Sequence[int]) -> float:
-    return float(math.prod(math.factorial(a) for a in alpha))
-
-
-@dataclass(eq=False)
-class MomentTable:
-    """Precomputed E[psi_a psi_b] and E[Y_k psi_a psi_b] for a basis set."""
-
-    pair_moments: np.ndarray  # (size, size), diagonal
-    linear_moments: np.ndarray  # (germ_dim, size, size)
-
-
-def moment_table(basis: PcBasisSet) -> MomentTable:
-    """Analytic moments: E[psi_a psi_b] is prod(alpha_k!) on the diagonal.  By
-    y He_n = He_{n+1} + n He_{n-1} on component k, E[Y_k psi_a psi_b] is nonzero only
-    where b = a + e_k or a = b + e_k, and there it is the larger of the two norms.
-    """
-    norms = np.array([_norm(alpha) for alpha in basis.indices])
-    position = {alpha: a for a, alpha in enumerate(basis.indices)}
-    linear = np.zeros((basis.germ_dim, basis.size, basis.size))
-    for k in range(basis.germ_dim):
-        for a, alpha in enumerate(basis.indices):
-            b = position.get(alpha[:k] + (alpha[k] + 1,) + alpha[k + 1 :])
-            if b is not None:  # the top degree has no raised neighbour
-                linear[k, a, b] = linear[k, b, a] = norms[b]
-    return MomentTable(np.diag(norms), linear)

@@ -1,15 +1,19 @@
-"""Test instruments: a deterministic FEM solve at one germ and a log-log rate fit.
+"""Test instruments: a deterministic FEM solve at one germ, a log-log rate fit
+and the Hermite moments as dense tables.
 
-Neither is part of the method; the tests use them to check the kernel's
-discretization and the SGD's convergence rate.
+None is part of the method; the tests use them to check the kernel's
+discretization, the SGD's convergence rate and the basis's moment structure
+against quadrature.
 """
 
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 
 from pcsgd.estimators import kernel_for
 from pcsgd.fem1d import Mesh1D
+from pcsgd.pc_basis import PcBasisSet
 from pcsgd.problem import ProblemInstance
 from pcsgd.sgd import Trajectory, precondition_solve
 
@@ -58,3 +62,19 @@ def fit_convergence_rate(
         raise ValueError("not enough usable records to fit a rate")
     slope, _ = np.polyfit(np.log(n[positive]), np.log(gap[positive]), 1)
     return float(slope)
+
+
+class MomentTable(NamedTuple):
+    """Dense E[psi_a psi_b] (N+1, N+1) and E[Y_k psi_a psi_b] (K, N+1, N+1)."""
+
+    pair_moments: np.ndarray
+    linear_moments: np.ndarray
+
+
+def moment_table(basis: PcBasisSet) -> MomentTable:
+    """The basis's moments spelled out from its `norms` and `raised` neighbours."""
+    linear = np.zeros((basis.germ_dim, basis.size, basis.size))
+    k, a = np.nonzero(basis.raised >= 0)
+    b = basis.raised[k, a]  # psi_b is psi_a raised in Y_k
+    linear[k, a, b] = linear[k, b, a] = basis.norms[b]
+    return MomentTable(np.diag(basis.norms), linear)

@@ -42,7 +42,7 @@ from pcsgd.experiments import (
     run_table2,
     run_table3,
 )
-from reference import fit_convergence_rate, reference_solve_linear
+from reference import fit_convergence_rate, moment_table, reference_solve_linear
 
 with open(os.path.join(os.path.dirname(__file__), "output_digests.json")) as fh:
     DIGESTS = json.load(fh)
@@ -260,7 +260,7 @@ def test_criterion_8_oracle_equivalence():
 
     # moments: analytic tables vs Gauss-Hermite quadrature
     from test_pc_basis import gauss_hermite_expectation
-    from pcsgd import generate_basis, moment_table
+    from pcsgd import generate_basis
     from pcsgd.pc_basis import eval_all
 
     basis = generate_basis(2, 3)

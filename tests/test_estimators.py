@@ -26,8 +26,9 @@ from pcsgd.fem1d import (
     lifting_tables,
     quadrature_points,
 )
-from pcsgd.pc_basis import eval_all, gauss_hermite, moment_table
+from pcsgd.pc_basis import eval_all, gauss_hermite
 from pcsgd.sgd import CV_ORDERS
+from reference import moment_table
 
 
 def dense_from_bands(bands):

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from pcsgd import eval_all, generate_basis, moment_table
+from pcsgd import eval_all, generate_basis
 from pcsgd.pc_basis import gauss_hermite, hermite_table
+from reference import moment_table
 
 
 def binom(n, k):
@@ -123,6 +124,21 @@ def test_moment_table_consistency():
         np.testing.assert_array_equal(
             table.linear_moments[k], table.linear_moments[k].T
         )
+
+
+@pytest.mark.parametrize("degree", [0, 3, 5])
+@pytest.mark.parametrize("germ_dim", [1, 2, 4])
+def test_raised_neighbours_and_norms_by_brute_force(germ_dim, degree):
+    basis = generate_basis(germ_dim, degree)
+    assert basis.raised.shape == (germ_dim, basis.size)
+    for k in range(germ_dim):
+        for a, alpha in enumerate(basis.indices):
+            up = tuple(n + (l == k) for l, n in enumerate(alpha))
+            found = [b for b, beta in enumerate(basis.indices) if beta == up]
+            assert basis.raised[k, a] == (found[0] if found else -1)
+            assert (basis.raised[k, a] == -1) == (sum(alpha) == degree)
+    exact = [math.prod(math.factorial(n) for n in alpha) for alpha in basis.indices]
+    assert basis.norms.tolist() == exact
 
 
 @pytest.mark.parametrize("germ_dim, degree", [(3, 2), (4, 3), (2, 0)])
