@@ -309,7 +309,8 @@ def save_coefficients(path: str, c: np.ndarray, n_interior: int) -> str:
     if n_interior < 1 or c.size % n_interior:
         raise ValueError(f"{c.size} coefficients are not blocks of n_interior={n_interior}")
     grid = coefficient_matrix(c, n_interior)  # row j holds phi_1..phi_M's psi_j coefficients
-    for j, i in np.argwhere(~np.isfinite(grid))[:1]:  # the loader would reject the dump
+    if not np.isfinite(grid).all():  # the loader would reject the dump
+        j, i = np.argwhere(~np.isfinite(grid))[0]  # the first in the dump's order
         raise ValueError(f"non-finite coefficient (i, j) = {(int(i) + 1, int(j))}")
     lines = [f"{i + 1} {j} {float(value).hex()}" for (j, i), value in np.ndenumerate(grid)]
     return _write_lines(path, lines)

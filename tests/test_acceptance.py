@@ -56,7 +56,7 @@ def _cpu_features():
 
 def environment_mismatch() -> str | None:
     """The first recorded field this environment differs in, or None."""
-    here = (
+    here = (  # read in turn: numpy._core exists only from numpy 2 on
         ("numpy", lambda: np.__version__),
         ("scipy", lambda: scipy.__version__),
         ("cpu_features", _cpu_features),  # the SIMD loops may round differently
