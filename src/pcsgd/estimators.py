@@ -75,8 +75,8 @@ class Kernel:
         self.x, self.w = rule.points, rule.weights
         # an element's weights, and its left and right node's hats at its points
         w = self._element_w = self.w[:DEFAULT_QUADRATURE_ORDER]
-        hats = [element_hats(mesh, x)[1] for x in self.x[:DEFAULT_QUADRATURE_ORDER]]
-        n0, n1 = self._shape = np.stack(hats, axis=1)  # (2, q)
+        hats = element_hats(mesh, self.x[:DEFAULT_QUADRATURE_ORDER])[1]
+        n0, n1 = self._shape = np.ascontiguousarray(hats.T)  # (2, q)
         self._load_w = np.ascontiguousarray(w[:, None] * self._shape.T)  # matmul's fast path
         self._mass_w = w[:, None] * np.stack([n0 * n0, n0 * n1, n1 * n1], axis=1)
         # E[Y_k psi_a psi_b] is nonzero only at the b of alpha -/+ e_k, where it is the raised

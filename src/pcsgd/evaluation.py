@@ -64,10 +64,8 @@ def estimate_energy(
 def solution_at_points(kernel: Kernel, c: np.ndarray, points: Sequence[float]):
     """u_c(x, Y), lifting included, at the points, as a function of a germ batch -> (n, P)."""
     padded = kernel.padded_coefficients(c)
-    rows = []  # each point's (N+1,) chaos coefficients, once per call
-    for x in points:
-        element, hats = element_hats(kernel.mesh, x)
-        rows.append(padded[:, element : element + 2] @ hats)
+    # each point's (N+1,) chaos coefficients, once per call
+    rows = [padded[:, e : e + 2] @ hats for e, hats in zip(*element_hats(kernel.mesh, points))]
 
     def values(germs: np.ndarray) -> np.ndarray:
         psi = eval_all(kernel.basis, germs)

@@ -142,7 +142,7 @@ def _fmt(value) -> str:
 
 
 def config_to_ini(config: ExperimentConfig) -> str:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     for section, keys in _SECTIONS.items():
         parser[section] = {key: _fmt(getattr(config, key)) for key in keys}
     buf = io.StringIO()
@@ -164,9 +164,9 @@ def config_from_ini(text: str, base: ExperimentConfig | None = None) -> Experime
 
     Sections and keys not known to ExperimentConfig raise ValueError so a
     misspelled key can never be silently ignored.  A ";" after whitespace
-    starts a comment.
+    starts a comment; a "%" is literal.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as err:
@@ -208,8 +208,12 @@ def default_config(experiment: str) -> ExperimentConfig:
     """Per-experiment defaults matching the benchmark setups."""
     if experiment not in EXPERIMENTS:
         raise ValueError(f"unknown experiment id {experiment!r}")
-    _, preset = EXPERIMENTS[experiment]
-    return ExperimentConfig(experiment=experiment, **preset)
+    return ExperimentConfig(experiment=experiment, **EXPERIMENTS[experiment][1])
+
+
+def study_solves(config: ExperimentConfig) -> list[ExperimentConfig]:
+    """The SGD solves that the config's study runs, in run order, each as a full config."""
+    return EXPERIMENTS[config.experiment][2](config)
 
 
 # -- problem / sgd assembly -------------------------------------------------
@@ -239,11 +243,8 @@ def make_sgd_config(config: ExperimentConfig) -> SgdConfig:
 
 
 def check_config(config: ExperimentConfig) -> None:
-    """Raise ValueError on a problem, SGD or monitor setting that a solve of the run rejects."""
-    solves = [config, _cdf_linear_config(config)] if config.experiment == "fig-cdf" else [config]
-    if config.experiment == "fig-staged-hessian":  # the runner replaces hessian_mode
-        solves += [replace(config, hessian_mode=mode) for mode in STAGED_STUDY_ARMS]
-    for solve in solves:
+    """Raise ValueError on a problem, SGD or monitor setting that the run or a solve rejects."""
+    for solve in [config, *study_solves(config)]:
         monitor_points(make_problem(solve).basis, make_sgd_config(solve).monitor_samples)
     if config.experiment in _GAP_STUDIES:
         _known_minimum(make_problem(config))
@@ -408,19 +409,11 @@ def run_table2(config: ExperimentConfig) -> list[str]:
     problem = make_problem(config)
     minimum = _known_minimum(problem)
     rows = []
-    for numerator in TABLE2_RATES:
-        for cv in ("order1", "none"):
-            trajectory, c = _solve(
-                problem,
-                replace(
-                    config,
-                    rate_numerator=numerator,
-                    cv_mode=cv,
-                    record_stride=max(config.n_iterations, 1),
-                ),
-            )
-            final = np.nan if c is None else trajectory.energy_mean[-1]
-            rows.append((numerator, cv, final, abs(final - minimum) <= CONVERGENCE_GAP))
+    for solve in study_solves(config):
+        trajectory, c = _solve(problem, solve)
+        final = np.nan if c is None else trajectory.energy_mean[-1]
+        converged = abs(final - minimum) <= CONVERGENCE_GAP
+        rows.append((solve.rate_numerator, solve.cv_mode, final, converged))
     path = write_csv(
         "table2.csv", ["rate_numerator", "cv_mode", "final_j", "converged"], rows, config
     )
@@ -442,11 +435,11 @@ def run_table2(config: ExperimentConfig) -> list[str]:
 def run_table3(config: ExperimentConfig) -> list[str]:
     """Accuracy of the semilinear benchmark versus the chaos order."""
     rows = []
-    for p in range(config.p + 1):
-        problem = make_problem(replace(config, p=p))
-        _, c = _solve(problem, config)
+    for solve in study_solves(config):
+        problem = make_problem(solve)
+        _, c = _solve(problem, solve)
         if c is None:
-            raise ExperimentFailure(f"the p={p} run diverged")
+            raise ExperimentFailure(f"the p={solve.p} run diverged")
         energy = estimate_energy(
             problem, problem.mesh, problem.basis, c, config.n_mc, config.seed + 101
         )
@@ -454,7 +447,7 @@ def run_table3(config: ExperimentConfig) -> list[str]:
             problem, problem.mesh, problem.basis, c, config.points, config.n_mc,
             config.seed + 202,
         )
-        rows.append((p, energy.mean, energy.standard_error, error.mean))
+        rows.append((solve.p, energy.mean, energy.standard_error, error.mean))
     oracle = exact_energy_mc(problem, config.n_mc, config.seed + 303)  # on the p = config.p problem
     path = write_csv(
         "table3.csv",
@@ -488,15 +481,11 @@ def run_fig_convergence(config: ExperimentConfig) -> list[str]:
     including one tracked coefficient.  A diverged run contributes its
     records up to the divergence.
     """
+    *linear, semi_config = study_solves(config)
     problem = make_problem(config)
     rows = []
-    variants = (
-        ("first-order", dict(hessian_mode="none")),
-        ("second-order", dict()),
-        ("second-order-cv", dict(cv_mode="order1")),
-    )
-    for label, overrides in variants:
-        trajectory, _ = _solve(problem, replace(config, **overrides))
+    for label, solve in zip(("first-order", "second-order", "second-order-cv"), linear):
+        trajectory, _ = _solve(problem, solve)
         rows.extend(
             (label, n, j, se)
             for n, j, se in zip(
@@ -507,10 +496,6 @@ def run_fig_convergence(config: ExperimentConfig) -> list[str]:
         "fig-convergence-linear.csv", ["variant", "n", "energy", "se"], rows, config
     )
 
-    semi_config = default_config("table3")
-    semi_config = replace(
-        semi_config, seed=config.seed, out=config.out, record_stride=10
-    )
     tracked = flat_index(1, 2, semi_config.m)
     tracked_values = []
     trajectory, _ = _solve(
@@ -534,14 +519,6 @@ def _cdf_pair(problem, c, points, grids, n_samples, seed) -> list[np.ndarray]:
     ]
 
 
-def _cdf_linear_config(config: ExperimentConfig) -> ExperimentConfig:
-    """fig-cdf's second solve: the `solve` defaults' linear problem with boundary data."""
-    keys = ("problem", "beta", "length", "m", "n_iterations", "batch_gradient", "batch_hessian",
-            "hessian_mode", "init")
-    defaults = {key: getattr(ExperimentConfig, key) for key in keys}
-    return replace(config, **defaults, points=2.0)  # inside the shorter domain
-
-
 def run_fig_cdf(config: ExperimentConfig) -> list[str]:
     """Distribution accuracy of converged solutions.
 
@@ -549,9 +526,10 @@ def run_fig_cdf(config: ExperimentConfig) -> list[str]:
     benchmark and the joint CDF at (x1, x2) = (-4, 2) for the linear
     nonhomogeneous-boundary benchmark.
     """
+    semi_config, lin_config = study_solves(config)
     # semilinear, x = 0.5
-    problem = make_problem(config)
-    _, c = _solve(problem, config)
+    problem = make_problem(semi_config)
+    _, c = _solve(problem, semi_config)
     if c is None:
         raise ExperimentFailure("the semilinear run diverged")
     grid = np.linspace(0.0, 4.0, 801)
@@ -568,7 +546,6 @@ def run_fig_cdf(config: ExperimentConfig) -> list[str]:
     )
 
     # linear with boundary data, joint CDF at (-4, 2)
-    lin_config = _cdf_linear_config(config)
     lin_problem = make_problem(lin_config)
     _, lin_c = _solve(lin_problem, lin_config)
     if lin_c is None:
@@ -605,7 +582,6 @@ def run_fig_cdf(config: ExperimentConfig) -> list[str]:
     return [semi_path, lin_path]
 
 
-STAGED_STUDY_ARMS = ("staged", "full")
 _GAP_STUDIES = ("table2", "fig-staged-hessian", "fig-batch-study")  # gaps to exact_energy
 
 
@@ -615,8 +591,9 @@ def run_fig_staged_hessian(config: ExperimentConfig) -> list[str]:
     minimum = _known_minimum(problem)
     rows = []
     gaps = {}
-    for mode in STAGED_STUDY_ARMS:
-        trajectory, c = _solve(problem, replace(config, hessian_mode=mode))
+    for solve in study_solves(config):
+        mode = solve.hessian_mode
+        trajectory, c = _solve(problem, solve)
         if c is None:  # a diverged arm is left out of the CSV
             gaps[mode] = np.inf
             continue
@@ -642,9 +619,6 @@ def run_fig_staged_hessian(config: ExperimentConfig) -> list[str]:
     return [path]
 
 
-BATCH_STUDY_SIZES = ((128, 64), (128, 128), (256, 64))
-
-
 def run_fig_batch_study(config: ExperimentConfig) -> list[str]:
     """Mini-batch size sensitivity at two field amplitudes.
 
@@ -653,17 +627,12 @@ def run_fig_batch_study(config: ExperimentConfig) -> list[str]:
     a small Hessian batch converges.
     """
     rows = []
-    for beta in (0.3, 0.4):
-        beta_config = replace(config, beta=beta)
-        problem = make_problem(beta_config)
-        minimum = _known_minimum(problem)
-        for batch_g, batch_h in BATCH_STUDY_SIZES:
-            trajectory, c = _solve(
-                problem,
-                replace(beta_config, batch_gradient=batch_g, batch_hessian=batch_h),
-            )
-            gap = np.inf if c is None else abs(trajectory.energy_mean[-1] - minimum)
-            rows.append((beta, batch_g, batch_h, gap, gap <= CONVERGENCE_GAP))
+    for solve in study_solves(config):
+        problem = make_problem(solve)
+        trajectory, c = _solve(problem, solve)
+        gap = np.inf if c is None else abs(trajectory.energy_mean[-1] - _known_minimum(problem))
+        rows.append((solve.beta, solve.batch_gradient, solve.batch_hessian, gap,
+                     gap <= CONVERGENCE_GAP))
     path = write_csv(
         "fig-batch-study.csv",
         ["beta", "batch_gradient", "batch_hessian", "final_gap", "converged"],
@@ -739,22 +708,54 @@ _STAGED_STUDY = dict(
     monitor_samples=2000,
 )
 
-# Experiment id -> (runner, preset over the ExperimentConfig defaults).
+# fig-cdf's linear solve: the `solve` defaults' problem with boundary data and their SGD setup
+_CDF_LINEAR = {
+    key: getattr(ExperimentConfig, key)
+    for key in ("problem", "beta", "length", "m", "n_iterations", "batch_gradient",
+                "batch_hessian", "hessian_mode", "init")
+}
+
+# Experiment id -> (runner, preset over the ExperimentConfig defaults, the SGD solves of a run
+# config c in run order).  `check_config` validates c and each solve; the runners read their
+# solves from here alone.
 EXPERIMENTS = {
-    "table1": (run_table1, dict(problem="linear_homogeneous", m=10, p=3)),
-    "table2": (run_table2, dict(_LINEAR, seed=1)),
-    "table3": (run_table3, _TABLE3),
-    "fig-convergence": (run_fig_convergence, dict(_LINEAR, seed=21)),
-    "fig-cdf": (run_fig_cdf, dict(_TABLE3, record_stride=200)),
+    "table1": (run_table1, dict(problem="linear_homogeneous", m=10, p=3), lambda c: []),
+    "table2": (
+        run_table2,
+        dict(_LINEAR, seed=1),
+        lambda c: [
+            replace(c, rate_numerator=rate, cv_mode=cv, record_stride=max(c.n_iterations, 1))
+            for rate in TABLE2_RATES for cv in ("order1", "none")
+        ],
+    ),
+    "table3": (run_table3, _TABLE3, lambda c: [replace(c, p=p) for p in range(c.p + 1)]),
+    "fig-convergence": (
+        run_fig_convergence,
+        dict(_LINEAR, seed=21),
+        lambda c: [  # three linear variants, then the semilinear trace
+            replace(c, hessian_mode="none"), c, replace(c, cv_mode="order1"),
+            replace(default_config("table3"), seed=c.seed, out=c.out, record_stride=10),
+        ],
+    ),
+    "fig-cdf": (
+        run_fig_cdf,
+        dict(_TABLE3, record_stride=200),
+        lambda c: [c, replace(c, **_CDF_LINEAR, points=2.0)],  # inside the shorter domain
+    ),
     "fig-staged-hessian": (
         run_fig_staged_hessian,
         dict(_STAGED_STUDY, beta=0.3, batch_gradient=256, batch_hessian=64, record_stride=10),
+        lambda c: [replace(c, hessian_mode=mode) for mode in ("staged", "full")],
     ),
     "fig-batch-study": (
         run_fig_batch_study,
         dict(_STAGED_STUDY, beta=0.4, record_stride=50),
+        lambda c: [
+            replace(c, beta=beta, batch_gradient=batch_g, batch_hessian=batch_h)
+            for beta in (0.3, 0.4) for batch_g, batch_h in ((128, 64), (128, 128), (256, 64))
+        ],
     ),
-    "solve": (run_solve, {}),
+    "solve": (run_solve, {}, lambda c: [c]),
 }
 EXPERIMENT_IDS = tuple(EXPERIMENTS)
 
@@ -762,5 +763,4 @@ EXPERIMENT_IDS = tuple(EXPERIMENTS)
 def run_experiment(config: ExperimentConfig) -> list[str]:
     """Run the config's experiment, after `check_config`; returns the paths it wrote."""
     check_config(config)
-    runner, _ = EXPERIMENTS[config.experiment]
-    return runner(config)
+    return EXPERIMENTS[config.experiment][0](config)

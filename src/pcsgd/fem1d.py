@@ -85,12 +85,13 @@ def eval_dphi(mesh: Mesh1D, i: int, x):
     return np.where(rising, slope, 0.0) + np.where(falling, -slope, 0.0)
 
 
-def element_hats(mesh: Mesh1D, x: float) -> tuple[int, np.ndarray]:
-    """Element e holding x (between nodes e and e+1) and its two hats at x."""
-    _check_domain(mesh, np.asarray(x, dtype=float))
-    element = min(int((float(x) + mesh.length / 2.0) / mesh.h), mesh.n_interior)
-    t = (float(x) - mesh.nodes[element]) / mesh.h
-    return element, np.array([1.0 - t, t])
+def element_hats(mesh: Mesh1D, x) -> tuple[np.ndarray, np.ndarray]:
+    """Elements e (n,) holding points x (n,), between nodes e and e+1, and their hats (n, 2)."""
+    x = np.asarray(x, dtype=float)
+    _check_domain(mesh, x)
+    elements = np.minimum(((x + mesh.length / 2.0) / mesh.h).astype(int), mesh.n_interior)
+    t = (x - mesh.nodes[elements]) / mesh.h
+    return elements, np.stack([1.0 - t, t], axis=-1)
 
 
 def hat_tables(mesh: Mesh1D, rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:

@@ -24,7 +24,7 @@ from pcsgd import (
 )
 from pcsgd import experiments
 from pcsgd.cli import build_parser, main, resolve_config
-from pcsgd.experiments import EXPERIMENT_IDS
+from pcsgd.experiments import EXPERIMENT_IDS, study_solves
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -51,6 +51,27 @@ def test_config_round_trips_through_ini(experiment):
 def test_config_from_ini_starts_from_the_experiment_defaults():
     assert config_from_ini("[experiment]\nexperiment = solve\n") == default_config("solve")
     assert config_from_ini("[experiment]\nexperiment = table3\n") == default_config("table3")
+
+
+def test_a_percent_sign_in_an_ini_value_is_literal():
+    """configparser's interpolation is off: "%" neither fails to parse nor substitutes."""
+    for out in ("run%1", "%(experiment)s", "100%"):
+        config = config_from_ini(f"[experiment]\nexperiment = solve\nout = {out}\n")
+        assert config.out == out
+        assert config_from_ini(config_to_ini(config)) == config
+
+
+def test_cli_writes_into_an_out_with_a_percent_sign(tmp_path):
+    out = tmp_path / "run%1"
+    config_path = tmp_path / "run.ini"
+    config_path.write_text(
+        f"[experiment]\nexperiment = solve\nout = {out}\n"
+        "[problem]\nm = 6\np = 1\nn_v = 1\n"
+        "[sgd]\nn_iterations = 2\nbatch_gradient = 8\nbatch_hessian = 4\n"
+        "monitor_samples = 100\n"
+    )
+    assert main(["solve", "--config", str(config_path)]) == 0
+    assert (out / "solve-coefficients.txt").exists()
 
 
 def test_ini_inline_comments_are_ignored():
@@ -95,7 +116,7 @@ def test_config_hash_pinned_per_experiment():
 def test_the_solve_defaults_are_the_class_defaults():
     """The `solve` preset is empty, and fig-cdf's linear solve reads the same defaults."""
     assert ExperimentConfig() == default_config("solve")
-    linear = experiments._cdf_linear_config(default_config("fig-cdf"))
+    _, linear = study_solves(default_config("fig-cdf"))
     assert config_hash(linear) == "a218a527ef7a"  # heads fig-cdf-linear.csv
 
 
@@ -742,3 +763,56 @@ def test_cli_version(capsys):
     with pytest.raises(SystemExit) as info:
         main(["--version"])
     assert info.value.code == 0
+
+
+# Each study's SGD solves
+SOLVE_COUNTS = {
+    "table1": 0,
+    "table2": 10,
+    "table3": 4,
+    "fig-convergence": 4,
+    "fig-cdf": 2,
+    "fig-staged-hessian": 2,
+    "fig-batch-study": 6,
+    "solve": 1,
+}
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENT_IDS)
+def test_a_study_solves_exactly_its_listed_configs(experiment, monkeypatch, tmp_path):
+    """The runner passes `_solve` each listed solve, in order, on that solve's problem."""
+    config = dataclasses.replace(default_config(experiment), n_mc=200, out=str(tmp_path))
+    received = []
+
+    def setup(problem):
+        amplitude = getattr(problem.field, "amplitude", None)  # a constant field has none
+        mesh = problem.mesh
+        return problem.name, amplitude, mesh.length, mesh.n_interior, problem.basis.degree_bound
+
+    def record(problem, config, on_record=None):
+        received.append((config, setup(problem)))
+        return one_record(0.0), np.zeros(problem.basis.size * problem.mesh.n_interior)
+
+    monkeypatch.setattr(experiments, "_solve", record)
+    try:
+        run_experiment(config)
+    except ExperimentFailure:
+        pass  # the fake records need not pass the study's checks
+    solves = study_solves(config)
+    assert len(solves) == SOLVE_COUNTS[experiment]
+    assert [solve for solve, _ in received] == solves
+    assert [problem for _, problem in received] == [setup(make_problem(s)) for s in solves]
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENT_IDS)
+def test_check_config_builds_an_sgd_config_for_the_run_and_each_listed_solve(
+    experiment, monkeypatch
+):
+    config = default_config(experiment)
+    built = []
+    make_sgd_config = experiments.make_sgd_config
+    monkeypatch.setattr(
+        experiments, "make_sgd_config", lambda solve: built.append(solve) or make_sgd_config(solve)
+    )
+    experiments.check_config(config)
+    assert built == [config, *study_solves(config)]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pcsgd import LiftingFunction, Mesh1D, quadrature_points
-from pcsgd.fem1d import eval_dphi, eval_phi, hat_tables, lifting_tables
+from pcsgd.fem1d import element_hats, eval_dphi, eval_phi, hat_tables, lifting_tables
 
 
 def test_mesh_geometry():
@@ -30,6 +30,34 @@ def test_hats_reject_a_non_finite_point(x):
     for evaluate in (eval_phi, eval_dphi):
         with pytest.raises(ValueError, match="outside the mesh domain"):
             evaluate(mesh, 1, np.array([0.0, x]))
+
+
+@pytest.mark.parametrize("length, n_interior", [(10.0, 4), (12.0, 100), (0.3, 1), (4.0, 3)])
+def test_element_hats_of_an_array_are_the_hats_of_each_point_alone(length, n_interior):
+    """Each row is bit for bit the point's own call and the scalar formula, ends included."""
+    mesh = Mesh1D(length, n_interior)
+    half, tol = length / 2.0, 1e-12 * length
+    x = np.concatenate([
+        [-half - tol / 2, -half, half, half + tol / 2],
+        mesh.nodes,
+        quadrature_points(mesh, 4).points,
+        np.random.default_rng(3).uniform(-half, half, 50),
+    ])
+    elements, hats = element_hats(mesh, x)
+    assert hats.shape == (x.size, 2) and hats.flags.c_contiguous
+    for point, element, row in zip(x, elements, hats):
+        alone_element, alone_hats = element_hats(mesh, np.array([point]))
+        assert alone_element[0] == element
+        np.testing.assert_array_equal(alone_hats[0], row)
+        assert element == min(int((float(point) + half) / mesh.h), n_interior)
+        t = (float(point) - mesh.nodes[element]) / mesh.h
+        np.testing.assert_array_equal(row, [1.0 - t, t])
+
+
+def test_element_hats_reject_an_array_with_one_point_outside():
+    mesh = Mesh1D(4.0, 3)
+    with pytest.raises(ValueError, match="outside the mesh domain"):
+        element_hats(mesh, np.array([0.0, 2.5, 1.0]))
 
 
 def test_quadrature_integrates_polynomials_exactly():
