@@ -102,15 +102,21 @@ class ExperimentConfig:
     points: float = 0.5
 
     def __post_init__(self):
+        # each number is stored as its declared type, so 1 and 1.0 write one INI text
+        for key, kind in _FIELD_TYPES.items():
+            value = getattr(self, key)
+            if kind == "float" and not np.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value!r}")
+            if kind == "int" and not float(value).is_integer():
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+            if kind != "str":
+                setattr(self, key, int(value) if kind == "int" else float(value))
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment id {self.experiment!r}")
         if self.problem not in PROBLEMS:
             raise ValueError(f"unknown problem {self.problem!r}")
         if self.n_mc < 2:
             raise ValueError("n_mc must be >= 2")
-        for key, kind in _FIELD_TYPES.items():
-            if kind == "float" and not np.isfinite(getattr(self, key)):
-                raise ValueError(f"{key} must be finite, got {getattr(self, key)!r}")
 
 
 # INI sections by their first key: a section holds the fields from there up to
@@ -171,6 +177,8 @@ def config_from_ini(text: str, base: ExperimentConfig | None = None) -> Experime
         parser.read_string(text)
     except configparser.Error as err:
         raise ValueError(f"malformed config file: {err}") from err
+    if parser.defaults():  # configparser would copy these keys into every section
+        raise ValueError(f"unknown config section [{parser.default_section}]")
     updates = {}
     for section in parser.sections():
         if section not in _SECTIONS:
@@ -251,21 +259,21 @@ def check_config(config: ExperimentConfig) -> None:
 
 
 def _solve(
-    problem: ProblemInstance, config: ExperimentConfig, on_record=None
-) -> tuple[Trajectory, np.ndarray | None]:
-    """One SGD run: its trajectory and final c, or None for c if it diverged.
+    config: ExperimentConfig, on_record=None
+) -> tuple[ProblemInstance, Trajectory, np.ndarray | None]:
+    """One SGD run on the config's problem: that problem, the trajectory and the final c.
 
-    A diverged run's trajectory ends at the last record before the
-    non-finite update.  `on_record(n, c)` is passed to `run`.  Overflow
-    warnings are silenced: divergent trials overflow by design while their
-    energies are being monitored.
+    c is None if the run diverged; its trajectory then ends at the last
+    record before the non-finite update.  `on_record(n, c)` is passed to
+    `run`.  Overflow warnings are silenced: divergent trials overflow by
+    design while their energies are being monitored.
     """
-    sgd_config = make_sgd_config(config)
+    problem, sgd_config = make_problem(config), make_sgd_config(config)
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            return run(problem, problem.mesh, problem.basis, sgd_config, on_record)
+            return problem, *run(problem, problem.mesh, problem.basis, sgd_config, on_record)
         except SgdDivergenceError as err:
-            return err.trajectory, None
+            return problem, err.trajectory, None
 
 
 def _known_minimum(problem: ProblemInstance) -> float:
@@ -406,11 +414,10 @@ TABLE2_RATES = (1.0, 2.0, 5.0, 10.0, 100.0)
 
 def run_table2(config: ExperimentConfig) -> list[str]:
     """Final energies of the linear benchmark across learning rates."""
-    problem = make_problem(config)
-    minimum = _known_minimum(problem)
+    minimum = _known_minimum(make_problem(config))
     rows = []
     for solve in study_solves(config):
-        trajectory, c = _solve(problem, solve)
+        _, trajectory, c = _solve(solve)
         final = np.nan if c is None else trajectory.energy_mean[-1]
         converged = abs(final - minimum) <= CONVERGENCE_GAP
         rows.append((solve.rate_numerator, solve.cv_mode, final, converged))
@@ -436,8 +443,7 @@ def run_table3(config: ExperimentConfig) -> list[str]:
     """Accuracy of the semilinear benchmark versus the chaos order."""
     rows = []
     for solve in study_solves(config):
-        problem = make_problem(solve)
-        _, c = _solve(problem, solve)
+        problem, _, c = _solve(solve)
         if c is None:
             raise ExperimentFailure(f"the p={solve.p} run diverged")
         energy = estimate_energy(
@@ -482,10 +488,9 @@ def run_fig_convergence(config: ExperimentConfig) -> list[str]:
     records up to the divergence.
     """
     *linear, semi_config = study_solves(config)
-    problem = make_problem(config)
     rows = []
     for label, solve in zip(("first-order", "second-order", "second-order-cv"), linear):
-        trajectory, _ = _solve(problem, solve)
+        _, trajectory, _ = _solve(solve)
         rows.extend(
             (label, n, j, se)
             for n, j, se in zip(
@@ -498,9 +503,7 @@ def run_fig_convergence(config: ExperimentConfig) -> list[str]:
 
     tracked = flat_index(1, 2, semi_config.m)
     tracked_values = []
-    trajectory, _ = _solve(
-        make_problem(semi_config), semi_config, lambda n, c: tracked_values.append(c[tracked])
-    )
+    _, trajectory, _ = _solve(semi_config, lambda n, c: tracked_values.append(c[tracked]))
     semi_rows = list(zip(trajectory.iterations, trajectory.energy_mean, tracked_values))
     semi_path = write_csv(
         "fig-convergence-semilinear.csv", ["n", "energy", "c_1_2"], semi_rows, semi_config
@@ -528,8 +531,7 @@ def run_fig_cdf(config: ExperimentConfig) -> list[str]:
     """
     semi_config, lin_config = study_solves(config)
     # semilinear, x = 0.5
-    problem = make_problem(semi_config)
-    _, c = _solve(problem, semi_config)
+    problem, _, c = _solve(semi_config)
     if c is None:
         raise ExperimentFailure("the semilinear run diverged")
     grid = np.linspace(0.0, 4.0, 801)
@@ -546,8 +548,7 @@ def run_fig_cdf(config: ExperimentConfig) -> list[str]:
     )
 
     # linear with boundary data, joint CDF at (-4, 2)
-    lin_problem = make_problem(lin_config)
-    _, lin_c = _solve(lin_problem, lin_config)
+    lin_problem, _, lin_c = _solve(lin_config)
     if lin_c is None:
         raise ExperimentFailure("the linear run diverged")
     joint_grid = np.linspace(0.0, 1.0, 101)
@@ -587,13 +588,12 @@ _GAP_STUDIES = ("table2", "fig-staged-hessian", "fig-batch-study")  # gaps to ex
 
 def run_fig_staged_hessian(config: ExperimentConfig) -> list[str]:
     """Staged versus full-from-start Hessian on the semilinear benchmark."""
-    problem = make_problem(config)
-    minimum = _known_minimum(problem)
+    minimum = _known_minimum(make_problem(config))
     rows = []
     gaps = {}
     for solve in study_solves(config):
         mode = solve.hessian_mode
-        trajectory, c = _solve(problem, solve)
+        _, trajectory, c = _solve(solve)
         if c is None:  # a diverged arm is left out of the CSV
             gaps[mode] = np.inf
             continue
@@ -628,8 +628,7 @@ def run_fig_batch_study(config: ExperimentConfig) -> list[str]:
     """
     rows = []
     for solve in study_solves(config):
-        problem = make_problem(solve)
-        trajectory, c = _solve(problem, solve)
+        problem, trajectory, c = _solve(solve)
         gap = np.inf if c is None else abs(trajectory.energy_mean[-1] - _known_minimum(problem))
         rows.append((solve.beta, solve.batch_gradient, solve.batch_hessian, gap,
                      gap <= CONVERGENCE_GAP))
@@ -653,8 +652,7 @@ def run_solve(config: ExperimentConfig) -> list[str]:
     A diverged run writes its trajectory up to the divergence, no dump,
     and fails.
     """
-    problem = make_problem(config)
-    trajectory, c = _solve(problem, config)
+    _, trajectory, c = _solve(config)
     csv_path = write_csv(
         "solve-trajectory.csv",
         ["n", "eta", "energy", "se", "grad_norm", "fallbacks"],

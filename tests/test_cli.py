@@ -74,6 +74,42 @@ def test_cli_writes_into_an_out_with_a_percent_sign(tmp_path):
     assert (out / "solve-coefficients.txt").exists()
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["[DEFAULT]\nseed = 5\nm = 7\n", "[DEFAULT]\nm = 7\n[problem]\np = 1\n"],
+    ids=["alone", "beside-a-section"],
+)
+def test_a_default_section_is_rejected(text, tmp_path, capsys):
+    """configparser copies [DEFAULT] keys into every section, or drops them if there is none."""
+    with pytest.raises(ValueError, match=re.escape("unknown config section [DEFAULT]")):
+        config_from_ini(text)
+    config_path = tmp_path / "run.ini"
+    config_path.write_text(text)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(config_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown config section [DEFAULT]") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_a_number_is_stored_as_its_declared_type():
+    """An int for a float setting and an integral float for an int setting hash and reload alike."""
+    config = default_config("solve")
+    as_int = dataclasses.replace(config, beta=1)
+    assert type(as_int.beta) is float
+    assert config_hash(as_int) == config_hash(dataclasses.replace(config, beta=1.0))
+    assert config_hash(config_from_ini(config_to_ini(as_int))) == config_hash(as_int)
+    as_float = dataclasses.replace(config, m=50.0, seed=np.int64(3))
+    assert (type(as_float.m), type(as_float.seed)) == (int, int)
+    assert config_from_ini(config_to_ini(as_float)) == as_float
+
+
+@pytest.mark.parametrize("key, value", [("m", 50.5), ("seed", np.nan), ("n_iterations", np.inf)])
+def test_a_non_integral_int_setting_is_rejected(key, value):
+    with pytest.raises(ValueError, match=f"^{key} must be an integer"):
+        dataclasses.replace(default_config("solve"), **{key: value})
+
+
 def test_ini_inline_comments_are_ignored():
     """The README's config block annotates values with ` ; ...` comments."""
     config = config_from_ini("[sgd]\nrate_offset = 3.0   ; numerator / (offset + n)\n")
@@ -465,7 +501,7 @@ def test_table2_fails_when_its_cv_runs_diverge(monkeypatch, tmp_path):
             return one_record(1e300), None
         return one_record(1.0), np.zeros(problem.mesh.n_interior)
 
-    monkeypatch.setattr(experiments, "_solve", cv_arms_diverge)
+    monkeypatch.setattr(experiments, "_solve", on_its_problem(cv_arms_diverge))
     config = dataclasses.replace(default_config("table2"), out=str(tmp_path))
     with pytest.raises(ExperimentFailure, match="CV"):
         run_experiment(config)
@@ -484,7 +520,9 @@ def fake_table3_estimates(monkeypatch, nan_energy: bool, nan_error: bool):
         return fake
 
     monkeypatch.setattr(
-        experiments, "_solve", lambda problem, config: (None, np.zeros(problem.mesh.n_interior))
+        experiments,
+        "_solve",
+        on_its_problem(lambda problem, config: (None, np.zeros(problem.mesh.n_interior))),
     )
     monkeypatch.setattr(experiments, "estimate_energy", estimate(energies, nan_energy))
     monkeypatch.setattr(experiments, "pointwise_l2_error", estimate(errors, nan_error))
@@ -518,7 +556,7 @@ def test_table3_fails_when_a_run_diverges(monkeypatch, tmp_path):
             return one_record(1e300), None
         return one_record(-45.0), np.zeros(problem.mesh.n_interior)
 
-    monkeypatch.setattr(experiments, "_solve", solve)
+    monkeypatch.setattr(experiments, "_solve", on_its_problem(solve))
     config = dataclasses.replace(default_config("table3"), out=str(tmp_path))
     with pytest.raises(ExperimentFailure, match="^the p=2 run diverged$"):
         run_experiment(config)
@@ -534,7 +572,7 @@ def test_fig_cdf_fails_when_a_run_diverges(diverged, monkeypatch, tmp_path):
             return one_record(1e300), None
         return one_record(0.0), np.zeros(problem.basis.size * problem.mesh.n_interior)
 
-    monkeypatch.setattr(experiments, "_solve", solve)
+    monkeypatch.setattr(experiments, "_solve", on_its_problem(solve))
     config = dataclasses.replace(default_config("fig-cdf"), n_mc=200, out=str(tmp_path))
     with pytest.raises(ExperimentFailure, match=f"^the {diverged} run diverged$"):
         run_experiment(config)
@@ -577,7 +615,7 @@ def test_fig_staged_hessian_checks_fail_on_nan(nan_arm, monkeypatch, tmp_path):
         trajectory = Trajectory(*(np.array([value]) for value in (500, 0.01, final, 0.0, 0.0, 0)))
         return trajectory, np.zeros(problem.mesh.n_interior)
 
-    monkeypatch.setattr(experiments, "_solve", solve)
+    monkeypatch.setattr(experiments, "_solve", on_its_problem(solve))
     with pytest.raises(ExperimentFailure, match=nan_arm):
         run_experiment(config)
 
@@ -620,6 +658,16 @@ def one_record(final: float) -> Trajectory:
     return Trajectory(*(np.array([value]) for value in values))
 
 
+def on_its_problem(solve):
+    """A fake `_solve` from `solve(problem, config) -> (trajectory, c)`, on the config's problem."""
+
+    def fake(config, on_record=None):
+        problem = make_problem(config)
+        return (problem, *solve(problem, config))
+
+    return fake
+
+
 def test_table2_passes_with_its_non_converging_arm_diverged(monkeypatch, tmp_path):
     """The plain 100/(n+2) arm must not converge; diverging is not converging."""
     cv_finals = dict(zip(experiments.TABLE2_RATES, (1e-3, 1e-6, 1e-11, 1e-12, 1e-13)))
@@ -630,7 +678,7 @@ def test_table2_passes_with_its_non_converging_arm_diverged(monkeypatch, tmp_pat
         final = cv_finals[config.rate_numerator] if config.cv_mode == "order1" else 1.0
         return one_record(final), np.zeros(problem.mesh.n_interior)
 
-    monkeypatch.setattr(experiments, "_solve", solve)
+    monkeypatch.setattr(experiments, "_solve", on_its_problem(solve))
     [path] = run_experiment(dataclasses.replace(default_config("table2"), out=str(tmp_path)))
     assert "100.0,none,nan,False\n" in open(path).readlines()
 
@@ -643,7 +691,7 @@ def test_fig_batch_study_passes_with_its_non_converging_arm_diverged(monkeypatch
             return one_record(1e300), None
         return one_record(problem.exact_energy + 1e-4), np.zeros(problem.mesh.n_interior)
 
-    monkeypatch.setattr(experiments, "_solve", solve)
+    monkeypatch.setattr(experiments, "_solve", on_its_problem(solve))
     config = dataclasses.replace(default_config("fig-batch-study"), out=str(tmp_path))
     [path] = run_experiment(config)
     assert "0.4,128,128,inf,False\n" in open(path).readlines()
@@ -661,7 +709,7 @@ def test_fig_staged_hessian_with_a_diverged_arm(diverged_arm, monkeypatch, tmp_p
         final = problem.exact_energy + passing[config.hessian_mode]
         return one_record(final), np.zeros(problem.mesh.n_interior)
 
-    monkeypatch.setattr(experiments, "_solve", solve)
+    monkeypatch.setattr(experiments, "_solve", on_its_problem(solve))
     if diverged_arm == "staged":
         with pytest.raises(ExperimentFailure, match="^staged run missed the 1e-3 energy gap"):
             run_experiment(config)
@@ -780,28 +828,22 @@ SOLVE_COUNTS = {
 
 @pytest.mark.parametrize("experiment", EXPERIMENT_IDS)
 def test_a_study_solves_exactly_its_listed_configs(experiment, monkeypatch, tmp_path):
-    """The runner passes `_solve` each listed solve, in order, on that solve's problem."""
+    """The runner passes `_solve` each listed solve, in order."""
     config = dataclasses.replace(default_config(experiment), n_mc=200, out=str(tmp_path))
     received = []
 
-    def setup(problem):
-        amplitude = getattr(problem.field, "amplitude", None)  # a constant field has none
-        mesh = problem.mesh
-        return problem.name, amplitude, mesh.length, mesh.n_interior, problem.basis.degree_bound
-
-    def record(problem, config, on_record=None):
-        received.append((config, setup(problem)))
+    def record(problem, config):
+        received.append(config)
         return one_record(0.0), np.zeros(problem.basis.size * problem.mesh.n_interior)
 
-    monkeypatch.setattr(experiments, "_solve", record)
+    monkeypatch.setattr(experiments, "_solve", on_its_problem(record))
     try:
         run_experiment(config)
     except ExperimentFailure:
         pass  # the fake records need not pass the study's checks
     solves = study_solves(config)
     assert len(solves) == SOLVE_COUNTS[experiment]
-    assert [solve for solve, _ in received] == solves
-    assert [problem for _, problem in received] == [setup(make_problem(s)) for s in solves]
+    assert received == solves
 
 
 @pytest.mark.parametrize("experiment", EXPERIMENT_IDS)

@@ -133,3 +133,19 @@ def test_every_private_function_is_used_by_the_package():
         and _unused_outside_itself(definition, used)
     }
     assert unused == set()
+
+
+def _run_calls(node) -> int:
+    """Calls of `run` or `<module>.run` anywhere in `node`."""
+    return sum(
+        isinstance(sub, ast.Call)
+        and getattr(sub.func, "id" if isinstance(sub.func, ast.Name) else "attr", None) == "run"
+        for sub in ast.walk(node)
+    )
+
+
+def test_only_the_one_solve_function_runs_sgd_in_the_experiments():
+    """Every SGD solve of a study goes through `_solve(config)`, which builds its own problem."""
+    tree = ast.parse(open(os.path.join(SRC, "experiments.py"), encoding="utf-8").read())
+    [solve] = [definition for definition in _definitions(tree) if definition.name == "_solve"]
+    assert _run_calls(tree) == _run_calls(solve) == 1
