@@ -3,7 +3,8 @@
 Solves PDEs with random diffusivity by minimizing the expected energy over
 a finite-element (x) polynomial-chaos subspace with preconditioned
 mini-batch stochastic gradient descent and optional control-variates
-variance reduction.
+variance reduction.  The configuration-driven experiment runner is
+`pcsgd.experiments`, imported by name, so a solve never loads it.
 """
 
 from ._version import __version__
@@ -39,20 +40,6 @@ from .random_field import (
     GermSampler,
     HomogeneousLogNormalField,
     TrigLogNormalField,
-)
-from .experiments import (
-    ExperimentConfig,
-    ExperimentFailure,
-    apply_override,
-    config_from_ini,
-    config_hash,
-    config_to_ini,
-    default_config,
-    load_coefficients,
-    make_problem,
-    make_sgd_config,
-    run_experiment,
-    save_coefficients,
 )
 from .sgd import (
     LearningRateSchedule,

@@ -157,12 +157,15 @@ def config_to_ini(config: ExperimentConfig) -> str:
 
 
 def _parse_value(key: str, raw: str):
-    kind = _FIELD_TYPES[key]
-    if kind == "int":
-        return int(raw)
-    if kind == "float":
-        return float(raw)
-    return raw
+    """A number as written; __post_init__ makes it its key's type, so m=50.0 gives 50."""
+    if _FIELD_TYPES[key] == "str":
+        return raw
+    for number in (int, float):  # int first, so a large integer keeps every digit
+        try:
+            return number(raw)
+        except ValueError:
+            pass
+    raise ValueError(f"{key} must be a number, got {raw!r}")
 
 
 def config_from_ini(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
@@ -329,15 +332,17 @@ def load_coefficients(path: str, n_interior: int) -> np.ndarray:
     """Inverse of `save_coefficients`; ValueError unless the dump fills the (i, j) grid once."""
     entries = {}
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
                 continue
-            i_str, j_str, hex_str = line.split()
-            key = (int(i_str), int(j_str))
+            try:
+                i_str, j_str, hex_str = line.split()
+                key, value = (int(i_str), int(j_str)), float.fromhex(hex_str)
+            except (ValueError, OverflowError) as err:  # fromhex overflows on 0x1p+2000
+                raise ValueError(f"{path} line {number} is not `i j hexfloat`: {err}") from None
             if key in entries:
                 raise ValueError(f"{path} repeats the entry (i, j) = {key}")
-            entries[key] = float.fromhex(hex_str)
+            entries[key] = value
             if not np.isfinite(entries[key]):  # float.fromhex reads nan and inf
                 raise ValueError(f"{path} has a non-finite entry (i, j) = {key}")
     n_basis = len(entries) // n_interior if n_interior > 0 else 0

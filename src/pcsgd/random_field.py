@@ -13,7 +13,6 @@ import ctypes
 import itertools
 import os
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +61,8 @@ def over_chunks(values, germs, parallel: bool = False) -> np.ndarray:
     workers = (cores or 1) if parallel and len(head) > 1 else 1
     if workers < 2:
         return np.concatenate([values(chunk) for chunk in chunks])
+    from concurrent.futures import ThreadPoolExecutor  # with logging, only where a pool runs
+
     done, pending = [], []
     with ThreadPoolExecutor(workers) as pool:
         for chunk in chunks:

@@ -25,16 +25,16 @@ from pcsgd import (
     SgdConfig,
     builtin_linear_homogeneous,
     builtin_linear_nonhomogeneous,
-    default_config,
     estimate_cv_lambda,
     empirical_cdf,
     kernel_for,
-    make_problem,
-    make_sgd_config,
     run,
-    run_experiment,
 )
 from pcsgd.experiments import (
+    default_config,
+    make_problem,
+    make_sgd_config,
+    run_experiment,
     run_fig_batch_study,
     run_fig_cdf,
     run_fig_staged_hessian,

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcsgd import (
-    EnergyEstimate,
+from pcsgd import EnergyEstimate, Trajectory, experiments
+from pcsgd.cli import build_parser, main, resolve_config
+from pcsgd.experiments import (
+    EXPERIMENT_IDS,
     ExperimentConfig,
     ExperimentFailure,
-    Trajectory,
     apply_override,
     config_from_ini,
     config_hash,
@@ -21,10 +22,8 @@ from pcsgd import (
     make_problem,
     run_experiment,
     save_coefficients,
+    study_solves,
 )
-from pcsgd import experiments
-from pcsgd.cli import build_parser, main, resolve_config
-from pcsgd.experiments import EXPERIMENT_IDS, study_solves
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -108,6 +107,33 @@ def test_a_number_is_stored_as_its_declared_type():
 def test_a_non_integral_int_setting_is_rejected(key, value):
     with pytest.raises(ValueError, match=f"^{key} must be an integer"):
         dataclasses.replace(default_config("solve"), **{key: value})
+
+
+def _m_argv(via, value, tmp_path):
+    """`pcsgd solve` setting m to the text `value`, by --override or by --config."""
+    if via == "override":
+        return ["solve", "--override", f"m={value}", "--out", str(tmp_path / "out")]
+    (tmp_path / "run.ini").write_text(f"[problem]\nm = {value}\n")
+    return ["solve", "--config", str(tmp_path / "run.ini"), "--out", str(tmp_path / "out")]
+
+
+@pytest.mark.parametrize("via", ["override", "config"])
+def test_an_integral_float_text_sets_an_int_setting(via, tmp_path):
+    config = resolve_config(build_parser().parse_args(_m_argv(via, "50.0", tmp_path)))
+    assert (type(config.m), config.m) == (int, 50)
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [("50.5", "m must be an integer, got 50.5"), ("abc", "m must be a number, got 'abc'")],
+)
+@pytest.mark.parametrize("via", ["override", "config"])
+def test_an_int_setting_that_is_not_an_integer_is_refused_by_name(
+    via, value, message, tmp_path, capsys
+):
+    assert main(_m_argv(via, value, tmp_path)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_ini_inline_comments_are_ignored():
@@ -248,6 +274,18 @@ def test_load_coefficients_rejects_a_non_finite_entry(first, entry, tmp_path):
     path = tmp_path / "c.txt"
     path.write_text(f"1 0 {first}\n2 0 0x1p0\n1 1 inf\n2 1 -0x1p-1\n")
     with pytest.raises(ValueError, match=re.escape(f"non-finite entry (i, j) = {entry}")):
+        load_coefficients(str(path), 2)
+
+
+@pytest.mark.parametrize(
+    "line, error",
+    [("1 0 0x1p+2000", "too large"), ("1 0", "not enough values")],
+    ids=["overflow", "short"],
+)
+def test_load_coefficients_names_the_file_and_line_of_a_malformed_entry(line, error, tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_text(f"2 0 0x1p0\n\n{line}\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))} line 3 .*{error}"):
         load_coefficients(str(path), 2)
 
 

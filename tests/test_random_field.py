@@ -11,12 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcsgd import (
-    GermSampler,
-    HomogeneousLogNormalField,
-    TrigLogNormalField,
-    random_field,
-)
+from pcsgd import GermSampler, HomogeneousLogNormalField, TrigLogNormalField
 from pcsgd.random_field import GERM_CHUNK, mean_and_se, over_chunks
 
 
@@ -204,7 +199,7 @@ def test_pooled_over_chunks_raises_the_error_of_a_middle_chunk(monkeypatch):
 def test_over_chunks_runs_one_chunk_inline(monkeypatch):
     """A parallel pass of one chunk, sliced or drawn, builds no pool."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(random_field, "ThreadPoolExecutor", None)
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", None)
     germs = GermSampler(5, 2).sample_batch(0, GERM_CHUNK, "eval")
     drawn = GermSampler(5, 2).chunks(0, GERM_CHUNK, "eval")
     for chunks in (germs, drawn):

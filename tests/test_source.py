@@ -16,6 +16,10 @@ CALLED_FROM_OUTSIDE = {"load_coefficients"}
 # the experiments and the package's re-exports import either.
 TOP_LAYER = {"sgd", "evaluation"}
 IMPORTS_TOP_LAYER = {"experiments", "__init__"}
+# `import pcsgd` loads the solver and the evaluation: neither the experiment runner and the
+# command line nor, until a pooled pass or an experiment needs them, these packages.
+NOT_ON_IMPORT = {"experiments", "cli"}
+NOT_AT_LOAD = {"configparser", "hashlib", "concurrent"}
 
 
 def test_no_source_line_is_over_100_characters():
@@ -44,6 +48,38 @@ def test_only_the_experiments_import_the_sgd_loop_or_the_evaluation():
     }
     assert {edge for edge in edges if edge[0] not in IMPORTS_TOP_LAYER} == set()
     assert ("experiments", "sgd") in edges  # the scan sees the edges it allows
+
+
+def _imports_run_at_load(node):
+    """Absolute imports that run when the module loads: those outside any function body."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Import):
+            yield from (alias.name for alias in child.names)
+        elif isinstance(child, ast.ImportFrom) and child.level == 0:
+            yield child.module
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _imports_run_at_load(child)
+
+
+def test_importing_the_package_loads_no_experiment_layer():
+    """`__init__` and every module it imports, followed through relative imports."""
+    seen, todo, found = set(), ["__init__"], []
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        tree = ast.parse(open(os.path.join(SRC, f"{name}.py"), encoding="utf-8").read())
+        relative = set(_relative_imports(tree))
+        found += [f"{name} imports .{module}" for module in relative & NOT_ON_IMPORT]
+        found += [
+            f"{name} imports {module} at load"
+            for module in _imports_run_at_load(tree)
+            if module.split(".")[0] in NOT_AT_LOAD
+        ]
+        todo += relative - NOT_ON_IMPORT
+    assert found == []
+    assert {"sgd", "evaluation", "random_field"} <= seen  # the scan follows the imports
 
 
 def test_no_mode_string_below_the_sgd_loop():
