@@ -220,9 +220,12 @@ class Kernel:
             energy += weights @ np.concatenate([self._reaction_energies(s) for s in slices])
         return float(energy)
 
-    def gradient_parts(self, c, germs, order: int | None = None) -> GradientRows:
-        """Per-germ psi and gradient rows, with the CV surrogate's for a CV `order`."""
-        psi, conductance, loads = self.germ_tables(germs)
+    def gradient_parts(self, c, germs, order: int | None = None, *, tables=None) -> GradientRows:
+        """Per-germ psi and gradient rows, with the CV surrogate's for a CV `order`.
+
+        `tables` are `germ_tables(germs)` if the caller has built them.
+        """
+        psi, conductance, loads = self.germ_tables(germs) if tables is None else tables
         nodal, du = self.solution_values(c, psi)
         linear = self._stiffness_rows(conductance * du)
         nl = self.problem.nonlinearity
@@ -264,10 +267,10 @@ class Kernel:
         aux = self._tensor(rows.psi, rows.surrogate) - self.cv_known_mean(c, state.order)
         return self._tensor(rows.psi, rows.total) + state.lam * aux
 
-    def gradient_mean(self, c, germs, state: ControlVariateState | None):
+    def gradient_mean(self, c, germs, state: ControlVariateState | None, *, tables=None):
         """Batch mean (dim,) of `cv_gradient_batch`: each part's rows projected onto psi once."""
         order = None if state is None else state.order
-        psi, _, total, surrogate = self.gradient_parts(c, germs, order)
+        psi, _, total, surrogate = self.gradient_parts(c, germs, order, tables=tables)
         mean = (psi.T @ total).reshape(self.dim) / len(psi)
         if state is None:
             return mean
@@ -276,23 +279,31 @@ class Kernel:
 
     # -- Hessian blocks ---------------------------------------------------
 
-    def averaged_hessian_blocks(self, c: np.ndarray, germs: np.ndarray, *, full: bool):
+    def hessian_tables(self, germs: np.ndarray) -> tuple:
+        """psi, its squares over the batch size and the blocks' conductance bands: the parts of
+        a Hessian batch's blocks that do not depend on the coefficients."""
+        psi = eval_all(self.basis, germs)
+        weights = psi**2 / germs.shape[0]
+        conductance = weights.T @ self.conductances(germs) / self.mesh.h**2  # (N+1, M+1)
+        bands = np.zeros((self.basis.size, 2, self.mesh.n_interior))
+        bands[:, 0] = conductance[:, :-1] + conductance[:, 1:]
+        bands[:, 1, :-1] = -conductance[:, 1:-1]
+        return psi, weights, bands
+
+    def averaged_hessian_blocks(self, c: np.ndarray, germs: np.ndarray, *, full: bool, tables=None):
         """Mini-batch mean of the diagonal Hessian blocks as (N+1, 2, M) lower bands.
 
         The mean over samples of psi_j^2 * A collapses into per-block element
         weights: conductances and, if `full`, f'(u) times the element's hat products.
+        `tables` are `hessian_tables(germs)` if the caller has built them.
         """
-        psi = eval_all(self.basis, germs)
-        psi2 = psi**2 / germs.shape[0]
-        conductance = psi2.T @ self.conductances(germs) / self.mesh.h**2  # (N+1, M+1)
-        bands = np.zeros((self.basis.size, 2, self.mesh.n_interior))
-        bands[:, 0] = conductance[:, :-1] + conductance[:, 1:]
-        bands[:, 1, :-1] = -conductance[:, 1:-1]
+        psi, weights, bands = self.hessian_tables(germs) if tables is None else tables
         nl = self.problem.nonlinearity
         if full and nl is not None:
             nodal = psi @ self.padded_coefficients(c)
             dfu = nl.derivative(self._at_points(nodal))
-            mass = self._per_element(psi2.T @ dfu, self._mass_w)  # (N+1, M+1, 3)
+            mass = self._per_element(weights.T @ dfu, self._mass_w)  # (N+1, M+1, 3)
+            bands = bands.copy()
             bands[:, 0] += mass[:, :-1, 2] + mass[:, 1:, 0]
             bands[:, 1, :-1] += mass[:, 1:-1, 1]
         return bands

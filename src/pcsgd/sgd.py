@@ -9,8 +9,11 @@ the coefficients and is therefore very noisy while the iterates are.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import os
 from collections.abc import Callable
+from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib.machinery import PathFinder
 from importlib.util import module_from_spec
@@ -39,6 +42,12 @@ CV_ORDERS = {"none": None, "order0": 0, "order1": 1}
 # Relative diagonal shift of every Hessian block, as a share of its mean
 # diagonal entry.
 RIDGE = 1e-8
+
+# Slots of the germ-table producer's ring, each one iteration's tables (0.15-0.25 MiB).
+# `run` hands them back half a ring at a time, so the producer wakes once per four
+# iterations: where the host gave both processes one core, a `linear-cv-monitored` solve
+# cost 5% more than inline so, against 9% with 4 slots two at a time and 15% with 3 singly.
+RING_DEPTH = 8
 
 
 @dataclass(eq=False)
@@ -157,6 +166,105 @@ def monitor_points(basis: PcBasisSet, budget: int) -> int:
     return next(n for n in range(basis.degree_bound + 3, 2, -1) if n**k <= budget)
 
 
+def _iteration_tables(kernel: Kernel, sampler, config: SgdConfig, n: int) -> tuple:
+    """Iteration n's germs and tables that do not depend on c: the gradient batch and its
+    `germ_tables`, then, unless hessian_mode is "none", the Hessian batch and its
+    `hessian_tables`, in one flat tuple."""
+    germs = sampler.sample_batch(n, config.batch_gradient, "gradient")
+    item = (germs, *kernel.germ_tables(germs))
+    if config.hessian_mode != "none":
+        germs = sampler.sample_batch(n, config.batch_hessian, "hessian")
+        item += (germs, *kernel.hessian_tables(germs))
+    return item
+
+
+def _may_fork() -> bool:
+    """Two usable cores and one thread (Linux lists them in /proc): a fork copies only the
+    calling thread, so a lock that another held (BLAS's, malloc's) would stay held."""
+    try:
+        threads, cores = len(os.listdir("/proc/self/task")), len(os.sched_getaffinity(0))
+    except (OSError, AttributeError):  # not Linux
+        return False
+    return threads == 1 and cores > 1 and hasattr(os, "fork")
+
+
+@contextmanager
+def _built_ahead(build: Callable[[int], tuple], count: int):
+    """build(1), ..., build(count), tuples of arrays or None: built ahead by a forked producer
+    where one can run beside the loop (`_may_fork`), else each when it is asked for.
+
+    The producer writes each into a slot of an anonymous shared mmap and sends the slot's
+    number on one pipe; the loop hands slots back on the other, half a ring at a time, once
+    their iterations have ended.  The producer exits on EOF or EPIPE from either pipe, and
+    leaving the block kills and reaps it.
+    """
+    items = map(build, range(1, count + 1))
+    head = list(itertools.islice(items, 1))  # built before any fork: it lays out the ring
+    if count < 2 or not _may_fork():
+        yield itertools.chain(head, items)
+        return
+    import mmap
+    import signal
+
+    starts = np.cumsum([0] + [0 if a is None else a.nbytes for a in head[0]])
+    ring = mmap.mmap(-1, RING_DEPTH * int(starts[-1]))  # anonymous, so shared with the child
+    slots = [
+        tuple(None if a is None else np.ndarray(a.shape, a.dtype, ring, k * starts[-1] + start)
+              for a, start in zip(head[0], starts))
+        for k in range(RING_DEPTH)
+    ]
+
+    def filled():
+        done = bytearray()  # slots whose iteration has ended
+        for n in range(2, count + 1):
+            slot = os.read(ready_r, 1)
+            if not slot:
+                raise RuntimeError(f"the germ-table producer ended before iteration {n}")
+            yield slots[slot[0]]
+            done += slot
+            if len(done) == RING_DEPTH // 2:
+                os.write(free_w, done)  # free_r stays open here, so this never meets EPIPE
+                done.clear()
+
+    fds = [*os.pipe(), *os.pipe()]
+    ready_r, ready_w, free_r, free_w = fds  # filled slots one way, free slots the other
+    pid = 0
+    try:
+        os.write(free_w, bytes(range(RING_DEPTH)))
+        pid = os.fork()
+        if pid == 0:  # the producer
+            code = 1
+            try:
+                signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent's exit ends it
+                os.close(ready_r)
+                os.close(free_w)
+                for n in range(2, count + 1):
+                    slot = os.read(free_r, 1)
+                    if not slot:
+                        break
+                    for view, array in zip(slots[slot[0]], build(n)):
+                        if view is not None:
+                            np.copyto(view, array)
+                    os.write(ready_w, slot)
+                code = 0
+            except BrokenPipeError:
+                code = 0
+            except BaseException:
+                import traceback
+
+                os.write(2, traceback.format_exc().encode())
+            finally:
+                os._exit(code)
+        os.close(fds.pop(1))  # ready_w: so that the producer's exit reads as EOF
+        yield itertools.chain(head, filled())
+    finally:
+        for fd in fds:
+            os.close(fd)
+        if pid:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def _initial_coefficients(kernel: Kernel, config: SgdConfig) -> np.ndarray:
     if config.init == "zero":
         return np.zeros(kernel.dim)
@@ -185,6 +293,10 @@ def run(
     so also at n = 0, at the final iteration and at every record before a
     divergence.  `run` rebinds `c` on each update and never writes into it,
     so the callable may keep the array it is handed; `run` keeps none.
+
+    Where this process has one thread and two usable cores, a child process
+    forked for the call builds each iteration's germs and coefficient-free
+    tables ahead of the loop; the results are the same bits either way.
     """
     kernel = kernel_for(problem, mesh, basis)
     sampler = GermSampler(config.seed, problem.germ_dim)
@@ -216,26 +328,26 @@ def run(
         return Trajectory(*(np.array(column) for column in zip(*records)))
 
     mode = config.hessian_mode
-    for n in range(1, config.n_iterations + 1):
-        eta = config.schedule.rate(n)
-        germs_g = sampler.sample_batch(n, config.batch_gradient, "gradient")
-        grad = kernel.gradient_mean(c, germs_g, cv_state)
+    build = functools.partial(_iteration_tables, kernel, sampler, config)
+    with _built_ahead(build, config.n_iterations) as items:
+        for n, item in enumerate(items, 1):
+            eta = config.schedule.rate(n)
+            grad = kernel.gradient_mean(c, item[0], cv_state, tables=item[1:4])
 
-        if mode == "none":
-            step = grad
-        else:
-            full = mode == "full" or (mode == "staged" and n > config.n_switch)
-            germs_h = sampler.sample_batch(n, config.batch_hessian, "hessian")
-            blocks = kernel.averaged_hessian_blocks(c, germs_h, full=full)
-            step, fallbacks = precondition_solve(blocks, grad, RIDGE)
-            fallbacks_since_record += fallbacks
+            if mode == "none":
+                step = grad
+            else:
+                full = mode == "full" or (mode == "staged" and n > config.n_switch)
+                blocks = kernel.averaged_hessian_blocks(c, item[4], full=full, tables=item[5:])
+                step, fallbacks = precondition_solve(blocks, grad, RIDGE)
+                fallbacks_since_record += fallbacks
 
-        c = c - eta * step
-        if not np.all(np.isfinite(c)):
-            raise SgdDivergenceError(n, config.seed, build_trajectory())
+            c = c - eta * step
+            if not np.all(np.isfinite(c)):
+                raise SgdDivergenceError(n, config.seed, build_trajectory())
 
-        if n % config.record_stride == 0 or n == config.n_iterations:
-            record(n, eta, float(np.linalg.norm(grad)), fallbacks_since_record)
-            fallbacks_since_record = 0
+            if n % config.record_stride == 0 or n == config.n_iterations:
+                record(n, eta, float(np.linalg.norm(grad)), fallbacks_since_record)
+                fallbacks_since_record = 0
 
     return build_trajectory(), c

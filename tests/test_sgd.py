@@ -426,9 +426,9 @@ def test_run_decides_the_hessian_stage_per_iteration(monkeypatch, mode, n_switch
     """`full` at each iteration: staged is linear-only for n <= n_switch and full after."""
     blocks, calls = Kernel.averaged_hessian_blocks, []
 
-    def recorded(self, c, germs, *, full):
+    def recorded(self, c, germs, *, full, tables=None):
         calls.append(full)
-        return blocks(self, c, germs, full=full)
+        return blocks(self, c, germs, full=full, tables=tables)
 
     monkeypatch.setattr(Kernel, "averaged_hessian_blocks", recorded)
     problem = builtin_semilinear_nonhomogeneous_field(0.2, 1, 4.0, 5, 1)
@@ -443,9 +443,9 @@ def test_run_decides_the_cv_order_once(monkeypatch, cv_mode):
     parts, known_mean = Kernel.gradient_parts, Kernel.cv_known_mean
     part_orders, mean_orders = [], []
 
-    def recorded_parts(self, c, germs, order=None):
+    def recorded_parts(self, c, germs, order=None, *, tables=None):
         part_orders.append(order)
-        return parts(self, c, germs, order)
+        return parts(self, c, germs, order, tables=tables)
 
     def recorded_mean(self, c, order):
         mean_orders.append(order)

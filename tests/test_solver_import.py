@@ -2,8 +2,10 @@
 
 The import loads neither the experiment layer, with its configparser and
 hashlib, nor the thread pool, and a solve and a linear evaluation after it
-load neither; only a pooled energy pass imports `concurrent.futures`.
-Checked in a child process, so that no other test has imported the modules.
+load neither; only a pooled energy pass imports `concurrent.futures`.  The
+solve forks its germ-table producer with `os.fork` and loads no
+`multiprocessing`.  Checked in a child process with one BLAS thread, so
+that no other test has imported the modules and the solve forks.
 """
 
 import os
@@ -18,16 +20,23 @@ import sys
 import numpy as np
 import pcsgd
 
-unused = {"pcsgd.experiments", "pcsgd.cli", "configparser", "hashlib", "concurrent.futures"}
+unused = {
+    "pcsgd.experiments", "pcsgd.cli", "configparser", "hashlib", "concurrent.futures",
+    "multiprocessing",
+}
 assert unused.isdisjoint(sys.modules), sorted(unused.intersection(sys.modules))
 
-os.sched_getaffinity = lambda pid: {0, 1}  # two cores, so a pooled pass would build its pool
+# two cores, so that the solve forks its producer and a pooled pass would build its pool
+os.sched_getaffinity = lambda pid: {0, 1}
+fork, forks = os.fork, []
+os.fork = lambda: forks.append(1) or fork()
 problem = pcsgd.builtin_linear_nonhomogeneous(0.2, 1, 10.0, 6, 1)
 config = pcsgd.SgdConfig(
     n_iterations=5, batch_gradient=8, batch_hessian=8, hessian_mode="full",
     schedule=pcsgd.LearningRateSchedule(1.0, 1.0), monitor_samples=100,
 )
 _, c = pcsgd.run(problem, problem.mesh, problem.basis, config)
+assert forks == [1], "the solve forked no producer"
 pcsgd.estimate_energy(problem, problem.mesh, problem.basis, c, 2000, 0)  # four chunks, inline
 unused.remove("hashlib")  # numpy.random, which the germ sampler loads, imports it through secrets
 assert unused.isdisjoint(sys.modules), sorted(unused.intersection(sys.modules))
@@ -44,7 +53,7 @@ assert (pooled.mean, pooled.standard_error) == (serial.mean, serial.standard_err
 
 
 def test_a_solve_loads_neither_the_experiments_nor_the_thread_pool():
-    env = dict(os.environ)
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     result = subprocess.run(
         [sys.executable, "-c", CHILD], capture_output=True, text=True, env=env, timeout=120

@@ -185,3 +185,46 @@ def test_only_the_one_solve_function_runs_sgd_in_the_experiments():
     tree = ast.parse(open(os.path.join(SRC, "experiments.py"), encoding="utf-8").read())
     [solve] = [definition for definition in _definitions(tree) if definition.name == "_solve"]
     assert _run_calls(tree) == _run_calls(solve) == 1
+
+
+def _is_call(node, module: str, attr: str) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == attr
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == module
+    )
+
+
+def test_the_one_fork_ends_its_child_in_os_exit():
+    """`os.fork(` has one call site, and its child branch is a `try` ending in `os._exit`.
+
+    So the child, whatever it raises, never returns into its caller's stack: a test
+    runner or the command line would otherwise run on in two processes.
+    """
+    trees = _source_trees()
+    forks = [
+        (tree, node)
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and _is_call(node.value, "os", "fork")
+    ]
+    calls = sum(_is_call(node, "os", "fork") for tree in trees for node in ast.walk(tree))
+    assert len(forks) == calls == 1
+    tree, assign = forks[0]
+    [pid] = assign.targets
+    [child] = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.If)
+        and isinstance(node.test, ast.Compare)
+        and isinstance(node.test.left, ast.Name)
+        and node.test.left.id == pid.id
+        and isinstance(node.test.ops[0], ast.Eq)
+        and getattr(node.test.comparators[0], "value", None) == 0
+    ]
+    last = child.body[-1]
+    assert isinstance(last, ast.Try) and last.finalbody, "the child branch does not end in a try"
+    exit_call = last.finalbody[-1]
+    assert isinstance(exit_call, ast.Expr) and _is_call(exit_call.value, "os", "_exit")
