@@ -62,29 +62,6 @@ def _check_domain(mesh: Mesh1D, x: np.ndarray):
         raise ValueError("evaluation point outside the mesh domain")
 
 
-def eval_phi(mesh: Mesh1D, i: int, x):
-    """Hat function i (1-based interior numbering) at point(s) x."""
-    if not 1 <= i <= mesh.n_interior:
-        raise ValueError(f"basis index {i} out of range 1..{mesh.n_interior}")
-    x = np.asarray(x, dtype=float)
-    _check_domain(mesh, x)
-    center = mesh.nodes[i]
-    return np.maximum(0.0, 1.0 - np.abs(x - center) / mesh.h)
-
-
-def eval_dphi(mesh: Mesh1D, i: int, x):
-    """Derivative of hat i; at a node, the left-element value is used."""
-    if not 1 <= i <= mesh.n_interior:
-        raise ValueError(f"basis index {i} out of range 1..{mesh.n_interior}")
-    x = np.asarray(x, dtype=float)
-    _check_domain(mesh, x)
-    center = mesh.nodes[i]
-    slope = 1.0 / mesh.h
-    rising = (x > center - mesh.h) & (x <= center)
-    falling = (x > center) & (x <= center + mesh.h)
-    return np.where(rising, slope, 0.0) + np.where(falling, -slope, 0.0)
-
-
 def element_hats(mesh: Mesh1D, x) -> tuple[np.ndarray, np.ndarray]:
     """Elements e (n,) holding points x (n,), between nodes e and e+1, and their hats (n, 2)."""
     x = np.asarray(x, dtype=float)
@@ -94,56 +71,26 @@ def element_hats(mesh: Mesh1D, x) -> tuple[np.ndarray, np.ndarray]:
     return elements, np.stack([1.0 - t, t], axis=-1)
 
 
-def hat_tables(mesh: Mesh1D, rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
-    """Dense tables of hat values/derivatives at all quadrature points.
-
-    Returns (values, derivatives), each of shape (n_points, n_interior).
-    """
-    n_pts = rule.points.size
-    values = np.zeros((n_pts, mesh.n_interior))
-    derivs = np.zeros((n_pts, mesh.n_interior))
-    for i in range(1, mesh.n_interior + 1):
-        values[:, i - 1] = eval_phi(mesh, i, rule.points)
-        derivs[:, i - 1] = eval_dphi(mesh, i, rule.points)
+def _nodal_tables(mesh: Mesh1D, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values and derivatives, (n, M+2) each, of all nodal hats at x: a point in element e
+    has hats (1 - t, t) and derivatives (-1/h, 1/h) at nodes e and e+1."""
+    elements, hats = element_hats(mesh, x)
+    rows, columns = np.arange(x.size)[:, None], elements[:, None] + np.array([0, 1])
+    values, derivs = np.zeros((2, x.size, mesh.n_interior + 2))
+    values[rows, columns] = hats
+    derivs[rows, columns] = np.array([-1.0, 1.0]) / mesh.h
     return values, derivs
 
 
-@dataclass(eq=False)
-class LiftingFunction:
-    """Boundary-data interpolant supported on the first and last element.
-
-    Equals left_value at -l/2 and right_value at +l/2, zero at every
-    interior node; adding it to a zero-boundary expansion yields the
-    non-homogeneous Dirichlet data exactly.
-    """
-
-    left_value: float
-    right_value: float
-
-    def value(self, mesh: Mesh1D, x):
-        x = np.asarray(x, dtype=float)
-        _check_domain(mesh, x)
-        half = mesh.length / 2.0  # the end nodes are -half and half
-        left_hat = np.maximum(0.0, 1.0 - np.abs(x + half) / mesh.h)
-        right_hat = np.maximum(0.0, 1.0 - np.abs(x - half) / mesh.h)
-        return self.left_value * left_hat + self.right_value * right_hat
-
-    def derivative(self, mesh: Mesh1D, x):
-        x = np.asarray(x, dtype=float)
-        _check_domain(mesh, x)
-        nodes = mesh.nodes
-        slope = 1.0 / mesh.h
-        on_first = x <= nodes[1]
-        on_last = x > nodes[-2]
-        return (
-            -self.left_value * slope * on_first
-            + self.right_value * slope * on_last
-        )
+def hat_tables(mesh: Mesh1D, rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
+    """Interior hats' values and derivatives at the quadrature points, (n_points, M) each."""
+    return tuple(table[:, 1:-1] for table in _nodal_tables(mesh, rule.points))
 
 
 def lifting_tables(
     mesh: Mesh1D, rule: QuadratureRule, left_value: float, right_value: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Lifting values and derivatives at the quadrature points."""
-    lift = LiftingFunction(left_value, right_value)
-    return lift.value(mesh, rule.points), lift.derivative(mesh, rule.points)
+    """Lifting values and derivatives at the quadrature points: the end nodes' hats times the
+    boundary data, as in `Kernel.padded_coefficients`."""
+    values, derivs = _nodal_tables(mesh, rule.points)
+    return tuple(left_value * t[:, 0] + right_value * t[:, -1] for t in (values, derivs))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import os
+import signal
 from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -188,81 +189,86 @@ def _may_fork() -> bool:
     return threads == 1 and cores > 1 and hasattr(os, "fork")
 
 
+def _fork_producer(build: Callable[[int], tuple], count: int, first: tuple):
+    """Fork a producer of build(2), ..., build(count) into a ring laid out like `first`: its
+    pid, slots and this side's pipe ends, or None, with all released, where the mmap, a pipe
+    or the fork fails (EAGAIN, ENOMEM, EMFILE)."""
+    import mmap
+
+    starts = np.cumsum([0] + [0 if a is None else a.nbytes for a in first])
+    fds = []
+    try:
+        ring = mmap.mmap(-1, RING_DEPTH * int(starts[-1]))  # anonymous, so shared with the child
+        slots = [
+            tuple(None if a is None else np.ndarray(a.shape, a.dtype, ring, k * starts[-1] + start)
+                  for a, start in zip(first, starts))
+            for k in range(RING_DEPTH)
+        ]
+        for _ in range(2):
+            fds += os.pipe()
+        ready_r, ready_w, free_r, free_w = fds
+        os.write(free_w, bytes(RING_DEPTH))  # every slot starts free
+        pid = os.fork()
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+        return None
+    if pid == 0:  # the producer
+        try:
+            signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent's exit ends it
+            os.close(ready_r)
+            os.close(free_w)
+            for n in range(2, count + 1):
+                if not os.read(free_r, 1):
+                    break
+                for view, array in zip(slots[(n - 2) % RING_DEPTH], build(n)):
+                    if view is not None:
+                        np.copyto(view, array)
+                os.write(ready_w, bytes(1))
+        except BrokenPipeError:
+            pass
+        except BaseException:
+            import traceback
+
+            os.write(2, traceback.format_exc().encode())
+        finally:
+            os._exit(0)  # no one reads its status: the parent kills and reaps it
+    os.close(ready_w)  # so that the producer's exit reads as EOF
+    return pid, slots, (ready_r, free_r, free_w)
+
+
 @contextmanager
 def _built_ahead(build: Callable[[int], tuple], count: int):
     """build(1), ..., build(count), tuples of arrays or None: built ahead by a forked producer
-    where one can run beside the loop (`_may_fork`), else each when it is asked for.
+    where one can run beside the loop (`_may_fork`) and start, else each when it is asked for.
 
-    The producer writes each into a slot of an anonymous shared mmap and sends the slot's
-    number on one pipe; the loop hands slots back on the other, half a ring at a time, once
-    their iterations have ended.  The producer exits on EOF or EPIPE from either pipe, and
-    leaving the block kills and reaps it.
+    Iteration n uses slot (n - 2) % RING_DEPTH; each pipe carries one token byte per slot in
+    order, filled slots to the loop and free ones back half a ring at a time.  The producer
+    exits on EOF or EPIPE from either pipe, and leaving the block kills and reaps it.
     """
     items = map(build, range(1, count + 1))
     head = list(itertools.islice(items, 1))  # built before any fork: it lays out the ring
-    if count < 2 or not _may_fork():
+    producer = _fork_producer(build, count, head[0]) if count > 1 and _may_fork() else None
+    if producer is None:
         yield itertools.chain(head, items)
         return
-    import mmap
-    import signal
-
-    starts = np.cumsum([0] + [0 if a is None else a.nbytes for a in head[0]])
-    ring = mmap.mmap(-1, RING_DEPTH * int(starts[-1]))  # anonymous, so shared with the child
-    slots = [
-        tuple(None if a is None else np.ndarray(a.shape, a.dtype, ring, k * starts[-1] + start)
-              for a, start in zip(head[0], starts))
-        for k in range(RING_DEPTH)
-    ]
+    pid, slots, (ready_r, free_r, free_w) = producer
 
     def filled():
-        done = bytearray()  # slots whose iteration has ended
         for n in range(2, count + 1):
-            slot = os.read(ready_r, 1)
-            if not slot:
+            if not os.read(ready_r, 1):
                 raise RuntimeError(f"the germ-table producer ended before iteration {n}")
-            yield slots[slot[0]]
-            done += slot
-            if len(done) == RING_DEPTH // 2:
-                os.write(free_w, done)  # free_r stays open here, so this never meets EPIPE
-                done.clear()
+            yield slots[(n - 2) % RING_DEPTH]
+            if (n - 1) % (RING_DEPTH // 2) == 0:  # free_r stays open here: never EPIPE
+                os.write(free_w, bytes(RING_DEPTH // 2))
 
-    fds = [*os.pipe(), *os.pipe()]
-    ready_r, ready_w, free_r, free_w = fds  # filled slots one way, free slots the other
-    pid = 0
     try:
-        os.write(free_w, bytes(range(RING_DEPTH)))
-        pid = os.fork()
-        if pid == 0:  # the producer
-            code = 1
-            try:
-                signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent's exit ends it
-                os.close(ready_r)
-                os.close(free_w)
-                for n in range(2, count + 1):
-                    slot = os.read(free_r, 1)
-                    if not slot:
-                        break
-                    for view, array in zip(slots[slot[0]], build(n)):
-                        if view is not None:
-                            np.copyto(view, array)
-                    os.write(ready_w, slot)
-                code = 0
-            except BrokenPipeError:
-                code = 0
-            except BaseException:
-                import traceback
-
-                os.write(2, traceback.format_exc().encode())
-            finally:
-                os._exit(code)
-        os.close(fds.pop(1))  # ready_w: so that the producer's exit reads as EOF
         yield itertools.chain(head, filled())
     finally:
-        for fd in fds:
+        for fd in (ready_r, free_r, free_w):
             os.close(fd)
-        if pid:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
 
 
 def _initial_coefficients(kernel: Kernel, config: SgdConfig) -> np.ndarray:

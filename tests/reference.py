@@ -1,12 +1,13 @@
-"""Test instruments: a deterministic FEM solve at one germ, a log-log rate fit
-and the Hermite moments as dense tables.
+"""Test instruments: pointwise hats and lifting, a deterministic FEM solve at one
+germ, a log-log rate fit and the Hermite moments as dense tables.
 
-None is part of the method; the tests use them to check the kernel's
-discretization, the SGD's convergence rate and the basis's moment structure
-against quadrature.
+None is part of the method; the tests use them to check the hat tables and the
+kernel's discretization, the SGD's convergence rate and the basis's moment
+structure against quadrature.
 """
 
 import warnings
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -16,6 +17,69 @@ from pcsgd.fem1d import Mesh1D
 from pcsgd.pc_basis import PcBasisSet
 from pcsgd.problem import ProblemInstance
 from pcsgd.sgd import Trajectory, precondition_solve
+
+
+def _check_domain(mesh: Mesh1D, x: np.ndarray):
+    half = mesh.length / 2.0
+    tol = 1e-12 * mesh.length
+    if not np.all((x >= -half - tol) & (x <= half + tol)):  # NaN fails both
+        raise ValueError("evaluation point outside the mesh domain")
+
+
+def eval_phi(mesh: Mesh1D, i: int, x):
+    """Hat function i (1-based interior numbering) at point(s) x."""
+    if not 1 <= i <= mesh.n_interior:
+        raise ValueError(f"basis index {i} out of range 1..{mesh.n_interior}")
+    x = np.asarray(x, dtype=float)
+    _check_domain(mesh, x)
+    center = mesh.nodes[i]
+    return np.maximum(0.0, 1.0 - np.abs(x - center) / mesh.h)
+
+
+def eval_dphi(mesh: Mesh1D, i: int, x):
+    """Derivative of hat i; at a node, the left-element value is used."""
+    if not 1 <= i <= mesh.n_interior:
+        raise ValueError(f"basis index {i} out of range 1..{mesh.n_interior}")
+    x = np.asarray(x, dtype=float)
+    _check_domain(mesh, x)
+    center = mesh.nodes[i]
+    slope = 1.0 / mesh.h
+    rising = (x > center - mesh.h) & (x <= center)
+    falling = (x > center) & (x <= center + mesh.h)
+    return np.where(rising, slope, 0.0) + np.where(falling, -slope, 0.0)
+
+
+@dataclass(eq=False)
+class LiftingFunction:
+    """Boundary-data interpolant supported on the first and last element.
+
+    Equals left_value at -l/2 and right_value at +l/2, zero at every
+    interior node; adding it to a zero-boundary expansion yields the
+    non-homogeneous Dirichlet data exactly.
+    """
+
+    left_value: float
+    right_value: float
+
+    def value(self, mesh: Mesh1D, x):
+        x = np.asarray(x, dtype=float)
+        _check_domain(mesh, x)
+        half = mesh.length / 2.0  # the end nodes are -half and half
+        left_hat = np.maximum(0.0, 1.0 - np.abs(x + half) / mesh.h)
+        right_hat = np.maximum(0.0, 1.0 - np.abs(x - half) / mesh.h)
+        return self.left_value * left_hat + self.right_value * right_hat
+
+    def derivative(self, mesh: Mesh1D, x):
+        x = np.asarray(x, dtype=float)
+        _check_domain(mesh, x)
+        nodes = mesh.nodes
+        slope = 1.0 / mesh.h
+        on_first = x <= nodes[1]
+        on_last = x > nodes[-2]
+        return (
+            -self.left_value * slope * on_first
+            + self.right_value * slope * on_last
+        )
 
 
 def reference_solve_linear(

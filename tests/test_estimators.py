@@ -18,17 +18,10 @@ from pcsgd import (
     kernel_for,
 )
 from pcsgd.estimators import DEFAULT_QUADRATURE_ORDER, coefficient_matrix, flat_index
-from pcsgd.fem1d import (
-    LiftingFunction,
-    eval_dphi,
-    eval_phi,
-    hat_tables,
-    lifting_tables,
-    quadrature_points,
-)
+from pcsgd.fem1d import hat_tables, lifting_tables, quadrature_points
 from pcsgd.pc_basis import eval_all, gauss_hermite
 from pcsgd.sgd import CV_ORDERS
-from reference import moment_table
+from reference import LiftingFunction, eval_dphi, eval_phi, moment_table
 
 
 def dense_from_bands(bands):

@@ -66,8 +66,8 @@ def test_solution_at_point_matches_manual_expansion():
     germs = rng.standard_normal((5, 2))
     points = [0.7, -1.3]
     from pcsgd.estimators import coefficient_matrix
-    from pcsgd.fem1d import eval_phi
     from pcsgd.pc_basis import eval_all
+    from reference import eval_phi
 
     phi = np.array([[eval_phi(problem.mesh, i, x) for x in points] for i in range(1, 5)])
     psi = eval_all(problem.basis, germs)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from pcsgd import LiftingFunction, Mesh1D, quadrature_points
-from pcsgd.fem1d import element_hats, eval_dphi, eval_phi, hat_tables, lifting_tables
+from pcsgd import Mesh1D, quadrature_points
+from pcsgd.fem1d import element_hats, hat_tables, lifting_tables
+from reference import LiftingFunction, eval_dphi, eval_phi
 
 
 def test_mesh_geometry():
@@ -100,15 +101,21 @@ def test_hat_support_and_slope():
     assert eval_dphi(mesh, 2, center + 1.5 * h) == 0.0
 
 
-def test_hat_tables_match_pointwise_evaluation():
-    mesh = Mesh1D(5.0, 4)
+# M = 1: the first and the last element are neighbours
+MESHES = [(5.0, 4), (4.0, 3), (0.3, 1), (12.0, 100)]
+
+
+@pytest.mark.parametrize("length, n_interior", MESHES)
+def test_hat_tables_match_pointwise_evaluation(length, n_interior):
+    """Two independent formulas: the values agree to rounding, the derivatives exactly."""
+    mesh = Mesh1D(length, n_interior)
     rule = quadrature_points(mesh, 4)
     phi, dphi = hat_tables(mesh, rule)
-    assert phi.shape == dphi.shape == (rule.points.size, 4)
-    for i in range(1, 5):
-        for k, x in enumerate(rule.points):
-            assert phi[k, i - 1] == pytest.approx(eval_phi(mesh, i, x))
-            assert dphi[k, i - 1] == pytest.approx(eval_dphi(mesh, i, x))
+    assert phi.shape == dphi.shape == (rule.points.size, n_interior)
+    for i in range(1, n_interior + 1):
+        expected = eval_phi(mesh, i, rule.points)
+        np.testing.assert_allclose(phi[:, i - 1], expected, rtol=0, atol=1e-13)
+        np.testing.assert_array_equal(dphi[:, i - 1], eval_dphi(mesh, i, rule.points))
 
 
 def test_stiffness_entries_from_tables():
@@ -161,13 +168,14 @@ def test_zero_lifting_tables():
     assert not dvals.any()
 
 
-def test_lifting_tables_match_pointwise():
-    mesh = Mesh1D(4.0, 3)
+@pytest.mark.parametrize("length, n_interior", MESHES)
+def test_lifting_tables_match_pointwise(length, n_interior):
+    mesh = Mesh1D(length, n_interior)
     rule = quadrature_points(mesh, 4)
     vals, dvals = lifting_tables(mesh, rule, 0.5, 1.5)
     lift = LiftingFunction(0.5, 1.5)
-    np.testing.assert_allclose(vals, lift.value(mesh, rule.points))
-    np.testing.assert_allclose(dvals, lift.derivative(mesh, rule.points))
+    np.testing.assert_allclose(vals, lift.value(mesh, rule.points), rtol=0, atol=1e-13)
+    np.testing.assert_array_equal(dvals, lift.derivative(mesh, rule.points))
 
 
 @pytest.mark.parametrize(

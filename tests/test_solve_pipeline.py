@@ -3,8 +3,8 @@
 Each case runs in a child process with one BLAS thread and two usable cores,
 so that the producer forks; the child counts its `os.fork` calls to show it.
 No producer or pipe may outlive `run`, however `run` ends, a producer that
-fails must not leave `run` waiting, and a forked solve must give the bits of
-an inline one.
+fails must not leave `run` waiting, a producer that cannot start must leave
+`run` solving inline, and a forked solve must give the bits of an inline one.
 """
 
 import os
@@ -43,7 +43,7 @@ def fds():
     return len(os.listdir("/proc/self/fd"))
 
 
-def check_nothing_left(fds_before):
+def check_nothing_left(fds_before, forked=True):
     try:
         os.waitpid(-1, os.WNOHANG)
     except ChildProcessError:
@@ -51,7 +51,7 @@ def check_nothing_left(fds_before):
     else:
         raise AssertionError("a child process outlived run")
     assert fds() == fds_before, (fds(), fds_before)
-    assert forks == [1], "run forked no producer"
+    assert forks == [1] * forked, f"run forked {len(forks)} producers"
     forks.clear()
 """
 
@@ -145,12 +145,54 @@ for problem in problems:
             ), (hessian_mode, cv_mode)
 """
 
+# The ring's mmap, the second pipe or the fork fails: `run` releases what it got and solves
+# inline, with the inline bits.
+ACQUISITION_FAILS = HEADER + """
+import dataclasses
+import errno
+import mmap
+
+problem = pcsgd.builtin_semilinear_homogeneous_field(12.0, 10, 2)
+os.sched_getaffinity = lambda pid: {0}
+inline_trajectory, inline = solve(problem, config())
+os.sched_getaffinity = lambda pid: {0, 1}
+
+
+def trajectory_bytes(trajectory):
+    return [getattr(trajectory, f.name).tobytes() for f in dataclasses.fields(trajectory)]
+
+
+before = fds()
+for module, name, code, after in [
+    (mmap, "mmap", errno.ENOMEM, 0),
+    (os, "pipe", errno.EMFILE, 1),  # the second pipe: the first one's ends must be closed
+    (os, "fork", errno.EAGAIN, 0),
+]:
+    real, calls = getattr(module, name), []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) > after:
+            raise OSError(code, os.strerror(code))
+        return real(*args)
+
+    setattr(module, name, failing)
+    try:
+        trajectory, c = solve(problem, config())
+    finally:
+        setattr(module, name, real)
+    assert len(calls) == after + 1, (name, calls)  # the failing call, and no later one
+    assert c.tobytes() == inline.tobytes(), name
+    assert trajectory_bytes(trajectory) == trajectory_bytes(inline_trajectory), name
+    check_nothing_left(before, forked=False)
+"""
+
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="the fork needs Linux's /proc")
 @pytest.mark.parametrize(
     "script",
-    [LIFECYCLE, FAILING_PRODUCER, INLINE_EQUALS_FORKED],
-    ids=["lifecycle", "failing-producer", "inline-equals-forked"],
+    [LIFECYCLE, FAILING_PRODUCER, ACQUISITION_FAILS, INLINE_EQUALS_FORKED],
+    ids=["lifecycle", "failing-producer", "acquisition-fails", "inline-equals-forked"],
 )
 def test_solve_pipeline(script):
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
