@@ -105,17 +105,17 @@ def test_hat_support_and_slope():
 MESHES = [(5.0, 4), (4.0, 3), (0.3, 1), (12.0, 100)]
 
 
-@pytest.mark.parametrize("length, n_interior", MESHES)
-def test_hat_tables_match_pointwise_evaluation(length, n_interior):
+def test_hat_tables_match_pointwise_evaluation():
     """Two independent formulas: the values agree to rounding, the derivatives exactly."""
-    mesh = Mesh1D(length, n_interior)
-    rule = quadrature_points(mesh, 4)
-    phi, dphi = hat_tables(mesh, rule)
-    assert phi.shape == dphi.shape == (rule.points.size, n_interior)
-    for i in range(1, n_interior + 1):
-        expected = eval_phi(mesh, i, rule.points)
-        np.testing.assert_allclose(phi[:, i - 1], expected, rtol=0, atol=1e-13)
-        np.testing.assert_array_equal(dphi[:, i - 1], eval_dphi(mesh, i, rule.points))
+    for length, n_interior in MESHES:
+        mesh = Mesh1D(length, n_interior)
+        rule = quadrature_points(mesh, 4)
+        phi, dphi = hat_tables(mesh, rule)
+        assert phi.shape == dphi.shape == (rule.points.size, n_interior)
+        for i in range(1, n_interior + 1):
+            expected = eval_phi(mesh, i, rule.points)
+            np.testing.assert_allclose(phi[:, i - 1], expected, rtol=0, atol=1e-13)
+            np.testing.assert_array_equal(dphi[:, i - 1], eval_dphi(mesh, i, rule.points))
 
 
 def test_stiffness_entries_from_tables():
@@ -168,14 +168,14 @@ def test_zero_lifting_tables():
     assert not dvals.any()
 
 
-@pytest.mark.parametrize("length, n_interior", MESHES)
-def test_lifting_tables_match_pointwise(length, n_interior):
-    mesh = Mesh1D(length, n_interior)
-    rule = quadrature_points(mesh, 4)
-    vals, dvals = lifting_tables(mesh, rule, 0.5, 1.5)
+def test_lifting_tables_match_pointwise():
     lift = LiftingFunction(0.5, 1.5)
-    np.testing.assert_allclose(vals, lift.value(mesh, rule.points), rtol=0, atol=1e-13)
-    np.testing.assert_array_equal(dvals, lift.derivative(mesh, rule.points))
+    for length, n_interior in MESHES:
+        mesh = Mesh1D(length, n_interior)
+        rule = quadrature_points(mesh, 4)
+        vals, dvals = lifting_tables(mesh, rule, 0.5, 1.5)
+        np.testing.assert_allclose(vals, lift.value(mesh, rule.points), rtol=0, atol=1e-13)
+        np.testing.assert_array_equal(dvals, lift.derivative(mesh, rule.points))
 
 
 @pytest.mark.parametrize(
