@@ -22,7 +22,7 @@ from .estimators import (
     estimate_cv_lambda,
     kernel_for,
 )
-from .fem1d import Mesh1D, QuadratureRule, quadrature_points
+from .fem1d import Mesh1D, quadrature_points
 from .pc_basis import (
     PcBasisSet,
     eval_all,

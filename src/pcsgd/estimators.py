@@ -43,12 +43,6 @@ class ControlVariateState:
     lam: np.ndarray
 
 
-class GermTables(NamedTuple):
-    psi: np.ndarray  # (n, N+1)
-    conductance: np.ndarray  # integrals of kappa over each element, (n, M+1)
-    loads: np.ndarray | None  # the source's nodal loads (n, M+2), if it has one
-
-
 class RuleMoments(NamedTuple):
     """A fixed rule's tables for `Kernel.expected_energy`."""
     stiffness: np.ndarray  # G_e = sum_s w_s cond_se psi_s psi_s', (M+1, N+1, N+1)
@@ -71,8 +65,7 @@ class Kernel:
         if basis.germ_dim != problem.germ_dim:
             raise ValueError("basis germ dimension does not match the field")
         self.problem, self.mesh, self.basis = problem, mesh, basis
-        rule = quadrature_points(mesh, DEFAULT_QUADRATURE_ORDER)
-        self.x, self.w = rule.points, rule.weights
+        self.x, self.w = quadrature_points(mesh, DEFAULT_QUADRATURE_ORDER)
         # an element's weights, and its left and right node's hats at its points
         w = self._element_w = self.w[:DEFAULT_QUADRATURE_ORDER]
         hats = element_hats(mesh, self.x[:DEFAULT_QUADRATURE_ORDER])[1]
@@ -120,10 +113,12 @@ class Kernel:
             return np.multiply.outer(scalar, np.full(self.mesh.n_interior + 1, self.mesh.h))
         return self._per_element(field.values(self.x, germs), self._element_w)
 
-    def germ_tables(self, germs: np.ndarray) -> GermTables:
+    def germ_tables(self, germs: np.ndarray) -> tuple:
+        """psi (n, N+1), the conductances (n, M+1) and the source's nodal loads (n, M+2),
+        None without a source: a germ batch's tables that do not depend on c."""
         source = self.problem.source
         loads = None if source is None else self._loads(source(self.x, germs))
-        return GermTables(eval_all(self.basis, germs), self.conductances(germs), loads)
+        return eval_all(self.basis, germs), self.conductances(germs), loads
 
     # -- solution evaluation ------------------------------------------------
 

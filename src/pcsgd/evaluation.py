@@ -14,10 +14,10 @@ from typing import Sequence
 import numpy as np
 
 from .estimators import Kernel, kernel_for
-from .fem1d import Mesh1D, _check_domain, element_hats
+from .fem1d import Mesh1D, element_hats
 from .pc_basis import PcBasisSet, eval_all
-from .problem import ProblemInstance, _simpson_grid
-from .random_field import GermSampler, mean_and_se, over_chunks
+from .problem import ProblemInstance, simpson_grid
+from .random_field import GermSampler, over_chunks
 
 EVAL_PURPOSE = "eval"
 
@@ -40,11 +40,13 @@ def _over_eval_germs(problem: ProblemInstance, n_samples: int, seed: int, values
 
 
 def _mc_estimate(problem: ProblemInstance, n_samples: int, seed: int, values, parallel=False):
-    """Mean and standard error of `values(germs)` over n_samples evaluation germs."""
+    """Mean of `values(germs)` over n_samples evaluation germs and its standard error
+    std(ddof=1) / sqrt(n)."""
     if n_samples < 2:
         raise ValueError("need at least two samples for a standard error")
-    mean, se = mean_and_se(_over_eval_germs(problem, n_samples, seed, values, parallel))
-    return EnergyEstimate(mean=mean, standard_error=se)
+    samples = _over_eval_germs(problem, n_samples, seed, values, parallel)
+    se = samples.std(ddof=1) / np.sqrt(samples.size)
+    return EnergyEstimate(mean=float(samples.mean()), standard_error=float(se))
 
 
 def estimate_energy(
@@ -137,7 +139,7 @@ def empirical_cdf(
     if use_exact_solution and problem.exact_solution is None:
         raise ValueError(f"problem {problem.name!r} has no exact solution")
     points = np.asarray(points, dtype=float)
-    _check_domain(mesh, points)  # the exact path would extrapolate
+    element_hats(mesh, points)  # checks the points: the exact path would extrapolate
     if use_exact_solution:
         solution = partial(problem.exact_solution, points)
     else:
@@ -160,7 +162,7 @@ def exact_energy_mc(
     if problem.exact_solution is None or problem.exact_solution_derivative is None:
         raise ValueError(f"problem {problem.name!r} has no exact solution data")
     half = problem.mesh.length / 2.0
-    x, w = _simpson_grid(-half, half)
+    x, w = simpson_grid(-half, half)
 
     def energies(germs):
         u = problem.exact_solution(x, germs)

@@ -35,15 +35,8 @@ class Mesh1D:
         return np.linspace(-half, half, self.n_interior + 2)
 
 
-@dataclass(eq=False)
-class QuadratureRule:
-    """Per-element Gauss-Legendre points mapped to the physical mesh."""
-
-    points: np.ndarray  # (n_elements * q,)
-    weights: np.ndarray
-
-
-def quadrature_points(mesh: Mesh1D, points_per_element: int) -> QuadratureRule:
+def quadrature_points(mesh: Mesh1D, points_per_element: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-element Gauss-Legendre points on the mesh and their weights, (n_elements * q,) each."""
     if points_per_element < 1:
         raise ValueError("need at least one point per element")
     ref_x, ref_w = np.polynomial.legendre.leggauss(points_per_element)
@@ -52,7 +45,7 @@ def quadrature_points(mesh: Mesh1D, points_per_element: int) -> QuadratureRule:
     half = 0.5 * mesh.h
     pts = (mid[:, None] + half * ref_x[None, :]).ravel()
     wts = np.tile(half * ref_w, mesh.n_interior + 1)
-    return QuadratureRule(pts, wts)
+    return pts, wts
 
 
 def _check_domain(mesh: Mesh1D, x: np.ndarray):
@@ -82,15 +75,15 @@ def _nodal_tables(mesh: Mesh1D, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, derivs
 
 
-def hat_tables(mesh: Mesh1D, rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
-    """Interior hats' values and derivatives at the quadrature points, (n_points, M) each."""
-    return tuple(table[:, 1:-1] for table in _nodal_tables(mesh, rule.points))
+def hat_tables(mesh: Mesh1D, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Interior hats' values and derivatives at points x (n,), (n, M) each."""
+    return tuple(table[:, 1:-1] for table in _nodal_tables(mesh, x))
 
 
 def lifting_tables(
-    mesh: Mesh1D, rule: QuadratureRule, left_value: float, right_value: float
+    mesh: Mesh1D, x: np.ndarray, left_value: float, right_value: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Lifting values and derivatives at the quadrature points: the end nodes' hats times the
+    """Lifting values and derivatives at points x (n,): the end nodes' hats times the
     boundary data, as in `Kernel.padded_coefficients`."""
-    values, derivs = _nodal_tables(mesh, rule.points)
+    values, derivs = _nodal_tables(mesh, x)
     return tuple(left_value * t[:, 0] + right_value * t[:, -1] for t in (values, derivs))

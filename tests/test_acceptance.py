@@ -173,6 +173,12 @@ def test_criterion_5_batch_tolerance(tmp_path):
     )
 
 
+def per_germ(psi, rows):
+    """Per-germ gradient samples (n, dim) from `Kernel.gradient_parts` rows: sample s is
+    psi[s] times its row, in the flat coefficient layout c[j*M + (i-1)]."""
+    return (psi[:, :, None] * rows[:, None, :]).reshape(len(psi), -1)
+
+
 def test_criterion_6_estimator_unbiasedness():
     problem = builtin_linear_nonhomogeneous(0.2, 1, 10.0, 10, 2)
     kernel = kernel_for(problem)
@@ -183,13 +189,17 @@ def test_criterion_6_estimator_unbiasedness():
     components = rng.choice(kernel.dim, size=10, replace=False)
     eps = 1e-5
     worst = 0.0
-    plain = kernel.gradient_batch(c, germs)
+    rows = kernel.gradient_parts(c, germs)
+    plain = per_germ(rows.psi, rows.total)
     for mode in (None, 0, 1):
         if mode is None:
             batch = plain
         else:
+            # the control variate's samples: X + lam * (Z - E[Z]), Z the surrogate's rows
             state = estimate_cv_lambda(kernel, c, mode, 2000, sampler)
-            batch = kernel.cv_gradient_batch(c, germs, state)
+            rows = kernel.gradient_parts(c, germs, mode)
+            aux = per_germ(rows.psi, rows.surrogate) - kernel.cv_known_mean(c, mode)
+            batch = plain + state.lam * aux
         mean = batch.mean(axis=0)
         # the CRN finite difference reproduces the plain sample mean, so the
         # right scale for the discrepancy is the SE of (estimator - plain),
@@ -242,7 +252,8 @@ def test_criterion_8_oracle_equivalence():
     rng = np.random.default_rng(23)
     c = rng.standard_normal(kernel.dim)
     germ = rng.standard_normal(2)
-    fast = kernel.gradient_batch(c, np.atleast_2d(germ))[0]
+    rows = kernel.gradient_parts(c, germ[None])
+    fast = per_germ(rows.psi, rows.total)[0]
     slow = naive_gradient(problem, c, germ)
     gradient_gap = float(np.max(np.abs(fast - slow)))
     assert gradient_gap < 1e-12

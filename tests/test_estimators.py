@@ -35,10 +35,9 @@ def dense_from_bands(bands):
 def dense_hessian_blocks(problem, c, germs, full):
     """Averaged blocks by dense assembly over the full (P, M) hat tables."""
     mesh = problem.mesh
-    rule = quadrature_points(mesh, DEFAULT_QUADRATURE_ORDER)
-    x, w = rule.points, rule.weights
-    phi, dphi = hat_tables(mesh, rule)
-    lift, _ = lifting_tables(mesh, rule, *problem.boundary)
+    x, w = quadrature_points(mesh, DEFAULT_QUADRATURE_ORDER)
+    phi, dphi = hat_tables(mesh, x)
+    lift, _ = lifting_tables(mesh, x, *problem.boundary)
     psi = eval_all(problem.basis, germs)
     psi2 = psi**2 / germs.shape[0]
     wa = (psi2.T @ problem.field.values(x, germs)) * w

@@ -257,6 +257,21 @@ def test_estimate_energy_chunks_match_one_kernel_call():
     )
 
 
+def test_an_estimate_is_the_sample_mean_and_its_standard_error():
+    """The mean is numpy's over the per-germ samples, the SE std(ddof=1) / sqrt(n), both
+    Python floats; the samples are the kernel's on each GERM_CHUNK-row draw."""
+    problem = builtin_linear_nonhomogeneous(0.2, 1, 10.0, 8, 2)
+    kernel = kernel_for(problem)
+    c = np.random.default_rng(4).standard_normal(kernel.dim)
+    n = 2 * GERM_CHUNK + 37
+    chunks = GermSampler(6, problem.germ_dim).chunks(0, n, EVAL_PURPOSE)
+    samples = np.concatenate([kernel.energies(c, germs) for germs in chunks])
+    estimate = estimate_energy(problem, problem.mesh, problem.basis, c, n, 6)
+    assert isinstance(estimate.mean, float) and isinstance(estimate.standard_error, float)
+    assert estimate.mean == samples.mean()
+    assert estimate.standard_error == samples.std(ddof=1) / np.sqrt(samples.size)
+
+
 def test_estimate_energy_memory_is_bounded(traced_peak):
     """Table3 size (M=100, N+1=10) on 2e4 germs: GERM_CHUNK-row temporaries only."""
     problem = builtin_semilinear_homogeneous_field(12.0, 100, 3)

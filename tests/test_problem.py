@@ -12,7 +12,7 @@ from pcsgd import (
 from pcsgd.problem import (
     SINE_REACTION,
     _inverse_kappa_integral,
-    _simpson_grid,
+    simpson_grid,
 )
 from pcsgd.random_field import GERM_CHUNK
 
@@ -99,7 +99,7 @@ def test_inverse_kappa_integral_chunks_match_one_array_formula():
     """
     field = builtin_linear_nonhomogeneous(0.2, 2, 10.0, 8, 2).field
     germs = np.random.default_rng(5).standard_normal((2 * GERM_CHUNK + 37, 4))
-    x, w = _simpson_grid(-5.0, 2.0)
+    x, w = simpson_grid(-5.0, 2.0)
     np.testing.assert_allclose(
         _inverse_kappa_integral(field, -5.0, 2.0, germs),
         (1.0 / field.values(x, germs)) @ w,
@@ -217,7 +217,7 @@ def test_exact_oracle_columns_are_one_point_calls(name, oracle):
     problem = BUILTINS[name]()
     solution = getattr(problem, oracle)
     half = problem.mesh.length / 2.0
-    x, _ = _simpson_grid(-half, half)
+    x, _ = simpson_grid(-half, half)
     germs = np.random.default_rng(7).standard_normal((8, problem.germ_dim))
     values = solution(x, germs)
     assert values.shape == (8, x.size)
@@ -229,3 +229,13 @@ def test_exact_oracle_columns_are_one_point_calls(name, oracle):
         np.testing.assert_allclose(values, columns, rtol=1e-15, atol=0.0)
     else:
         np.testing.assert_array_equal(values, columns)
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+@pytest.mark.parametrize("oracle", ["exact_solution", "exact_solution_derivative"])
+def test_exact_oracles_at_zero_germs_are_empty(name, oracle):
+    """No germs give an empty (0, P) array, as `Kernel.energies` gives an empty (0,) one."""
+    problem = BUILTINS[name]()
+    x = np.linspace(-problem.mesh.length / 2.0, problem.mesh.length / 2.0, 5)
+    values = getattr(problem, oracle)(x, np.empty((0, problem.germ_dim)))
+    assert values.shape == (0, x.size)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcsgd import GermSampler, HomogeneousLogNormalField, TrigLogNormalField
-from pcsgd.random_field import GERM_CHUNK, mean_and_se, over_chunks
+from pcsgd.random_field import GERM_CHUNK, over_chunks
 
 
 def test_batch_prefix_stability():
@@ -166,6 +166,19 @@ def test_over_chunks_matches_one_call(n):
         )
 
 
+@pytest.mark.parametrize("parallel", [False, True])
+def test_over_chunks_of_no_germs_is_one_empty_chunk(parallel):
+    """A zero-row array is one empty call, so the result keeps each row's shape."""
+    calls = []
+
+    def values(a):
+        calls.append(a.shape)
+        return np.ones((len(a), 5))
+
+    assert over_chunks(values, np.empty((0, 3)), parallel).shape == (0, 5)
+    assert calls == [(0, 3)]
+
+
 @pytest.mark.parametrize("dim", [2, 4])
 @pytest.mark.parametrize(
     "size", [1, GERM_CHUNK - 1, GERM_CHUNK, GERM_CHUNK + 1, 2 * GERM_CHUNK + 37]
@@ -269,14 +282,6 @@ def test_field_values_are_thread_safe_across_grids():
         sys.setswitchinterval(interval)
 
 
-def test_mean_and_se_matches_numpy():
-    samples = np.random.default_rng(4).standard_normal(1000) * 3.0 + 1.0
-    mean, se = mean_and_se(samples)
-    assert isinstance(mean, float) and isinstance(se, float)
-    assert mean == samples.mean()
-    assert se == samples.std(ddof=1) / np.sqrt(samples.size)
-
-
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(0, 100))
 @settings(max_examples=20, deadline=None)
 def test_sampling_reproducible_for_any_seed(seed, iteration):
@@ -286,36 +291,60 @@ def test_sampling_reproducible_for_any_seed(seed, iteration):
     assert np.all(np.isfinite(a))
 
 
-# Two 20,000-germ energy passes at the table3 size (M=100, p=3); prints the
-# minor page faults of the second.
-REPEATED_PASS = """
+# Prints the minor page faults of the second of two calls of `step`, in this process.
+SECOND_CALL_FAULTS = """
 import resource
 import numpy as np
 import pcsgd
 
 problem = pcsgd.builtin_semilinear_homogeneous_field(12.0, 100, 3)
 c = np.zeros(problem.mesh.n_interior * problem.basis.size)
+{step}
 faults = []
 for _ in range(2):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    pcsgd.estimate_energy(problem, problem.mesh, problem.basis, c, 20_000, 5)
+    step()
     faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 print(faults[1])
 """
 
 
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the malloc pin is glibc's")
-def test_repeated_monte_carlo_pass_takes_no_page_faults():
-    """With glibc's malloc thresholds pinned, a second GERM_CHUNK pass reuses the
-    first one's pages; unpinned, it faults ~30,000 of them in again."""
+def _second_call_faults(step: str) -> int:
+    """Run SECOND_CALL_FAULTS in a child process with `step` defined on the table3-size
+    problem (M=100, p=3) and its zero coefficients `c`."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     result = subprocess.run(
-        [sys.executable, "-c", REPEATED_PASS], capture_output=True, text=True, env=env,
-        timeout=120,
+        [sys.executable, "-c", SECOND_CALL_FAULTS.format(step=step)],
+        capture_output=True, text=True, env=env, timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert int(result.stdout) < 2000
+    return int(result.stdout)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the malloc pin is glibc's")
+def test_repeated_monte_carlo_pass_takes_no_page_faults():
+    """With glibc's malloc thresholds pinned, a second GERM_CHUNK pass of 20,000 germs
+    reuses the first one's pages; unpinned, it faults ~45,000 of them in again."""
+    energy = "pcsgd.estimate_energy(problem, problem.mesh, problem.basis, c, 20_000, 5)"
+    assert _second_call_faults(f"step = lambda: {energy}") < 2000
+
+
+# A 50-iteration table3 solve: full Hessian, batches of 100.
+SHORT_SOLVE = """
+config = pcsgd.SgdConfig(
+    n_iterations=50, batch_gradient=100, batch_hessian=100, hessian_mode="full",
+    schedule=pcsgd.LearningRateSchedule(10.0, 9.0), seed=21, record_stride=50,
+)
+step = lambda: pcsgd.run(problem, problem.mesh, problem.basis, config)"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the malloc pin is glibc's")
+def test_repeated_solve_takes_few_page_faults():
+    """The pin also carries the solve: a second 50-iteration solve takes about 1,200 minor
+    page faults where its producer forks and a few inline; unpinned, its per-iteration
+    temporaries fault ~26,000 in again."""
+    assert _second_call_faults(SHORT_SOLVE) < 5000
 
 
 def test_trig_field_needs_a_harmonic_pair():

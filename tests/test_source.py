@@ -50,6 +50,23 @@ def test_only_the_experiments_import_the_sgd_loop_or_the_evaluation():
     assert ("experiments", "sgd") in edges  # the scan sees the edges it allows
 
 
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_no_module_imports_another_modules_private_name():
+    """A private helper serves its own module; one that another module needs is public."""
+    found = [
+        f"{os.path.basename(path)}:{node.lineno} {alias.name} from .{node.module}"
+        for path in sorted(glob.glob(os.path.join(SRC, "*.py")))
+        for node in ast.walk(ast.parse(open(path, encoding="utf-8").read()))
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if _is_private(alias.name)
+    ]
+    assert found == []
+
+
 def _imports_run_at_load(node):
     """Absolute imports that run when the module loads: those outside any function body."""
     for child in ast.iter_child_nodes(node):
