@@ -153,7 +153,8 @@ class Kernel:
 
     def _reaction_energies(self, nodal: np.ndarray) -> np.ndarray:
         """Per-germ integrals of the reaction's antiderivative F(u), (n,)."""
-        return self.problem.nonlinearity.antiderivative(self._at_points(nodal)) @ self.w
+        u = self._at_points(nodal)
+        return self.problem.nonlinearity.antiderivative(u, out=u) @ self.w
 
     def energies(self, c: np.ndarray, germs: np.ndarray) -> np.ndarray:
         """Per-germ energy integral (n,)."""

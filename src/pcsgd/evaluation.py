@@ -7,6 +7,9 @@ so they never collide with optimization streams.
 
 from __future__ import annotations
 
+import os
+import signal
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
@@ -17,7 +20,7 @@ from .estimators import Kernel, kernel_for
 from .fem1d import Mesh1D, element_hats
 from .pc_basis import PcBasisSet, eval_all
 from .problem import ProblemInstance, simpson_grid
-from .random_field import GermSampler, over_chunks
+from .random_field import GERM_CHUNK, GermSampler, fork, may_fork
 
 EVAL_PURPOSE = "eval"
 
@@ -33,18 +36,62 @@ class CdfEstimate:
     probabilities: np.ndarray
 
 
-def _over_eval_germs(problem: ProblemInstance, n_samples: int, seed: int, values, parallel=False):
-    """`values(germs)` over n_samples evaluation germs, in chunks (see `over_chunks`)."""
-    germs = GermSampler(seed, problem.germ_dim).chunks(0, n_samples, EVAL_PURPOSE)
-    return over_chunks(values, germs, parallel)
+def _over_eval_germs(problem: ProblemInstance, n_samples: int, seed: int, values):
+    """`values(germs)` over n_samples evaluation germs drawn GERM_CHUNK at a time (none are one
+    empty chunk), rows concatenated; where `may_fork`, split with workers forked for the call
+    (README, "Monte Carlo passes on every core"), with the one-process bits."""
+    stream = partial(GermSampler(seed, problem.germ_dim).chunks, 0, n_samples, EVAL_PURPOSE)
+    chunks = enumerate(stream())
+    head = values(next(chunks)[1])  # computed before any fork: it lays out the rows
+    count = len(range(0, n_samples or 1, GERM_CHUNK))
+    if count == 1 or not may_fork():
+        return np.concatenate([head, *(values(chunk) for _, chunk in chunks)])
+    import fcntl
+    import mmap
+
+    size, caller, pids = n_samples * head[:1].nbytes, os.getpid(), []
+    shared = mmap.mmap(-1, size + count)  # anonymous, so shared with the workers
+    rows = np.ndarray((n_samples, *head.shape[1:]), head.dtype, shared)
+    done = np.ndarray(count, bool, shared, size)
+    rows[:GERM_CHUNK], done[0] = head, True
+    claims, tokens = os.pipe()
+
+    def claim():
+        for token in iter(partial(os.read, claims, 4), b""):
+            k = int.from_bytes(token, "little")
+            chunk = next(chunk for j, chunk in chunks if j == k)  # drawn on this process's copy
+            rows[k * GERM_CHUNK :][: len(chunk)] = values(chunk)
+            done[k] = True
+            if caller not in (os.getpid(), os.getppid()):  # a worker whose caller is gone
+                break
+
+    try:
+        with open(tokens, "wb") as pipe:  # closed before any fork: a drained pipe reads EOF
+            fcntl.fcntl(pipe, fcntl.F_SETPIPE_SZ, 4 * count)  # so that the write cannot block
+            pipe.write(np.arange(1, count, dtype="<i4").tobytes())
+        with suppress(OSError):  # EAGAIN, ENOMEM: this process claims what no worker does
+            for _ in range(min(len(os.sched_getaffinity(0)), count) - 1):
+                pids.append(fork(claim))
+        claim()
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.close(claims)
+        exits = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    if not done.all():
+        values(next(chunk for j, chunk in enumerate(stream()) if not done[j]))  # raises its error
+        raise RuntimeError(f"a Monte Carlo pass worker ended with exit code {max(exits, key=abs)}")
+    return rows
 
 
-def _mc_estimate(problem: ProblemInstance, n_samples: int, seed: int, values, parallel=False):
+def _mc_estimate(problem: ProblemInstance, n_samples: int, seed: int, values):
     """Mean of `values(germs)` over n_samples evaluation germs and its standard error
     std(ddof=1) / sqrt(n)."""
     if n_samples < 2:
         raise ValueError("need at least two samples for a standard error")
-    samples = _over_eval_germs(problem, n_samples, seed, values, parallel)
+    samples = _over_eval_germs(problem, n_samples, seed, values)
     se = samples.std(ddof=1) / np.sqrt(samples.size)
     return EnergyEstimate(mean=float(samples.mean()), standard_error=float(se))
 
@@ -57,10 +104,9 @@ def estimate_energy(
     n_samples: int,
     seed: int,
 ) -> EnergyEstimate:
-    """MC estimate of the energy at coefficients c; with a reaction, on every core."""
+    """MC estimate of the energy at coefficients c."""
     kernel = kernel_for(problem, mesh, basis)
-    pooled = problem.nonlinearity is not None  # a linear pass gained nothing on threads
-    return _mc_estimate(problem, n_samples, seed, lambda g: kernel.energies(c, g), pooled)
+    return _mc_estimate(problem, n_samples, seed, lambda g: kernel.energies(c, g))
 
 
 def solution_at_points(kernel: Kernel, c: np.ndarray, points: Sequence[float]):
@@ -157,7 +203,7 @@ def exact_energy_mc(
     """MC energy of the attached exact solution on an independent Simpson grid.
 
     Deliberately avoids the FEM quadrature tables so it can serve as an
-    oracle for the expansion-based energy estimates.  Chunks run on every core.
+    oracle for the expansion-based energy estimates.
     """
     if problem.exact_solution is None or problem.exact_solution_derivative is None:
         raise ValueError(f"problem {problem.name!r} has no exact solution data")
@@ -175,4 +221,4 @@ def exact_energy_mc(
             density = density + problem.source(x, germs) * u
         return density @ w
 
-    return _mc_estimate(problem, n_samples, seed, energies, parallel=True)
+    return _mc_estimate(problem, n_samples, seed, energies)

@@ -27,7 +27,7 @@ from .random_field import (
 class Nonlinearity:
     """Reaction term f(u) with antiderivative and derivative.
 
-    `antiderivative` satisfies d/du antiderivative = value.
+    `antiderivative` satisfies d/du antiderivative = value and writes into `out=`, if given.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
@@ -37,7 +37,7 @@ class Nonlinearity:
 
 # sin and cos of an array through t = tan(u / 2): numpy's SIMD float64 tan loop
 # costs a fraction of its sin or cos (README, "Sine through the half-angle
-# tangent").  None of these helpers writes into u.
+# tangent").  None of these helpers writes into u unless given it as `out`.
 def _half_tan(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """t = tan(u / 2) in `out`, or in a new array when `out` is None."""
     t = np.multiply(u, 0.5, out=out)
@@ -53,9 +53,9 @@ def _sin(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.divide(t, denominator, out=t)
 
 
-def _cos(u: np.ndarray, negated: bool = False) -> np.ndarray:
-    """cos u = 2 / (1 + t^2) - 1, or -cos u = 1 - 2 / (1 + t^2), in one array the size of u."""
-    c = _half_tan(u)
+def _cos(u: np.ndarray, negated: bool = False, out: np.ndarray | None = None) -> np.ndarray:
+    """cos u = 2 / (1 + t^2) - 1, or -cos u = 1 - 2 / (1 + t^2), in `out` or one new array."""
+    c = _half_tan(u, out)
     np.square(c, out=c)
     c += 1.0
     np.divide(2.0, c, out=c)
@@ -64,7 +64,7 @@ def _cos(u: np.ndarray, negated: bool = False) -> np.ndarray:
 
 SINE_REACTION = Nonlinearity(
     value=_sin,
-    antiderivative=lambda u: _cos(u, negated=True),
+    antiderivative=lambda u, out=None: _cos(u, negated=True, out=out),
     derivative=_cos,
 )
 
@@ -78,8 +78,6 @@ class ProblemInstance:
     source * u and the gradient as its projection onto the basis.
     `nonlinearity` is None, the default, for a linear problem.  `exact_solution` and
     `exact_solution_derivative` give u and u' where they are known.
-    The energy passes call `field`, `source`, `nonlinearity` and the exact
-    solution from several threads at once, so these must be thread-safe.
     """
 
     name: str

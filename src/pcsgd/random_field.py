@@ -10,8 +10,8 @@ any shared mutable state.  A germ batch is an (n, germ_dim) array.
 from __future__ import annotations
 
 import ctypes
-import itertools
 import os
+import signal
 import zlib
 from dataclasses import dataclass
 
@@ -30,9 +30,7 @@ def _pin_malloc_thresholds():
     until then every GERM_CHUNK pass and every iteration maps, faults in and
     unmaps its temporaries afresh.  Unpinned, one `perfbench/run.py` run on
     `semilinear-full` (2 cores, one BLAS thread) read solve_s 2.149 s against
-    0.911 s pinned, and eval_s 0.643 s against 0.432 s.
-    One arena serves all threads, as each arena keeps its own peak.  A no-op
-    where libc has no mallopt.
+    0.911 s pinned, and eval_s 0.643 s against 0.432 s.  A no-op where libc has no mallopt.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -41,39 +39,44 @@ def _pin_malloc_thresholds():
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
     mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
-    mallopt(-8, 1)  # M_ARENA_MAX
 
 
 _pin_malloc_thresholds()
 
 
-def over_chunks(values, germs, parallel: bool = False) -> np.ndarray:
-    """`values` on GERM_CHUNK-row chunks of `germs`, results concatenated by row.
+def over_chunks(values, germs: np.ndarray) -> np.ndarray:
+    """`values` on GERM_CHUNK-row views of `germs`, results concatenated by row; an array
+    with no rows is one empty chunk."""
+    chunks = [germs[k : k + GERM_CHUNK] for k in range(0, len(germs) or 1, GERM_CHUNK)]
+    return np.concatenate([values(chunk) for chunk in chunks])
 
-    `germs` is an array, sliced here (one with no rows is one empty chunk), or an
-    iterable of chunks such as `GermSampler.chunks`.  With `parallel`, two or more
-    chunks run on a pool of one thread per usable core, built for this call, at most
-    two per worker in flight; `values` must then be safe to call from threads.
-    """
-    if isinstance(germs, np.ndarray):  # views, so no germ is copied
-        germs = [germs[k : k + GERM_CHUNK] for k in range(0, len(germs) or 1, GERM_CHUNK)]
-    chunks = iter(germs)
-    head = list(itertools.islice(chunks, 2))  # one chunk runs inline
-    chunks = itertools.chain(head, chunks)
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = (cores or 1) if parallel and len(head) > 1 else 1
-    if workers < 2:
-        return np.concatenate([values(chunk) for chunk in chunks])
-    from concurrent.futures import ThreadPoolExecutor  # with logging, only where a pool runs
 
-    done, pending = [], []
-    with ThreadPoolExecutor(workers) as pool:
-        for chunk in chunks:
-            if len(pending) == 2 * workers:
-                done.append(pending.pop(0).result())
-            pending.append(pool.submit(values, chunk))
-        done.extend(future.result() for future in pending)
-    return np.concatenate(done)
+def may_fork() -> bool:
+    """Two usable cores and one thread (Linux lists them in /proc): a fork copies only the
+    calling thread, so a lock that another held (BLAS's, malloc's) would stay held."""
+    try:
+        threads, cores = len(os.listdir("/proc/self/task")), len(os.sched_getaffinity(0))
+    except (OSError, AttributeError):  # not Linux
+        return False
+    return threads == 1 and cores > 1 and hasattr(os, "fork")
+
+
+def fork(child) -> int:
+    """Fork a process that runs `child()`, SIGINT ignored as its parent ends it, and leaves by
+    os._exit: 0, or 1 with the traceback on stderr where `child` raises.  Returns the pid."""
+    pid = os.fork()
+    if pid == 0:
+        try:
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            child()
+        except BaseException:
+            import traceback
+
+            os.write(2, traceback.format_exc().encode())
+            os._exit(1)
+        finally:
+            os._exit(0)
+    return pid
 
 
 def _purpose_code(purpose: str) -> int:
@@ -98,9 +101,10 @@ class GermSampler:
         return self._rng(iteration, purpose).standard_normal((size, self.dim))
 
     def chunks(self, iteration: int, size: int, purpose: str):
-        """The rows of `sample_batch(iteration, size, purpose)`, drawn GERM_CHUNK at a time."""
+        """The rows of `sample_batch(iteration, size, purpose)`, drawn GERM_CHUNK at a time;
+        no rows are one empty chunk, as in `over_chunks`."""
         rng = self._rng(iteration, purpose)  # one stream, continued across draws
-        for k in range(0, size, GERM_CHUNK):
+        for k in range(0, size or 1, GERM_CHUNK):
             yield rng.standard_normal((min(GERM_CHUNK, size - k), self.dim))
 
 
@@ -109,8 +113,7 @@ class LogNormalField:
 
     The exponent is linear in the standard-normal germ Y, so kappa is 1 at
     the germ mean.  A subclass sets `amplitude` and `germ_dim` and supplies
-    `rows`.  The energy passes call `values`, and so `rows`,
-    from several threads at once; a subclass must be safe to call that way.
+    `rows`.
     """
 
     amplitude: float
@@ -124,10 +127,9 @@ class LogNormalField:
     def values(self, x: np.ndarray, germs: np.ndarray) -> np.ndarray:
         """Field at points x (n_pts,) for germs (n, germ_dim) -> (n, n_pts); rows once per grid."""
         key = np.asarray(x, dtype=float).tobytes()
-        grid = self._grid  # read once: another thread may store its own grid meanwhile
-        if grid[0] != key:
-            grid = self._grid = key, self.rows(x)
-        e = germs @ grid[1]
+        if self._grid[0] != key:
+            self._grid = key, self.rows(x)
+        e = germs @ self._grid[1]
         e *= self.amplitude
         return np.exp(e, out=e)
 

@@ -14,7 +14,7 @@ import itertools
 import os
 import signal
 from collections.abc import Callable
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from importlib.machinery import PathFinder
 from importlib.util import module_from_spec
@@ -27,7 +27,7 @@ from .estimators import Kernel, estimate_cv_lambda, kernel_for
 from .fem1d import Mesh1D
 from .pc_basis import PcBasisSet, gauss_hermite
 from .problem import ProblemInstance
-from .random_field import GermSampler
+from .random_field import GermSampler, fork, may_fork
 
 # LAPACK's dptsv from scipy's f2py extension file, without `scipy.linalg` (0.2 s and 19 MiB
 # of import, README); extension modules are cached, so `scipy.linalg` gets the same objects.
@@ -179,16 +179,6 @@ def _iteration_tables(kernel: Kernel, sampler, config: SgdConfig, n: int) -> tup
     return item
 
 
-def _may_fork() -> bool:
-    """Two usable cores and one thread (Linux lists them in /proc): a fork copies only the
-    calling thread, so a lock that another held (BLAS's, malloc's) would stay held."""
-    try:
-        threads, cores = len(os.listdir("/proc/self/task")), len(os.sched_getaffinity(0))
-    except (OSError, AttributeError):  # not Linux
-        return False
-    return threads == 1 and cores > 1 and hasattr(os, "fork")
-
-
 def _fork_producer(build: Callable[[int], tuple], count: int, first: tuple):
     """Fork a producer of build(2), ..., build(count) into a ring laid out like `first`: its
     pid, slots and this side's pipe ends, or None, with all released, where the mmap, a pipe
@@ -208,31 +198,24 @@ def _fork_producer(build: Callable[[int], tuple], count: int, first: tuple):
             fds += os.pipe()
         ready_r, ready_w, free_r, free_w = fds
         os.write(free_w, bytes(RING_DEPTH))  # every slot starts free
-        pid = os.fork()
+
+        def produce():
+            os.close(ready_r)
+            os.close(free_w)
+            with suppress(BrokenPipeError):  # the loop has ended
+                for n in range(2, count + 1):
+                    if not os.read(free_r, 1):
+                        break
+                    for view, array in zip(slots[(n - 2) % RING_DEPTH], build(n)):
+                        if view is not None:
+                            np.copyto(view, array)
+                    os.write(ready_w, bytes(1))
+
+        pid = fork(produce)  # no one reads its status: the parent kills and reaps it
     except OSError:
         for fd in fds:
             os.close(fd)
         return None
-    if pid == 0:  # the producer
-        try:
-            signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent's exit ends it
-            os.close(ready_r)
-            os.close(free_w)
-            for n in range(2, count + 1):
-                if not os.read(free_r, 1):
-                    break
-                for view, array in zip(slots[(n - 2) % RING_DEPTH], build(n)):
-                    if view is not None:
-                        np.copyto(view, array)
-                os.write(ready_w, bytes(1))
-        except BrokenPipeError:
-            pass
-        except BaseException:
-            import traceback
-
-            os.write(2, traceback.format_exc().encode())
-        finally:
-            os._exit(0)  # no one reads its status: the parent kills and reaps it
     os.close(ready_w)  # so that the producer's exit reads as EOF
     return pid, slots, (ready_r, free_r, free_w)
 
@@ -240,7 +223,7 @@ def _fork_producer(build: Callable[[int], tuple], count: int, first: tuple):
 @contextmanager
 def _built_ahead(build: Callable[[int], tuple], count: int):
     """build(1), ..., build(count), tuples of arrays or None: built ahead by a forked producer
-    where one can run beside the loop (`_may_fork`) and start, else each when it is asked for.
+    where one can run beside the loop (`may_fork`) and start, else each when it is asked for.
 
     Iteration n uses slot (n - 2) % RING_DEPTH; each pipe carries one token byte per slot in
     order, filled slots to the loop and free ones back half a ring at a time.  The producer
@@ -248,7 +231,7 @@ def _built_ahead(build: Callable[[int], tuple], count: int):
     """
     items = map(build, range(1, count + 1))
     head = list(itertools.islice(items, 1))  # built before any fork: it lays out the ring
-    producer = _fork_producer(build, count, head[0]) if count > 1 and _may_fork() else None
+    producer = _fork_producer(build, count, head[0]) if count > 1 and may_fork() else None
     if producer is None:
         yield itertools.chain(head, items)
         return

@@ -3,9 +3,10 @@ import tracemalloc
 
 import pytest
 
-# One BLAS thread, as `perfbench` runs: a solve then forks its germ-table producer
-# (`sgd._may_fork`).  Set before numpy loads; an explicit setting of either wins, and
-# OpenBLAS, which reads its own first, follows an explicit OMP_NUM_THREADS.
+# One BLAS thread, as `perfbench` runs: a solve then forks its germ-table producer and a
+# Monte Carlo pass its workers (`random_field.may_fork`).  Set before numpy loads; an
+# explicit setting of either wins, and OpenBLAS, which reads its own first, follows an
+# explicit OMP_NUM_THREADS.
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 os.environ.setdefault("OPENBLAS_NUM_THREADS", os.environ["OMP_NUM_THREADS"])
 

@@ -281,8 +281,9 @@ def test_estimate_energy_memory_is_bounded(traced_peak):
 
 
 def test_estimate_energy_draws_its_germs_per_chunk(traced_peak, monkeypatch):
-    """Staged size (K=4, M=50, p=3) on a 2-worker pool: from 2e4 to 8e4 germs the peak
-    grows by the per-germ results only, not by the 32 B of a germ drawn ahead of its chunk."""
+    """Staged size (K=4, M=50, p=3) forked on two cores: from 2e4 to 8e4 germs the peak
+    grows by less than the 32 B of a germ drawn ahead of its chunk (the per-germ results
+    are in the pass's shared mmap, which tracemalloc does not see)."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     problem = builtin_semilinear_nonhomogeneous_field(0.3, 2, 12.0, 50, 3)
     c = 0.1 * np.random.default_rng(8).standard_normal(problem.mesh.n_interior * problem.basis.size)

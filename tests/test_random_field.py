@@ -1,17 +1,28 @@
 import os
 import platform
+import signal
 import subprocess
 import sys
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcsgd import GermSampler, HomogeneousLogNormalField, TrigLogNormalField
+from pcsgd import (
+    GermSampler,
+    HomogeneousLogNormalField,
+    TrigLogNormalField,
+    builtin_linear_homogeneous,
+    builtin_linear_nonhomogeneous,
+    builtin_semilinear_homogeneous_field,
+    empirical_cdf,
+    estimate_energy,
+    exact_energy_mc,
+    pointwise_l2_error,
+)
+from pcsgd.evaluation import EVAL_PURPOSE, _over_eval_germs
 from pcsgd.random_field import GERM_CHUNK, over_chunks
 
 
@@ -150,9 +161,7 @@ def test_homogeneous_field_gradient_at_mean():
      4 * GERM_CHUNK + 37],
 )
 def test_over_chunks_matches_one_call(n):
-    """Row-wise results, scalar and vector per row, equal one call on all rows,
-    and the pooled form equals the serial one bit for bit, also with more
-    chunks than a 2-core pool has workers."""
+    """Row-wise results, scalar and vector per row, equal one call on all rows."""
     a = np.random.default_rng(n).standard_normal((n, 3))
 
     def row_wise(a):
@@ -160,23 +169,45 @@ def test_over_chunks_matches_one_call(n):
 
     np.testing.assert_array_equal(over_chunks(row_wise, a), row_wise(a))
     np.testing.assert_array_equal(over_chunks(lambda a: 2.0 * a, a), 2.0 * a)
-    for values in (row_wise, lambda a: 2.0 * a):
-        np.testing.assert_array_equal(
-            over_chunks(values, a, parallel=True), over_chunks(values, a)
-        )
 
 
-@pytest.mark.parametrize("parallel", [False, True])
-def test_over_chunks_of_no_germs_is_one_empty_chunk(parallel):
-    """A zero-row array is one empty call, so the result keeps each row's shape."""
-    calls = []
+# A linear problem with a 2-dimensional germ: the passes below only draw its germs.
+LINEAR = builtin_linear_homogeneous(0.1, 1, 10.0, 4, 1)
+
+
+def _two_cores(monkeypatch) -> list:
+    """Two usable cores, so that a pass of two or more chunks forks; the returned list
+    gets one item per `os.fork` call."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    fork, forks = os.fork, []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+# A pass forks only in a one-thread Linux process: where BLAS runs its own threads it
+# runs inline, and these tests would see no fork.
+needs_fork = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task") or len(os.listdir("/proc/self/task")) > 1,
+    reason="a pass forks only in a one-thread Linux process",
+)
+
+
+@pytest.mark.parametrize("drawn", [False, True])
+def test_over_chunks_of_no_germs_is_one_empty_chunk(drawn, monkeypatch):
+    """A zero-row array, or a pass drawing no germs, is one empty call, so the result keeps
+    each row's shape; the pass runs it inline."""
+    forks, calls = _two_cores(monkeypatch), []
 
     def values(a):
         calls.append(a.shape)
         return np.ones((len(a), 5))
 
-    assert over_chunks(values, np.empty((0, 3)), parallel).shape == (0, 5)
-    assert calls == [(0, 3)]
+    if drawn:
+        assert _over_eval_germs(LINEAR, 0, 3, values).shape == (0, 5)
+        assert calls == [(0, 2)] and forks == []
+    else:
+        assert over_chunks(values, np.empty((0, 3))).shape == (0, 5)
+        assert calls == [(0, 3)]
 
 
 @pytest.mark.parametrize("dim", [2, 4])
@@ -192,94 +223,195 @@ def test_germ_chunks_are_the_rows_of_one_batch(size, dim):
     np.testing.assert_array_equal(np.concatenate(chunks), sampler.sample_batch(3, size, "eval"))
 
 
+def test_over_chunks_runs_one_chunk_inline(monkeypatch):
+    """A pass of one chunk, sliced or drawn, forks nothing."""
+    forks = _two_cores(monkeypatch)
+    germs = GermSampler(5, 2).sample_batch(0, GERM_CHUNK, EVAL_PURPOSE)
+    np.testing.assert_array_equal(over_chunks(lambda g: g[:, 0], germs), germs[:, 0])
+    np.testing.assert_array_equal(_over_eval_germs(LINEAR, GERM_CHUNK, 5, lambda g: g[:, 0]),
+                                  germs[:, 0])
+    assert forks == []
+
+
+def _passes():
+    """Every Monte Carlo pass of the evaluation, each on 4 * GERM_CHUNK + 37 germs."""
+    n = 4 * GERM_CHUNK + 37
+    semilinear = builtin_semilinear_homogeneous_field(12.0, 20, 2)
+    linear = builtin_linear_nonhomogeneous(0.2, 1, 10.0, 6, 2)
+    rng = np.random.default_rng(3)
+    c = {p.name: 0.1 * rng.standard_normal(p.mesh.n_interior * p.basis.size)
+         for p in (semilinear, linear)}
+
+    def on(problem):
+        return problem, problem.mesh, problem.basis, c[problem.name]
+
+    def estimate(e):
+        return np.array([e.mean, e.standard_error])
+
+    grid = np.linspace(-0.5, 1.5, 7)
+    return {
+        "energy-with-reaction": lambda: estimate(estimate_energy(*on(semilinear), n, 1)),
+        "energy-linear": lambda: estimate(estimate_energy(*on(linear), n, 2)),
+        "pointwise-l2": lambda: estimate(pointwise_l2_error(*on(semilinear), 0.5, n, 3)),
+        "cdf-one-point": lambda: empirical_cdf(*on(linear), [1.0], [grid], n, 4).probabilities,
+        "cdf-two-points": lambda: empirical_cdf(
+            *on(linear), [-1.0, 2.0], [grid, grid], n, 5).probabilities,
+        "exact-energy": lambda: estimate(exact_energy_mc(semilinear, n, 6)),
+    }
+
+
+PASSES = _passes()
+
+
+@needs_fork
+@pytest.mark.parametrize("name", PASSES)
+def test_a_forked_pass_has_the_inline_bits(name, monkeypatch):
+    forks = _two_cores(monkeypatch)
+    forked = PASSES[name]()
+    assert forks == [1]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    np.testing.assert_array_equal(forked, PASSES[name]())
+    assert forks == [1]
+
+
 class _ChunkError(Exception):
     pass
 
 
-def test_pooled_over_chunks_raises_the_error_of_a_middle_chunk(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+def _fails_at_chunk_5(monkeypatch, marker, everywhere: bool):
+    """`values` for a forked pass of 8 chunks whose chunk 5 raises _ChunkError in the worker,
+    and in the caller too if `everywhere`.  The caller claims nothing until the worker has
+    reached chunk 5 and written its pid to `marker`."""
+    _two_cores(monkeypatch)
+    fork, caller = os.fork, os.getpid()
 
-    def values(chunk):
-        if chunk[0, 0] == 3.0:
+    def fork_then_wait():
+        pid = fork()
+        deadline = time.monotonic() + 60
+        while pid and not marker.exists() and time.monotonic() < deadline:
+            time.sleep(0.001)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork_then_wait)
+    fifth = GermSampler(7, 2).sample_batch(0, 6 * GERM_CHUNK, EVAL_PURPOSE)[5 * GERM_CHUNK :]
+
+    def values(germs):
+        if np.array_equal(germs, fifth) and (everywhere or os.getpid() != caller):
+            if os.getpid() != caller:
+                marker.write_text(str(os.getpid()))
             raise _ChunkError
-        return chunk[:, 0]
+        return germs[:, 0]
 
-    chunks = (np.full((GERM_CHUNK, 2), float(k)) for k in range(8))
+    return values
+
+
+def _fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+def test_forked_pass_raises_the_error_of_a_middle_chunk(monkeypatch, tmp_path):
+    """The worker fails on chunk 5; the caller computes it again and raises its error."""
+    before, marker = _fds(), tmp_path / "worker"
+    values = _fails_at_chunk_5(monkeypatch, marker, everywhere=True)
     with pytest.raises(_ChunkError):
-        over_chunks(values, chunks, parallel=True)
+        _over_eval_germs(LINEAR, 8 * GERM_CHUNK, 7, values)
+    assert int(marker.read_text()) != os.getpid()
+    _assert_no_child_left()
+    assert _fds() == before
 
 
-def test_over_chunks_runs_one_chunk_inline(monkeypatch):
-    """A parallel pass of one chunk, sliced or drawn, builds no pool."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", None)
-    germs = GermSampler(5, 2).sample_batch(0, GERM_CHUNK, "eval")
-    drawn = GermSampler(5, 2).chunks(0, GERM_CHUNK, "eval")
-    for chunks in (germs, drawn):
-        np.testing.assert_array_equal(over_chunks(lambda g: g[:, 0], chunks, True), germs[:, 0])
+@needs_fork
+def test_a_worker_error_that_does_not_recur_names_the_workers_exit(monkeypatch, tmp_path):
+    values = _fails_at_chunk_5(monkeypatch, tmp_path / "worker", everywhere=False)
+    with pytest.raises(RuntimeError, match="worker ended with exit code 1"):
+        _over_eval_germs(LINEAR, 8 * GERM_CHUNK, 7, values)
+    _assert_no_child_left()
 
 
-def test_pooled_over_chunks_holds_two_chunks_per_worker_in_flight(monkeypatch):
-    """A chunk is drawn only when it can wait behind at most two chunks per worker
-    whose results are not yet in, so a long pass never holds all its germs."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    lock = threading.Lock()
-    count = {"drawn": 0, "done": 0, "most": 0}
+@needs_fork
+@pytest.mark.parametrize("ending", [None, ValueError, KeyboardInterrupt])
+def test_a_forked_pass_leaves_no_process_or_descriptor(ending, monkeypatch):
+    """A pass that ends normally, or whose caller raises an error or is interrupted on its
+    first chunk after the fork, leaves no worker and no descriptor; the workers ignore
+    SIGINT, as the caller's end ends them."""
+    forks, caller, before = _two_cores(monkeypatch), os.getpid(), _fds()
 
-    def chunks():
-        for k in range(20):
-            with lock:
-                count["drawn"] += 1
-                count["most"] = max(count["most"], count["drawn"] - count["done"])
-            yield np.full((1, 1), float(k))
+    def values(germs):
+        if os.getpid() != caller:
+            time.sleep(0.002)
+            return np.full(len(germs), float(signal.getsignal(signal.SIGINT) == signal.SIG_IGN))
+        if forks and ending is not None:
+            raise ending
+        return np.ones(len(germs))
 
-    def values(chunk):
+    if ending is None:
+        assert np.all(_over_eval_germs(LINEAR, 40 * GERM_CHUNK, 1, values) == 1.0)
+    else:
+        with pytest.raises(ending):
+            _over_eval_germs(LINEAR, 40 * GERM_CHUNK, 1, values)
+    assert forks == [1]
+    _assert_no_child_left()
+    assert _fds() == before
+
+
+# A caller that ends itself on its first chunk after the fork, once its worker has done one;
+# the worker, 5 ms a chunk, logs its chunks in a file.
+ORPHANED_WORKER = """
+import os, sys, time
+import pcsgd
+from pcsgd.evaluation import _over_eval_germs
+
+os.sched_getaffinity = lambda pid: {0, 1}
+log, caller, calls = sys.argv[1], os.getpid(), []
+
+
+def values(germs):
+    if os.getpid() != caller:
         time.sleep(0.005)
-        with lock:
-            count["done"] += 1
-        return chunk[:, 0]
-
-    np.testing.assert_array_equal(over_chunks(values, chunks(), parallel=True), np.arange(20.0))
-    assert count["most"] <= 2 * 2 + 1  # two per worker, and the one just drawn
-
-
-class _YieldingField(TrigLogNormalField):
-    """Gives up the GIL at every read of the grid memo.
-
-    Under CPython's GIL no thread switch falls between two plain reads of the
-    memo in `values`; a free-threaded build or a slower read can switch there.
-    """
-
-    @property
-    def _grid(self):
-        time.sleep(0)
-        return self.__dict__.get("memo", (None, None))
-
-    @_grid.setter
-    def _grid(self, value):
-        self.__dict__["memo"] = value
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()}\\n")
+    elif calls:
+        while not os.path.exists(log):
+            time.sleep(0.001)
+        os._exit(0)
+    calls.append(1)  # the first chunk, computed before the fork
+    return germs[:, 0]
 
 
-def test_field_values_are_thread_safe_across_grids():
-    """Threads alternating two grids on one field get the serial results."""
-    field = _YieldingField(0.5, 2, 10.0)
-    germs = np.random.default_rng(6).standard_normal((3, 4))
-    grids = [np.linspace(-5.0, 5.0, 9), np.linspace(-5.0, 0.0, 9)]
-    expected = [TrigLogNormalField(0.5, 2, 10.0).values(x, germs) for x in grids]
+_over_eval_germs(pcsgd.builtin_linear_homogeneous(0.1, 1, 10.0, 4, 1), 400 * 512, 1, values)
+"""
 
-    def alternate(first):
-        return all(
-            np.array_equal(field.values(grids[k % 2], germs), expected[k % 2])
-            for k in range(first, first + 1000)
-        )
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
+@needs_fork
+def test_a_worker_stops_once_its_caller_is_gone(tmp_path):
+    """Between chunks a worker checks its parent: it stops within a chunk of the caller's
+    end, not after the pass's 400 chunks."""
+    log = tmp_path / "chunks"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    subprocess.run([sys.executable, "-c", ORPHANED_WORKER, str(log)], env=env, timeout=120,
+                   check=True)
+    [worker] = set(log.read_text().split())
+    deadline = time.monotonic() + 60
+    while _running(int(worker)) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not _running(int(worker))
+    assert len(log.read_text().split()) < 50
+
+
+def _running(pid: int) -> bool:
+    """Whether `pid` is a process that has not exited (a zombie has)."""
     try:
-        with ThreadPoolExecutor(4) as pool:
-            assert all(pool.map(alternate, range(4), timeout=60))
-    finally:
-        sys.setswitchinterval(interval)
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+    except FileNotFoundError:
+        return False
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(0, 100))

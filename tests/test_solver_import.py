@@ -1,11 +1,11 @@
 """`import pcsgd` loads the solver and the evaluation, not the experiment runner.
 
 The import loads neither the experiment layer, with its configparser and
-hashlib, nor the thread pool, and a solve and a linear evaluation after it
-load neither; only a pooled energy pass imports `concurrent.futures`.  The
-solve forks its germ-table producer with `os.fork` and loads no
-`multiprocessing`.  Checked in a child process with one BLAS thread, so
-that no other test has imported the modules and the solve forks.
+hashlib, nor a thread pool, and a solve and the energy passes after it load
+neither.  The solve forks its germ-table producer and each energy pass of
+two or more chunks its worker with `os.fork`, and no `multiprocessing` is
+loaded.  Checked in a child process with one BLAS thread, so that no other
+test has imported the modules and the solve and the passes fork.
 """
 
 import os
@@ -26,7 +26,7 @@ unused = {
 }
 assert unused.isdisjoint(sys.modules), sorted(unused.intersection(sys.modules))
 
-# two cores, so that the solve forks its producer and a pooled pass would build its pool
+# two cores, so that the solve forks its producer and an energy pass its worker
 os.sched_getaffinity = lambda pid: {0, 1}
 fork, forks = os.fork, []
 os.fork = lambda: forks.append(1) or fork()
@@ -37,18 +37,21 @@ config = pcsgd.SgdConfig(
 )
 _, c = pcsgd.run(problem, problem.mesh, problem.basis, config)
 assert forks == [1], "the solve forked no producer"
-pcsgd.estimate_energy(problem, problem.mesh, problem.basis, c, 2000, 0)  # four chunks, inline
+pcsgd.estimate_energy(problem, problem.mesh, problem.basis, c, 2000, 0)  # four chunks
+assert forks == [1, 1], "the linear pass forked no worker"
 unused.remove("hashlib")  # numpy.random, which the germ sampler loads, imports it through secrets
 assert unused.isdisjoint(sys.modules), sorted(unused.intersection(sys.modules))
 
 problem = pcsgd.builtin_semilinear_homogeneous_field(12.0, 20, 2)
 c = np.random.default_rng(3).standard_normal(problem.mesh.n_interior * problem.basis.size)
 args = (problem, problem.mesh, problem.basis, c, 3000, 5)
-pooled = pcsgd.estimate_energy(*args)
-assert "concurrent.futures" in sys.modules, "the semilinear pass built no pool"
+forked = pcsgd.estimate_energy(*args)
+assert forks == [1, 1, 1], "the semilinear pass forked no worker"
+assert unused.isdisjoint(sys.modules), sorted(unused.intersection(sys.modules))
 os.sched_getaffinity = lambda pid: {0}
 serial = pcsgd.estimate_energy(*args)
-assert (pooled.mean, pooled.standard_error) == (serial.mean, serial.standard_error), (pooled, serial)
+assert forks == [1, 1, 1], "a pass on one core forked"
+assert (forked.mean, forked.standard_error) == (serial.mean, serial.standard_error), (forked, serial)
 """
 
 
