@@ -23,6 +23,8 @@ DEFAULT_QUADRATURE_ORDER = 4
 # Rule nodes per slice in `rule_moments` and `expected_energy`: it bounds the pair buffer
 # and the reaction's (nodes, points) temporaries, which lowers a solve's peak memory.
 NODE_SLICE = 256
+# The m * n * k up to which OpenBLAS multiplies on one thread, whatever its count (README).
+BLAS_ONE_THREAD = 2**18
 
 
 def coefficient_matrix(c: np.ndarray, n_interior: int) -> np.ndarray:
@@ -44,10 +46,10 @@ class ControlVariateState:
 
 
 class RuleMoments(NamedTuple):
-    """A fixed rule's tables for `Kernel.expected_energy`."""
-    stiffness: np.ndarray  # G_e = sum_s w_s cond_se psi_s psi_s', (M+1, N+1, N+1)
-    source: np.ndarray | None  # sum_s w_s psi_s loads_s', (N+1, M+2), if there is a source
-    reaction: tuple | None  # the weights and psi (n, N+1), if there is a reaction
+    """Fixed rules' tables for `Kernel.expected_energy`, stacked over the R rules."""
+    stiffness: np.ndarray  # G_e = sum_s w_s cond_se psi_s psi_s', (R, M+1, N+1, N+1)
+    source: np.ndarray | None  # sum_s w_s psi_s loads_s', (R, N+1, M+2), if there is a source
+    reaction: list | None  # each rule's weights and psi (n, N+1), if there is a reaction
 
 
 class GradientRows(NamedTuple):
@@ -171,50 +173,54 @@ class Kernel:
             energy += np.einsum("ni,ni->n", loads, nodal)
         return energy
 
-    def rule_moments(self, nodes: np.ndarray, weights: np.ndarray) -> RuleMoments:
-        """Tables of `expected_energy` for the rule (nodes, weights).
+    def rule_moments(self, *rules: np.ndarray) -> RuleMoments:
+        """`expected_energy`'s tables for the rules nodes, weights, nodes, weights, ..., stacked.
 
-        np.einsum sums G_e (its a <= b half) and the source over NODE_SLICE nodes
-        per call, not BLAS, whose rounding can depend on its thread count.
+        BLAS sums G_e (its a <= b half) and the source in products sized for one thread.
         """
-        psi, conductance, loads = self.germ_tables(nodes)
-        n = self.basis.size
+        n, m = self.basis.size, self.mesh.n_interior
         first = np.r_[0, np.cumsum(np.arange(n, 0, -1))]  # row j's start in the a <= b half
-        half = np.zeros((conductance.shape[1], first[-1]))
-        buffer = np.empty((min(len(nodes), NODE_SLICE), first[-1]))  # one slice's pairs
-        source = None if loads is None else np.zeros((n, loads.shape[1]))
-        for k in range(0, len(nodes), NODE_SLICE):
-            chunk = slice(k, k + NODE_SLICE)
-            wpsi = weights[chunk, None] * psi[chunk]
-            pairs = buffer[: len(wpsi)]
-            for j, (lo, hi) in enumerate(zip(first, first[1:])):
-                np.multiply(wpsi[:, j, None], psi[chunk, j:], out=pairs[:, lo:hi])
-            half += np.einsum("se,sp->ep", conductance[chunk], pairs)
-            if source is not None:
-                source += np.einsum("sa,si->ai", wpsi, loads[chunk])
-        a, b = np.nonzero(np.less_equal.outer(np.arange(n), np.arange(n)))  # the a <= b half
-        stiffness = np.empty((len(half), n, n))
-        stiffness[:, a, b] = stiffness[:, b, a] = half
-        reaction = None if self.problem.nonlinearity is None else (weights, psi)
+        step = max(1, BLAS_ONE_THREAD // ((m + 2) * first[-1]))  # nodes per product
+        a, b = np.triu_indices(n)
+        stiffness = np.empty((len(rules) // 2, m + 1, n, n))
+        source = None if self.problem.source is None else np.zeros((len(stiffness), n, m + 2))
+        reaction = None if self.problem.nonlinearity is None else []
+        for r, (nodes, weights) in enumerate(zip(rules[::2], rules[1::2])):
+            psi, conductance, loads = self.germ_tables(nodes)
+            half = np.zeros((m + 1, first[-1]))
+            buffer = np.empty((min(len(nodes), NODE_SLICE), first[-1]))  # one slice's pairs
+            for k in range(0, len(nodes), NODE_SLICE):
+                chunk = slice(k, k + NODE_SLICE)
+                wpsi = weights[chunk, None] * psi[chunk]
+                pairs = buffer[: len(wpsi)]
+                for j, (lo, hi) in enumerate(zip(first, first[1:])):
+                    np.multiply(wpsi[:, j, None], psi[chunk, j:], out=pairs[:, lo:hi])
+                for part in (slice(s, s + step) for s in range(0, len(wpsi), step)):
+                    half += conductance[chunk][part].T @ pairs[part]
+                    if source is not None:
+                        source[r] += wpsi[part].T @ loads[chunk][part]
+            stiffness[r][:, a, b] = stiffness[r][:, b, a] = half
+            if reaction is not None:
+                reaction.append((weights, psi))
         return RuleMoments(stiffness, source, reaction)
 
-    def expected_energy(self, c: np.ndarray, moments: RuleMoments) -> float:
-        """A rule's `weights @ energies(c, nodes)`, from its `rule_moments`.
+    def expected_energy(self, c: np.ndarray, moments: RuleMoments) -> np.ndarray:
+        """Each stacked rule's `weights @ energies(c, nodes)`, (R,), from `rule_moments`.
 
         The sum of d_e' G_e d_e / 2 over the elements, d = diff(padded) / h,
         plus source : padded and the reaction's node energies.
         """
         padded = self.padded_coefficients(c)
         du = (np.diff(padded, axis=1) / self.mesh.h).T  # (M+1, N+1)
-        energy = 0.5 * (np.einsum("eab,eb->ea", moments.stiffness, du) * du).sum()
+        flux = np.matmul(moments.stiffness, du[:, :, None])[..., 0]  # G_e d_e, (R, M+1, N+1)
+        energy = 0.5 * (flux * du).sum(axis=(1, 2))
         if moments.source is not None:
-            energy += (moments.source * padded).sum()
-        if moments.reaction is not None:
-            weights, psi = moments.reaction
+            energy += (moments.source * padded).sum(axis=(1, 2))
+        for r, (weights, psi) in enumerate(moments.reaction or ()):
             # one product, as BLAS rows can round by the row count, then node slices
             slices = np.split(psi @ padded, range(NODE_SLICE, len(psi), NODE_SLICE))
-            energy += weights @ np.concatenate([self._reaction_energies(s) for s in slices])
-        return float(energy)
+            energy[r] += weights @ np.concatenate([self._reaction_energies(s) for s in slices])
+        return energy
 
     def gradient_parts(self, c, germs, order: int | None = None, *, tables=None) -> GradientRows:
         """Per-germ psi and gradient rows, with the CV surrogate's for a CV `order`.
@@ -329,12 +335,15 @@ def estimate_cv_lambda(
         raise ValueError("pilot batch needs at least two samples")
     germs = sampler.sample_batch(0, pilot_size, "pilot")
     rows = kernel.gradient_parts(c, germs, order)
-    # centered Z·Z and X·Z sums per psi_j
+    # centered Z·Z and X·Z sums per psi_j, through three reused (n, M) buffers
     sums = np.empty((2, kernel.basis.size, kernel.mesh.n_interior))
+    x, z, product = (np.empty_like(rows.linear) for _ in range(3))
     for j, psi_j in enumerate(rows.psi.T[:, :, None]):
-        x_j, z_j = psi_j * rows.linear, psi_j * rows.surrogate  # X, Z on psi_j's block
-        xc, zc = x_j - x_j.mean(axis=0), z_j - z_j.mean(axis=0)
-        sums[:, j] = (zc * zc).sum(axis=0), (xc * zc).sum(axis=0)
+        for buffer, part in ((x, rows.linear), (z, rows.surrogate)):  # X, Z on psi_j's block
+            np.multiply(psi_j, part, out=buffer)
+            buffer -= buffer.mean(axis=0)
+        sums[0, j] = np.multiply(z, z, out=product).sum(axis=0)
+        sums[1, j] = np.multiply(x, z, out=product).sum(axis=0)
     var_z, cov_xz = sums.reshape(2, kernel.dim)
     with np.errstate(divide="ignore", invalid="ignore"):
         lam = np.where(var_z > 0.0, -cov_xz / np.where(var_z > 0.0, var_z, 1.0), 0.0)

@@ -17,11 +17,10 @@ from collections.abc import Callable
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from importlib.machinery import PathFinder
-from importlib.util import module_from_spec
+from importlib.util import find_spec, module_from_spec
 from math import isfinite
 
 import numpy as np
-import scipy
 
 from .estimators import Kernel, estimate_cv_lambda, kernel_for
 from .fem1d import Mesh1D
@@ -29,9 +28,10 @@ from .pc_basis import PcBasisSet, gauss_hermite
 from .problem import ProblemInstance
 from .random_field import GermSampler, fork, may_fork
 
-# LAPACK's dptsv from scipy's f2py extension file, without `scipy.linalg` (0.2 s and 19 MiB
-# of import, README); extension modules are cached, so `scipy.linalg` gets the same objects.
-_spec = PathFinder.find_spec("scipy.linalg._flapack", [os.path.join(scipy.__path__[0], "linalg")])
+# LAPACK's dptsv from scipy's f2py extension file, importing neither scipy nor `scipy.linalg`
+# (README); extension modules are cached, so `scipy.linalg` gets the same objects.
+_scipy_dir = find_spec("scipy").submodule_search_locations[0]
+_spec = PathFinder.find_spec("scipy.linalg._flapack", [os.path.join(_scipy_dir, "linalg")])
 _flapack = module_from_spec(_spec)
 _spec.loader.exec_module(_flapack)
 dptsv = _flapack.dptsv
@@ -146,11 +146,13 @@ def precondition_solve(
     """
     m = blocks.shape[2]
     failed = ~np.isfinite(blocks).all(axis=(1, 2))
-    bands = np.where(failed[:, None, None], 0.0, blocks)
+    bands = np.where(failed[:, None, None], 0.0, blocks) if failed.any() else blocks
     diagonal = bands[:, 0] + ridge * np.abs(bands[:, 0].sum(axis=1, keepdims=True)) / m
-    sub = np.where(np.arange(m) < m - 1, bands[:, 1], 0.0)  # no coupling to the next block
+    sub = bands[:, 1].copy()  # `blocks` may be the germ-table producer's ring slot
+    sub[:, -1] = 0.0  # no coupling to the next block
     while True:
-        diagonal[failed], sub[failed] = 1.0, 0.0
+        if failed.any():
+            diagonal[failed], sub[failed] = 1.0, 0.0
         # dptsv wants len(e) >= 1
         _, _, step, info = dptsv(diagonal.ravel(), sub.ravel()[: max(sub.size - 1, 1)], gradient)
         if info == 0:
@@ -293,11 +295,10 @@ def run(
 
     # The monitor records E[J(c; Y)] on a fixed Gauss-Hermite rule, and the
     # distance to its partner with n - 2 points per axis as the error estimate,
-    # each from moment tables built once.
+    # both from one stack of moment tables built once.
     n_points = monitor_points(basis, config.monitor_samples)
-    rules = [
-        kernel.rule_moments(*gauss_hermite(n, problem.germ_dim)) for n in (n_points, n_points - 2)
-    ]
+    k = problem.germ_dim
+    rules = kernel.rule_moments(*gauss_hermite(n_points, k), *gauss_hermite(n_points - 2, k))
 
     order = CV_ORDERS[config.cv_mode]
     cv_state = estimate_cv_lambda(kernel, c, order, config.cv_pilot_size, sampler)
@@ -305,7 +306,7 @@ def run(
     records: list[tuple] = []  # one row per record, in Trajectory's field order
 
     def record(n: int, eta: float, grad_norm: float, fallbacks: int):
-        energy, partner = (kernel.expected_energy(c, rule) for rule in rules)
+        energy, partner = kernel.expected_energy(c, rules).tolist()
         records.append((n, eta, energy, abs(energy - partner), grad_norm, fallbacks))
         if on_record is not None:
             on_record(n, c)

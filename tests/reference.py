@@ -1,9 +1,10 @@
 """Test instruments: pointwise hats and lifting, a deterministic FEM solve at one
-germ, a log-log rate fit and the Hermite moments as dense tables.
+germ, a log-log rate fit, the Hermite moments as dense tables and the control
+variate's multipliers from fresh arrays.
 
 None is part of the method; the tests use them to check the hat tables and the
-kernel's discretization, the SGD's convergence rate and the basis's moment
-structure against quadrature.
+kernel's discretization, the SGD's convergence rate, the basis's moment
+structure against quadrature and the in-place pilot loop.
 """
 
 import warnings
@@ -142,3 +143,16 @@ def moment_table(basis: PcBasisSet) -> MomentTable:
     b = basis.raised[k, a]  # psi_b is psi_a raised in Y_k
     linear[k, a, b] = linear[k, b, a] = basis.norms[b]
     return MomentTable(np.diag(basis.norms), linear)
+
+
+def cv_lambda_reference(kernel, c: np.ndarray, order: int, pilot_size: int, sampler) -> np.ndarray:
+    """`estimate_cv_lambda`'s multipliers from new arrays at every step of its psi_j loop."""
+    rows = kernel.gradient_parts(c, sampler.sample_batch(0, pilot_size, "pilot"), order)
+    sums = np.empty((2, kernel.basis.size, kernel.mesh.n_interior))
+    for j, psi_j in enumerate(rows.psi.T[:, :, None]):
+        x_j, z_j = psi_j * rows.linear, psi_j * rows.surrogate  # X, Z on psi_j's block
+        xc, zc = x_j - x_j.mean(axis=0), z_j - z_j.mean(axis=0)
+        sums[:, j] = (zc * zc).sum(axis=0), (xc * zc).sum(axis=0)
+    var_z, cov_xz = sums.reshape(2, kernel.dim)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(var_z > 0.0, -cov_xz / np.where(var_z > 0.0, var_z, 1.0), 0.0)

@@ -1,4 +1,7 @@
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,11 +20,18 @@ from pcsgd import (
     generate_basis,
     kernel_for,
 )
-from pcsgd.estimators import DEFAULT_QUADRATURE_ORDER, coefficient_matrix, flat_index
+from pcsgd.estimators import (
+    BLAS_ONE_THREAD,
+    DEFAULT_QUADRATURE_ORDER,
+    coefficient_matrix,
+    flat_index,
+)
 from pcsgd.fem1d import hat_tables, lifting_tables, quadrature_points
 from pcsgd.pc_basis import eval_all, gauss_hermite
 from pcsgd.sgd import CV_ORDERS
-from reference import LiftingFunction, eval_dphi, eval_phi, moment_table
+from reference import LiftingFunction, cv_lambda_reference, eval_dphi, eval_phi, moment_table
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def dense_from_bands(bands):
@@ -302,6 +312,19 @@ def test_cv_lambda_matches_per_sample_products(problem, order):
     np.testing.assert_array_equal(state.lam, expected)
 
 
+@pytest.mark.parametrize("scale", [0.0, 0.5], ids=["c-zero", "c-random"])
+@pytest.mark.parametrize("order", [0, 1], ids=["order0", "order1"])
+def test_cv_lambda_reuses_its_buffers_with_the_same_bits(scale, order):
+    """Solve size (M=50, N+1=35) with boundary data: the in-place loop's lambda is the
+    fresh-array loop's, bit for bit."""
+    problem = builtin_linear_nonhomogeneous(0.1, 2, 10.0, 50, 3)
+    kernel = kernel_for(problem)
+    c = scale * np.random.default_rng(17).standard_normal(kernel.dim)
+    state = estimate_cv_lambda(kernel, c, order, 500, GermSampler(4, problem.germ_dim))
+    expected = cv_lambda_reference(kernel, c, order, 500, GermSampler(4, problem.germ_dim))
+    np.testing.assert_array_equal(state.lam, expected)
+
+
 def test_cv_lambda_memory_is_bounded(traced_peak):
     """Solve size (M=50, N+1=35), 1,000-germ order1 pilot: no (pilot, dim) arrays."""
     problem = builtin_linear_nonhomogeneous(0.1, 2, 10.0, 50, 3)
@@ -388,52 +411,116 @@ def test_kernel_weight_tables_are_c_contiguous():
 
 
 def whole_array_rule_energy(kernel, c, nodes, weights):
-    """`rule_moments`' a <= b half of G_e and source, and `expected_energy`, with
-    every 256-node slice's pair products gathered at once and the reaction
+    """`rule_moments`' a <= b half of G_e and source, and `expected_energy`, for one
+    rule, with every 256-node slice's pair products gathered at once and the reaction
     evaluated on all nodes in one call."""
     psi, conductance, loads = kernel.germ_tables(nodes)
     a, b = np.triu_indices(kernel.basis.size)
+    step = max(1, BLAS_ONE_THREAD // ((kernel.mesh.n_interior + 2) * len(a)))
     half = np.zeros((conductance.shape[1], len(a)))
     source = None if loads is None else np.zeros((kernel.basis.size, loads.shape[1]))
     for k in range(0, len(nodes), 256):
         chunk = slice(k, k + 256)
         wpsi = weights[chunk, None] * psi[chunk]
-        half += np.einsum("se,sp->ep", conductance[chunk], wpsi[:, a] * psi[chunk, b])
-        if source is not None:
-            source += np.einsum("sa,si->ai", wpsi, loads[chunk])
+        pairs = wpsi[:, a] * psi[chunk, b]
+        for s in range(0, len(pairs), step):
+            part = slice(s, s + step)
+            half += conductance[chunk][part].T @ pairs[part]
+            if source is not None:
+                source += wpsi[part].T @ loads[chunk][part]
     stiffness = np.empty((len(half), kernel.basis.size, kernel.basis.size))
     stiffness[:, a, b] = stiffness[:, b, a] = half
     padded = kernel.padded_coefficients(c)
     du = (np.diff(padded, axis=1) / kernel.mesh.h).T
-    energy = 0.5 * (np.einsum("eab,eb->ea", stiffness, du) * du).sum()
+    energy = 0.5 * (np.matmul(stiffness, du[:, :, None])[..., 0] * du).sum()
     if source is not None:
         energy += (source * padded).sum()
     if kernel.problem.nonlinearity is not None:
         energy += weights @ kernel._reaction_energies(psi @ padded)
-    return stiffness, source, float(energy)
+    return stiffness, source, energy
+
+
+RULE_PROBLEMS = [
+    builtin_semilinear_nonhomogeneous_field(0.3, 2, 12.0, 50, 3),
+    builtin_linear_nonhomogeneous(0.1, 2, 10.0, 50, 3),
+    builtin_semilinear_homogeneous_field(12.0, 100, 3),
+]
+RULE_IDS = ["staged", "solve", "table3"]
+
+
+@pytest.mark.parametrize("problem", RULE_PROBLEMS, ids=RULE_IDS)
+def test_rule_tables_equal_the_whole_array_formulas(problem):
+    """Row-by-row pair products, stacked rules and 256-node reaction slices keep every bit."""
+    kernel = kernel_for(problem)
+    c = 0.1 * np.random.default_rng(2).standard_normal(kernel.dim)
+    rules = gauss_hermite(6, problem.germ_dim), gauss_hermite(4, problem.germ_dim)
+    moments = kernel.rule_moments(*rules[0], *rules[1])
+    energies = kernel.expected_energy(c, moments)
+    for r, rule in enumerate(rules):
+        stiffness, source, energy = whole_array_rule_energy(kernel, c, *rule)
+        np.testing.assert_array_equal(moments.stiffness[r], stiffness)
+        if source is not None:
+            np.testing.assert_array_equal(moments.source[r], source)
+        assert energies[r] == energy
+
+
+@pytest.mark.parametrize("problem", RULE_PROBLEMS, ids=RULE_IDS)
+def test_stacked_rule_energies_equal_each_rules_weighted_energies(problem):
+    """One contraction over both rules' stacked tables is each rule's `w @ energies`,
+    at c and far from the minimizer at 1e3 * c."""
+    kernel = kernel_for(problem)
+    c = 0.1 * np.random.default_rng(3).standard_normal(kernel.dim)
+    rules = gauss_hermite(6, problem.germ_dim), gauss_hermite(4, problem.germ_dim)
+    moments = kernel.rule_moments(*rules[0], *rules[1])
+    for iterate in (c, 1e3 * c):
+        expected = [weights @ kernel.energies(iterate, nodes) for nodes, weights in rules]
+        np.testing.assert_allclose(kernel.expected_energy(iterate, moments), expected, rtol=1e-14)
+
+
+RULE_DIGEST = """
+import hashlib
+import sys
+import numpy as np
+import pcsgd
+from pcsgd.estimators import kernel_for
+from pcsgd.pc_basis import gauss_hermite
+
+problem = eval(sys.argv[1], vars(pcsgd))
+kernel = kernel_for(problem)
+k = problem.germ_dim
+moments = kernel.rule_moments(*gauss_hermite(6, k), *gauss_hermite(4, k))
+c = 0.1 * np.random.default_rng(2).standard_normal(kernel.dim)
+digest = hashlib.sha256(moments.stiffness.tobytes() + kernel.expected_energy(c, moments).tobytes())
+if moments.source is not None:
+    digest.update(moments.source.tobytes())
+print(digest.hexdigest())
+"""
 
 
 @pytest.mark.parametrize(
-    "problem",
+    "builtin",
     [
-        builtin_semilinear_nonhomogeneous_field(0.3, 2, 12.0, 50, 3),
-        builtin_linear_nonhomogeneous(0.1, 2, 10.0, 50, 3),
-        builtin_semilinear_homogeneous_field(12.0, 100, 3),
+        "builtin_semilinear_nonhomogeneous_field(0.3, 2, 12.0, 50, 3)",
+        "builtin_linear_nonhomogeneous(0.1, 2, 10.0, 50, 3)",
+        "builtin_semilinear_homogeneous_field(12.0, 100, 3)",
     ],
-    ids=["staged", "solve", "table3"],
+    ids=RULE_IDS,
 )
-def test_rule_tables_equal_the_whole_array_formulas(problem):
-    """Row-by-row pair products and 256-node reaction slices keep every bit."""
-    kernel = kernel_for(problem)
-    c = 0.1 * np.random.default_rng(2).standard_normal(kernel.dim)
-    for n in (6, 4):
-        rule = gauss_hermite(n, problem.germ_dim)
-        moments = kernel.rule_moments(*rule)
-        stiffness, source, energy = whole_array_rule_energy(kernel, c, *rule)
-        np.testing.assert_array_equal(moments.stiffness, stiffness)
-        if source is not None:
-            np.testing.assert_array_equal(moments.source, source)
-        assert kernel.expected_energy(c, moments) == energy
+def test_rule_tables_are_bit_identical_across_blas_thread_counts(builtin):
+    """A 256-node product split over two OpenBLAS threads changed the tables' last bits;
+    `rule_moments`' products are small enough for one.  Each digest comes from a child
+    process, as OpenBLAS reads its thread count once, when it is loaded."""
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        result = subprocess.run(
+            [sys.executable, "-c", RULE_DIGEST, builtin],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        digests.add(result.stdout.strip())
+    assert len(digests) == 1
 
 
 def test_monitor_tables_memory_is_bounded(traced_peak):

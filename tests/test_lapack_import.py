@@ -1,4 +1,4 @@
-"""pcsgd takes LAPACK's `dptsv` from scipy without importing `scipy.linalg`.
+"""pcsgd takes LAPACK's `dptsv` from scipy without importing scipy or `scipy.linalg`.
 
 Checked in a child process, so that no other test has imported the package.
 """
@@ -26,6 +26,7 @@ blocks = np.array([[[2.0, 2.0, 2.0], [-1.0, -1.0, 0.0]], [[-1.0, 2.0, 2.0], [0.5
 step, fallbacks = pcsgd.precondition_solve(blocks, np.ones(6), 0.0)
 assert fallbacks == 1 and np.allclose(step, [1.5, 2.0, 1.5, 1.0, 1.0, 1.0]), (step, fallbacks)
 assert "scipy.linalg" not in sys.modules, "pcsgd imported scipy.linalg"
+assert "scipy" not in sys.modules, "pcsgd imported scipy"
 
 import scipy.linalg
 
